@@ -25,6 +25,7 @@ from .oracle import (
     OracleConfigError,
     check_reduction,
     hf_biproj,
+    hf_biproj_row,
 )
 
 CSV_HEADER = ["a", "b", "m", "s", "value", "source", "known", "defective", "defect"]
@@ -187,23 +188,26 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _oracle_config(args)
     pts = UniformFatPoints(args.s, args.m)
+    mults = (pts.m,) * pts.s
     mismatches = []
     checked = 0
     inject = args.inject_mismatch
     for b in range(args.bmax + 1):
+        closed = {}
         for a in range(args.amax + 1):
-            deg = BiDegree(a, b)
-            hf = hf_uniform(deg, pts)
-            if hf.value is None:
-                continue
-            formula = hf.value
+            hf = hf_uniform(BiDegree(a, b), pts)
+            if hf.value is not None:
+                closed[a] = hf.value
+        if not closed:
+            continue
+        ranks = hf_biproj_row(max(closed), b, mults, cfg)
+        for a, formula in closed.items():
             if inject:
                 formula += 1
                 inject = False
-            oracle = hf_biproj(deg, (pts.m,) * pts.s, cfg)
             checked += 1
-            if formula != oracle:
-                mismatches.append((a, b, formula, oracle))
+            if formula != ranks[a]:
+                mismatches.append((a, b, formula, ranks[a]))
     if mismatches:
         for a, b, formula, oracle in mismatches:
             print(f"MISMATCH a={a} b={b}: formula {formula} != oracle {oracle}")
@@ -351,7 +355,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`), which is not an error; stdout
+        # moves to devnull so the final flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OracleConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

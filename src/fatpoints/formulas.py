@@ -26,7 +26,7 @@ from .core import (
     binom,
     hf_value,
 )
-from .oracle import OracleConfig, hf_biproj
+from .oracle import OracleConfig, hf_biproj_row
 from .schemes import PlaneScheme, reduce_to_plane
 
 __all__ = [
@@ -199,20 +199,20 @@ def table_region(
     """Grid of values, rows indexed by b from 0, columns by a from 0.
 
     Unknown cells are resolved by the rank oracle when a configuration is
-    given (tagged source=ORACLE) and left value-less otherwise.
+    given (tagged source=ORACLE), one oracle row per table row, and left
+    value-less otherwise.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")
     pts = UniformFatPoints(s, m)
     grid = []
     for b in range(b_max + 1):
-        row = []
-        for a in range(a_max + 1):
-            deg = BiDegree(a, b)
-            cell = hf_uniform(deg, pts)
-            if cell.value is None and oracle is not None:
-                rank = hf_biproj(deg, (m,) * s, oracle)
-                cell = hf_value(rank, deg, pts, source=Source.ORACLE, known=False)
-            row.append(cell)
+        row = [hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]
+        unknown = [a for a, cell in enumerate(row) if cell.value is None]
+        if oracle is not None and unknown:
+            ranks = hf_biproj_row(unknown[-1], b, (m,) * s, oracle)
+            for a in unknown:
+                row[a] = hf_value(ranks[a], BiDegree(a, b), pts,
+                                  source=Source.ORACLE, known=False)
         grid.append(row)
     return grid

@@ -114,10 +114,6 @@ def differential_residue(cfg: LineConfiguration) -> PlaneScheme:
     return PlaneScheme(cfg.corner_a, cfg.corner_b, cfg.off_line, tuple(residues))
 
 
-def differential_trace(cfg: LineConfiguration) -> list[int]:
-    return [lp.slice_width for lp in cfg.line_points]
-
-
 def residue_corner(scheme: PlaneScheme) -> PlaneScheme:
     """Residue by the line joining the two corners (both multiplicities drop)."""
     return PlaneScheme(

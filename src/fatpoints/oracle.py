@@ -10,10 +10,15 @@ and under distinct seeds is part of the test suite.
 
 Everything is deterministic: support is derived from (master seed, instance,
 trial index), so identical inputs give identical outputs in any call order.
+For the bidegree model the instance is (b, multiplicities), without a: one
+elimination per trial of the widest (a, b) matrix of a row gives the rank at
+every smaller a through its column rank profile, so a table or verify row
+costs one elimination per trial, and a single cell reads the same support.
 """
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,17 +152,23 @@ def _deriv_row(fall: np.ndarray, powers: np.ndarray, order: int, p: int) -> np.n
     return row
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Exact rank over Z/p by dense Gaussian elimination."""
+def rank_profile_mod_p(matrix, p: int) -> list[int]:
+    """Column rank profile over Z/p: the pivot columns of a left-to-right
+    Gaussian elimination, in increasing order.
+
+    They are the lexicographically first independent columns, so the rank
+    of the first k columns is the number of pivots below k.
+    """
     M = np.asarray(matrix, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if M.size == 0:
-        return 0
+        return []
     M = M % p
     rows, cols = M.shape
-    rank = 0
+    pivots = []
     for col in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         nz = np.nonzero(M[rank:, col])[0]
@@ -174,8 +185,13 @@ def rank_mod_p(matrix, p: int) -> int:
             M[rank + 1 + hit, col:] = (
                 M[rank + 1 + hit, col:] - body[hit, None] * M[rank, col:]
             ) % p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Exact rank over Z/p by dense Gaussian elimination."""
+    return len(rank_profile_mod_p(matrix, p))
 
 
 def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -> np.ndarray:
@@ -183,6 +199,8 @@ def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -
 
     Point i of multiplicity m contributes the rows (c,e) with c+e <= m-1:
     the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
+    Column j*(b+1) + l holds x^j y^l; hf_biproj_row relies on this j-major
+    order to read smaller a off a prefix of the columns.
     """
     a, b = deg.a, deg.b
     mults = tuple(mults)
@@ -320,22 +338,37 @@ def _plane_instance(d: int, scheme: PlaneScheme, seed: int, p: int):
     return plane_conditions_matrix(d, scheme, gx, lx, ys[:n_gen], p, corners)
 
 
+def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> list[int]:
+    """Generic Hilbert-function values at (a, b) for every a <= a_max.
+
+    The columns of the conditions matrix run j-major, so the (a, b) matrix is
+    the first (a+1)(b+1) columns of the (a_max, b) matrix on the same
+    support. One elimination per trial gives the column rank profile, and
+    the rank at a is the number of pivots before column (a+1)(b+1). Each
+    entry is the max over trials.
+    """
+    mults = tuple(mults)
+    cfg.require_degree(a_max + b)
+    cfg.require_degree(max(mults, default=0))
+    deg = BiDegree(a_max, b)
+    best = [0] * (a_max + 1)
+    for trial in range(cfg.trials):
+        seed = derive_seed(cfg.seed, "bi", b, mults, trial)
+        support = sample_support(seed, len(mults), cfg.prime)
+        M = bi_conditions_matrix(deg, mults, support, cfg.prime)
+        pivots = rank_profile_mod_p(M, cfg.prime)
+        best = [max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in enumerate(best)]
+    return best
+
+
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Generic Hilbert-function value at `deg` for the given multiplicities.
 
     Max over trials of the conditions-matrix rank; the value plus the ideal
-    piece's dimension is (a+1)(b+1).
+    piece's dimension is (a+1)(b+1). Read off the row of `deg.b`, so a
+    single cell and a table row drawn on the same support agree bit for bit.
     """
-    mults = tuple(mults)
-    cfg.require_degree(deg.a + deg.b)
-    cfg.require_degree(max(mults, default=0))
-    best = 0
-    for trial in range(cfg.trials):
-        seed = derive_seed(cfg.seed, "bi", deg.a, deg.b, mults, trial)
-        support = sample_support(seed, len(mults), cfg.prime)
-        M = bi_conditions_matrix(deg, mults, support, cfg.prime)
-        best = max(best, rank_mod_p(M, cfg.prime))
-    return best
+    return hf_biproj_row(deg.a, deg.b, mults, cfg)[deg.a]
 
 
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +146,41 @@ class TestTable:
                         "--trials", "1")
         assert code == 0
         assert out.strip().split("\n")[8].split()[9] == "71*?"
+
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_oracle_unknown_matches_hf_oracle(self, capsys, seed):
+        code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", "9",
+                        "--bmax", "9", "--oracle-unknown", "--format", "json",
+                        "--seed", seed)
+        assert code == 0
+        cells = [r for r in json.loads(out) if r["source"] == "oracle"]
+        assert len(cells) == 16  # the open region 6 <= a, b <= 9
+        for cell in cells:
+            code, out = run(capsys, "hf", "--a", str(cell["a"]), "--b", str(cell["b"]),
+                            "--m", "5", "--s", "5", "--mode", "oracle",
+                            "--format", "json", "--seed", seed)
+            assert code == 0
+            assert json.loads(out)["value"] == cell["value"]
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_0_quietly(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # about 360 kB of table, far more than a pipe buffers
+        with subprocess.Popen(
+            [sys.executable, "-m", "fatpoints.cli", "table", "--m", "3", "--s", "5",
+             "--amax", "300", "--bmax", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.startswith(b"b\\a")
+        assert code == 0
+        assert err == b""
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,15 @@ from fatpoints.oracle import (
     ALT_PRIME,
     OracleConfig,
     OracleConfigError,
+    bi_conditions_matrix,
     check_reduction,
     derive_seed,
     hf_biproj,
+    hf_biproj_row,
     hf_plane,
     hf_trace_line,
     rank_mod_p,
+    rank_profile_mod_p,
     sample_support,
 )
 from fatpoints.schemes import PlaneScheme, SliceProfile
@@ -83,6 +87,67 @@ class TestRank:
         rows = triple_point_rows_at(Fraction(3, 7), Fraction(5, 11), 2, 2)
         assert len(rows) == 6 and len(rows[0]) == 9
         assert rational_rank(rows) == 6
+
+
+def structured_matrices(rng, p):
+    """Matrices whose rank profile has gaps: zero and repeated columns,
+    rank-deficient products, and more rows than columns."""
+    def rand(rows, cols):
+        return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
+                        dtype=np.int64)
+
+    base = rand(6, 9)
+    zeros = base.copy()
+    zeros[:, [0, 3, 4]] = 0
+    repeated = base.copy()
+    repeated[:, 5] = repeated[:, 1]
+    repeated[:, 6] = 2 * repeated[:, 2] % p
+    repeated[:, 7] = (repeated[:, 1] + repeated[:, 2]) % p
+    # (a, k) @ (k, b) has rank at most k; entries below 2^15 keep int64 exact
+    product = (rand(7, 2) % (1 << 15)) @ (rand(2, 10) % (1 << 15)) % p
+    tall = rand(12, 5)
+    tall[:, 3] = 0
+    return [zeros, repeated, product, tall, np.zeros((4, 3), dtype=np.int64)]
+
+
+class TestRankProfile:
+    def test_prefix_ranks_are_pivot_counts(self):
+        rng = random.Random(20261018)
+        p = 2**31 - 1
+        matrices = structured_matrices(rng, p)
+        for _ in range(20):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            matrices.append(np.array(
+                [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                 for _ in range(rows)], dtype=np.int64))
+        for M in matrices:
+            pivots = rank_profile_mod_p(M, p)
+            assert pivots == sorted(set(pivots))
+            for k in range(M.shape[1] + 1):
+                assert bisect_left(pivots, k) == rank_mod_p(M[:, :k], p)
+
+    def test_structured_profiles(self):
+        p = 2**31 - 1
+        zeros, repeated, product, tall, empty = structured_matrices(random.Random(7), p)
+        assert rank_profile_mod_p(zeros, p) == [1, 2, 5, 6, 7, 8]
+        assert rank_profile_mod_p(repeated, p) == [0, 1, 2, 3, 4, 8]
+        assert len(rank_profile_mod_p(product, p)) == 2
+        assert rank_profile_mod_p(tall, p) == [0, 1, 2, 4]
+        assert rank_profile_mod_p(empty, p) == []
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_row_matches_cells_on_independent_support(self, m, oracle):
+        # each cell gets its own support, drawn under a tag the row never uses
+        p = oracle.prime
+        for s in range(3, 7):
+            mults = (m,) * s
+            for b in range(5, 9):
+                row = hf_biproj_row(12, b, mults, oracle)
+                for a in range(13):
+                    seed = derive_seed(oracle.seed, "cross-check", a, b, mults)
+                    support = sample_support(seed, s, p)
+                    M = bi_conditions_matrix(BiDegree(a, b), mults, support, p)
+                    assert row[a] == rank_mod_p(M, p), (a, b, m, s)
 
 
 class TestBiModel:
