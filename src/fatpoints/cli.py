@@ -8,14 +8,13 @@ corresponding flags; explicit flags win.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 
 from .core import BiDegree, HFValue, Source, UniformFatPoints, hf_value
-from .formulas import hf_uniform, reduce_to_plane, table_region
+from .formulas import hf_uniform, table_region
 from .horace import verify_chain
 from .oracle import (
     DEFAULT_PRIME,
@@ -27,6 +26,7 @@ from .oracle import (
     hf_biproj,
     hf_biproj_row,
 )
+from .schemes import reduce_to_plane
 
 CSV_HEADER = ["a", "b", "m", "s", "value", "source", "known", "defective", "defect"]
 JSON_KEYS = CSV_HEADER + ["virtual_dim", "expected_dim"]
@@ -103,16 +103,22 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(prime=prime, trials=args.trials, seed=seed)
 
 
+def _print_csv(header: list[str], rows):
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(["" if value is None else value for value in row] for row in rows)
+
+
+def _record_row(record: OutputRecord) -> list:
+    data = record.to_dict()
+    return [data[key] for key in CSV_HEADER]
+
+
 def _print_record(record: OutputRecord, fmt: str):
     if fmt == "json":
         print(json.dumps(record.to_dict()))
     elif fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(CSV_HEADER)
-        row = record.to_dict()
-        writer.writerow([row[key] if row[key] is not None else "" for key in CSV_HEADER])
-        print(out.getvalue(), end="")
+        _print_csv(CSV_HEADER, [_record_row(record)])
     else:
         for key in JSON_KEYS:
             value = record.to_dict()[key]
@@ -167,14 +173,11 @@ def cmd_table(args) -> int:
         print(render_table(grid, args.mark_defective))
         return 0
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["a", "b", "value", "flags"])
-        for b, row in enumerate(grid):
-            for a, hf in enumerate(row):
-                flags = ("*" if hf.defective else "") + ("?" if hf.source is Source.ORACLE else "")
-                writer.writerow([a, b, hf.value if hf.value is not None else "", flags])
-        print(out.getvalue(), end="")
+        _print_csv(["a", "b", "value", "flags"], (
+            [a, b, hf.value, _cell_marks(hf, mark_defective=True)]
+            for b, row in enumerate(grid)
+            for a, hf in enumerate(row)
+        ))
         return 0
     records = [
         make_record(BiDegree(a, b), pts, hf).to_dict()
@@ -230,13 +233,7 @@ def cmd_defects(args) -> int:
     if args.format == "json":
         print(json.dumps([record.to_dict() for record in records]))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            row = record.to_dict()
-            writer.writerow([row[key] for key in CSV_HEADER])
-        print(out.getvalue(), end="")
+        _print_csv(CSV_HEADER, map(_record_row, records))
     else:
         if not records:
             print("no defective cells")

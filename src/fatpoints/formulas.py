@@ -27,19 +27,16 @@ from .core import (
     hf_value,
 )
 from .oracle import OracleConfig, hf_biproj_row
-from .schemes import PlaneScheme, reduce_to_plane
 
 __all__ = [
     "FormulaRoute",
     "RegionClass",
     "RegionKind",
-    "PlaneScheme",
     "classify",
     "defective_family",
     "hf_m_ge_b",
     "hf_triple",
     "hf_uniform",
-    "reduce_to_plane",
     "stabilization_threshold",
     "table_region",
 ]
@@ -63,8 +60,15 @@ class FormulaRoute(Enum):
 
 @dataclass(frozen=True)
 class RegionClass:
-    kind: RegionKind
     route: FormulaRoute | None
+
+    @property
+    def kind(self) -> RegionKind:
+        if self.route is None:
+            return RegionKind.UNKNOWN
+        if self.route is FormulaRoute.DEFECTIVE_FAMILY:
+            return RegionKind.KNOWN_DEFECTIVE_FAMILY
+        return RegionKind.KNOWN_FORMULA
 
 
 def classify(deg: BiDegree, pts: UniformFatPoints) -> RegionClass:
@@ -72,16 +76,16 @@ def classify(deg: BiDegree, pts: UniformFatPoints) -> RegionClass:
     b = deg.normalized.b
     m = pts.m
     if m == 1:
-        return RegionClass(RegionKind.KNOWN_FORMULA, FormulaRoute.SIMPLE)
+        return RegionClass(FormulaRoute.SIMPLE)
     if b <= m:
-        return RegionClass(RegionKind.KNOWN_FORMULA, FormulaRoute.M_GE_B)
+        return RegionClass(FormulaRoute.M_GE_B)
     if m == 2:
-        return RegionClass(RegionKind.KNOWN_FORMULA, FormulaRoute.DOUBLE)
+        return RegionClass(FormulaRoute.DOUBLE)
     if m == 3:
-        return RegionClass(RegionKind.KNOWN_FORMULA, FormulaRoute.TRIPLE)
+        return RegionClass(FormulaRoute.TRIPLE)
     if _family_cell(deg, pts):
-        return RegionClass(RegionKind.KNOWN_DEFECTIVE_FAMILY, FormulaRoute.DEFECTIVE_FAMILY)
-    return RegionClass(RegionKind.UNKNOWN, None)
+        return RegionClass(FormulaRoute.DEFECTIVE_FAMILY)
+    return RegionClass(None)
 
 
 def hf_m_ge_b(deg: BiDegree, pts: UniformFatPoints) -> HFValue:

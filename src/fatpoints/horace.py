@@ -86,17 +86,17 @@ class LineConfiguration:
         )
 
 
-def residue_line(cfg: LineConfiguration) -> PlaneScheme:
+def residue_line(scheme: PlaneScheme) -> PlaneScheme:
     """Plain residue by the line: every on-line profile loses its bottom row.
 
     Off-line points are untouched; the reduced points remain on the line.
     """
     residues = []
-    for lp in cfg.line_points:
-        rest = lp.profile.drop_bottom()
+    for pr in scheme.on_line:
+        rest = pr.drop_bottom()
         if rest is not None:
             residues.append(rest)
-    return PlaneScheme(cfg.corner_a, cfg.corner_b, cfg.off_line, tuple(residues))
+    return PlaneScheme(scheme.corner_a, scheme.corner_b, scheme.general, tuple(residues))
 
 
 def trace_line(cfg: LineConfiguration) -> list[int]:
@@ -124,16 +124,6 @@ def residue_corner(scheme: PlaneScheme) -> PlaneScheme:
     )
 
 
-def line_residue_scheme(scheme: PlaneScheme) -> PlaneScheme:
-    """Plain residue by the distinguished line applied to a bare scheme."""
-    residues = []
-    for pr in scheme.on_line:
-        rest = pr.drop_bottom()
-        if rest is not None:
-            residues.append(rest)
-    return PlaneScheme(scheme.corner_a, scheme.corner_b, scheme.general, tuple(residues))
-
-
 @dataclass(frozen=True)
 class CastelnuovoResult:
     lhs: int
@@ -150,7 +140,7 @@ def castelnuovo_check(cfg: LineConfiguration, d: int,
     residue/trace pair; a False result signals a bug, not mathematics.
     """
     lhs = hf_plane(d, cfg.scheme, oracle)
-    rhs_res = hf_plane(d - 1, residue_line(cfg), oracle) if d >= 1 else 0
+    rhs_res = hf_plane(d - 1, residue_line(cfg.scheme), oracle) if d >= 1 else 0
     rhs_tr = hf_trace_line(d, trace_line(cfg), oracle)
     return CastelnuovoResult(lhs, rhs_res, rhs_tr, lhs <= rhs_res + rhs_tr)
 

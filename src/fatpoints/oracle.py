@@ -14,9 +14,19 @@ For the bidegree model the instance is (b, multiplicities), without a: one
 elimination per trial of the widest (a, b) matrix of a row gives the rank at
 every smaller a through its column rank profile, so a table or verify row
 costs one elimination per trial, and a single cell reads the same support.
+
+All three models share one builder, conditions_matrix: derivative conditions
+at chart points against a set of exponent columns, a box for bidegree
+(a, b), a triangle for plane degree d and a segment for the line. The plane
+corners Q1 and Q2 are drawn as two more random chart points off the line
+y = 0, since PGL(3) takes any two general points to them; no dimension
+changes. A matrix whose elimination would not fit in physical memory is
+refused with a ValueError before it is allocated.
 """
 
 import hashlib
+import math
+import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -101,8 +111,8 @@ class SupportSample:
     points: tuple[tuple[int, int], ...]
 
 
-def _distinct(rng: random.Random, count: int, p: int, forbid: set[int] | None = None) -> list[int]:
-    seen = set() if forbid is None else set(forbid)
+def _distinct(rng: random.Random, count: int, p: int) -> list[int]:
+    seen = set()
     out = []
     while len(out) < count:
         v = rng.randrange(1, p)
@@ -129,27 +139,18 @@ def _falling_table(max_exp: int, max_order: int, p: int) -> np.ndarray:
     fall = np.zeros((max_order + 1, max_exp + 1), dtype=np.int64)
     fall[0, :] = 1
     for c in range(1, max_order + 1):
-        for j in range(c, max_exp + 1):
-            fall[c, j] = fall[c - 1, j] * (j - c + 1) % p
+        fall[c, c:] = fall[c - 1, c:] * np.arange(1, max_exp - c + 2) % p
     return fall
 
 
-def _power_row(base: int, max_exp: int, p: int) -> np.ndarray:
-    out = np.empty(max_exp + 1, dtype=np.int64)
-    acc = 1
-    for e in range(max_exp + 1):
-        out[e] = acc
-        acc = acc * base % p
+def _derivatives(t: int, orders: int, fall: np.ndarray, p: int) -> np.ndarray:
+    """D[c, j] = d^c/dt^c t^j = fall[c, j] t^(j-c) mod p, for c < orders."""
+    n = fall.shape[1]
+    powers = np.array([pow(t, e, p) for e in range(n)], dtype=np.int64)
+    out = np.zeros((orders, n), dtype=np.int64)
+    for c in range(min(orders, n)):
+        out[c, c:] = fall[c, c:] * powers[: n - c] % p
     return out
-
-
-def _deriv_row(fall: np.ndarray, powers: np.ndarray, order: int, p: int) -> np.ndarray:
-    """Vector over exponents j of d^order/dx^order x^j evaluated via powers."""
-    n = powers.shape[0]
-    row = np.zeros(n, dtype=np.int64)
-    if order < n:
-        row[order:] = fall[order, order:n] * powers[: n - order] % p
-    return row
 
 
 def rank_profile_mod_p(matrix, p: int) -> list[int]:
@@ -194,6 +195,67 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(rank_profile_mod_p(matrix, p))
 
 
+# peak bytes of build plus elimination per matrix entry: the int64 matrix,
+# its reduced copy and the row-update temporaries measured 3.0 to 4.3 times
+# the matrix on wide and tall conditions matrices
+_PEAK_BYTES_PER_ENTRY = 5 * 8
+
+
+def conditions_bytes(rows: int, cols: int) -> int:
+    """Estimated peak memory of building and eliminating a rows x cols matrix."""
+    return _PEAK_BYTES_PER_ENTRY * rows * cols
+
+
+def _require_fits(rows: int, cols: int):
+    need = conditions_bytes(rows, cols)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"a {rows} x {cols} conditions matrix needs about {need / 2**30:.1f} GiB "
+            f"to eliminate, more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def fat_profile(m: int) -> tuple[int, ...]:
+    """Width profile of a chart fat point of multiplicity m: (m, m-1, ..., 1)."""
+    return tuple(range(m, 0, -1))
+
+
+def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
+    """Derivative conditions at chart points against exponent columns.
+
+    The columns are the monomials x^j y^l for (j, l) running over xexp and
+    yexp broadcast together, in C order. Point (x, y) with width profile
+    (w_0, w_1, ...) gives, for each level e and each c < w_e, the row of
+    d^c/dx^c d^e/dy^e of every column monomial at (x, y). A fat point of
+    multiplicity m is the profile (m, ..., 1); a point on the line y = 0
+    takes its SliceProfile widths. The rows are written one point at a time
+    into one preallocated array, so no temporary is as large as the matrix.
+    """
+    profiles = [tuple(widths) for widths in profiles]
+    shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
+    rows, cols = sum(map(sum, profiles)), math.prod(shape)
+    _require_fits(rows, cols)
+    out = np.empty((rows, cols), dtype=np.int64)
+    if rows == 0:
+        return out
+    xexp, yexp = np.asarray(xexp), np.asarray(yexp)
+    max_order = max(max(len(w), *w) for w in profiles if w) - 1
+    fall = _falling_table(int(max(xexp.max(), yexp.max())), max_order, p)
+    r = 0
+    for (x, y), widths in zip(points, profiles, strict=True):
+        if not widths:
+            continue
+        dx = _derivatives(x, max(widths), fall, p)
+        dy = _derivatives(y, len(widths), fall, p)
+        for e, w in enumerate(widths):
+            block = out[r : r + w].reshape((w,) + shape)
+            np.multiply(dx[:w, xexp], dy[e, yexp], out=block)
+            np.remainder(block, p, out=block)
+            r += w
+    return out
+
+
 def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -> np.ndarray:
     """One row per derivative condition against the monomial basis x^j y^l.
 
@@ -202,140 +264,25 @@ def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -
     Column j*(b+1) + l holds x^j y^l; hf_biproj_row relies on this j-major
     order to read smaller a off a prefix of the columns.
     """
-    a, b = deg.a, deg.b
-    mults = tuple(mults)
-    rows = sum(binom(m + 1, 2) for m in mults)
-    out = np.zeros((rows, (a + 1) * (b + 1)), dtype=np.int64)
-    max_order = max(mults, default=1)
-    fall = _falling_table(max(a, b), max_order, p)
-    r = 0
-    for (x, y), m in zip(support.points, mults):
-        xp = _power_row(x, a, p)
-        yp = _power_row(y, b, p)
-        for c in range(m):
-            dx = _deriv_row(fall, xp, c, p)
-            for e in range(m - c):
-                dy = _deriv_row(fall, yp, e, p)
-                out[r] = (dx[:, None] * dy[None, :] % p).ravel()
-                r += 1
-    return out
+    return conditions_matrix(support.points, map(fat_profile, mults),
+                             np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
 
 
-def _plane_monomials(d: int) -> list[tuple[int, int, int]]:
-    """Exponent triples (i, j, k), i+j+k = d, for the degree-d basis."""
-    return [(d - j - k, j, k) for j in range(d + 1) for k in range(d + 1 - j)]
+def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) -> np.ndarray:
+    """Conditions of a plane scheme on degree-d forms, in the chart x0 = 1.
 
-
-def _corner_rows(point: tuple[int, int, int], mult: int, d: int,
-                 monomials, p: int) -> list[np.ndarray]:
-    """Homogeneous partial-derivative conditions at a fixed projective point.
-
-    Multiplicity >= mult on degree-d forms is the vanishing of all partials
-    of order min(mult-1, d); the clamp handles mult > d, where the conditions
-    must kill the whole space.
+    chart holds the chart points (x, y), y != 0, of the general points
+    followed by the two corners; line holds the x coordinates t of the
+    profiled points (t, 0) on the distinguished line. A monomial of degree
+    d is the column x^j y^k with j + k <= d.
     """
-    if mult == 0:
-        return []
-    order = min(mult - 1, d)
-    fall = _falling_table(d, order, p)
-    pows = [_power_row(coord, d, p) for coord in point]
-    rows = []
-    for a0 in range(order + 1):
-        for a1 in range(order + 1 - a0):
-            a2 = order - a0 - a1
-            row = np.zeros(len(monomials), dtype=np.int64)
-            for idx, (i, j, k) in enumerate(monomials):
-                if i < a0 or j < a1 or k < a2:
-                    continue
-                row[idx] = (
-                    int(fall[a0, i]) * int(pows[0][i - a0]) % p
-                    * int(fall[a1, j]) % p
-                    * int(pows[1][j - a1]) % p
-                    * int(fall[a2, k]) % p
-                    * int(pows[2][k - a2]) % p
-                )
-            rows.append(row)
-    return rows
-
-
-def plane_conditions_matrix(d: int, scheme: PlaneScheme, support_x: list[int],
-                            support_line: list[int], support_y: list[int],
-                            p: int, corner_support=None) -> np.ndarray:
-    """Conditions of a plane scheme on degree-d forms.
-
-    General points sit at (1, u, v) with v != 0; profiled points at (1, t, 0)
-    on the distinguished line, where profile row j imposes the first d_j
-    x-derivatives at y-level j. Corners sit at the exact coordinates [0:1:0]
-    and [0:0:1] unless corner_support gives two chart points for them: the
-    exact corners both lie on lines of constant y, so a scheme that uses the
-    distinguished line needs its corners drawn off it (the dimension of a
-    generic configuration does not depend on which generic support is used).
-    """
-    monomials = _plane_monomials(d)
-    cols = len(monomials)
-    all_rows = []
-    if corner_support is None:
-        all_rows += _corner_rows((0, 1, 0), scheme.corner_a, d, monomials, p)
-        all_rows += _corner_rows((0, 0, 1), scheme.corner_b, d, monomials, p)
-
-    # chart points: affine derivative conditions on f(x, y) = F(1, x, y);
-    # the (c, e) rows for c+e <= m-1 encode multiplicity m at any degree
-    max_order = max(
-        [scheme.corner_a, scheme.corner_b, 1]
-        + [m for m in scheme.general]
-        + [pr.bottom for pr in scheme.on_line]
-    )
-    fall = _falling_table(d, max_order, p)
-    # column exponents of f in the chart: monomial (i, j, k) -> x^j y^k
-    js = np.array([j for (_, j, _) in monomials])
-    ks = np.array([k for (_, _, k) in monomials])
-
-    def chart_row(u_pows, v_pows, c, e):
-        dx = _deriv_row(fall, u_pows, c, p)
-        dy = _deriv_row(fall, v_pows, e, p)
-        return dx[js] * dy[ks] % p
-
-    chart_points = list(zip(support_x, support_y, scheme.general))
-    if corner_support is not None:
-        chart_points += [
-            (u, v, m)
-            for (u, v), m in zip(corner_support, (scheme.corner_a, scheme.corner_b))
-        ]
-    for u, v, m in chart_points:
-        if m == 0:
-            continue
-        u_pows = _power_row(u, d, p)
-        v_pows = _power_row(v, d, p)
-        for c in range(m):
-            for e in range(m - c):
-                all_rows.append(chart_row(u_pows, v_pows, c, e))
-
-    zero_pows = _power_row(0, d, p)  # (1, 0, 0, ...): picks out y-level rows
-    for t, profile in zip(support_line, scheme.on_line):
-        t_pows = _power_row(t, d, p)
-        for level, width in enumerate(profile.widths):
-            for c in range(width):
-                all_rows.append(chart_row(t_pows, zero_pows, c, level))
-
-    if not all_rows:
-        return np.zeros((0, cols), dtype=np.int64)
-    return np.vstack(all_rows)
-
-
-def _plane_instance(d: int, scheme: PlaneScheme, seed: int, p: int):
-    rng = random.Random(seed)
-    n_gen, n_line = len(scheme.general), len(scheme.on_line)
-    if n_line:
-        xs = _distinct(rng, n_gen + n_line + 2, p)
-        ys = _distinct(rng, n_gen + 2, p)
-        corners = ((xs[-2], ys[-2]), (xs[-1], ys[-1]))
-        gx, lx = xs[:n_gen], xs[n_gen : n_gen + n_line]
-    else:
-        xs = _distinct(rng, n_gen, p)
-        ys = _distinct(rng, n_gen, p)
-        corners = None
-        gx, lx = xs, []
-    return plane_conditions_matrix(d, scheme, gx, lx, ys[:n_gen], p, corners)
+    mults = scheme.general + (scheme.corner_a, scheme.corner_b)
+    # partials of order above d vanish on degree-d forms
+    profiles = [fat_profile(min(m, d + 1)) for m in mults]
+    profiles += [pr.widths for pr in scheme.on_line]
+    _require_fits(sum(map(sum, profiles)), binom(d + 2, 2))  # before the columns exist
+    j, k = np.triu_indices(d + 1)
+    return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
 
 
 def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> list[int]:
@@ -377,16 +324,22 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
     cfg.require_degree(max(scheme.corner_a, scheme.corner_b))
-    cols = binom(d + 2, 2)
+    n_gen, n_line = len(scheme.general), len(scheme.on_line)
     best = 0
     for trial in range(cfg.trials):
         seed = derive_seed(
             cfg.seed, "plane", d, scheme.corner_a, scheme.corner_b,
             scheme.general, tuple(pr.widths for pr in scheme.on_line), trial,
         )
-        M = _plane_instance(d, scheme, seed, cfg.prime)
+        rng = random.Random(seed)
+        # distinct x's over every point, distinct nonzero y's off the line
+        xs = _distinct(rng, n_gen + n_line + 2, cfg.prime)
+        ys = _distinct(rng, n_gen + 2, cfg.prime)
+        chart = list(zip(xs[:n_gen] + xs[-2:], ys))
+        line = xs[n_gen : n_gen + n_line]
+        M = plane_conditions_matrix(d, scheme, chart, line, cfg.prime)
         best = max(best, rank_mod_p(M, cfg.prime))
-    return cols - best
+    return binom(d + 2, 2) - best
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -406,13 +359,8 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     p = cfg.prime
     rng = random.Random(derive_seed(cfg.seed, "line", d, lengths))
     ts = _distinct(rng, len(lengths), p)
-    fall = _falling_table(d, max(lengths, default=1), p)
-    rows = []
-    for t, length in zip(ts, lengths):
-        t_pows = _power_row(t, d, p)
-        for c in range(length):
-            rows.append(_deriv_row(fall, t_pows, c, p))
-    M = np.vstack(rows) if rows else np.zeros((0, d + 1), dtype=np.int64)
+    M = conditions_matrix([(t, 0) for t in ts], [(l,) for l in lengths],
+                          np.arange(d + 1), 0, p)
     got = d + 1 - rank_mod_p(M, p)
     if got != expected:
         raise ArithmeticError(

@@ -2,7 +2,9 @@
 vertically graded points sitting on a distinguished line.
 
 The distinguished line is always y = 0 in the working chart x0 = 1; the two
-corners live at [0:1:0] and [0:0:1]. A point on the line is described purely
+corners are Q1 = [0:1:0] and Q2 = [0:0:1]. The rank oracle draws them as two
+random chart points off the line, which PGL(3) takes to Q1 and Q2 without
+changing any dimension. A point on the line is described purely
 by its width profile (d_0, ..., d_k): d_j conditions at y-level j, so the
 scheme's local ideal is (x^{d_0}) + (x^{d_1}) y + ... + (y^{k+1}).
 """

@@ -68,6 +68,14 @@ class TestHf:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_oversized_input_exits_2(self, capsys):
+        code = main(["hf", "--a", "200000", "--b", "200000", "--m", "5", "--s", "5",
+                     "--mode", "oracle"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "physical memory" in captured.err
+
     def test_bad_prime_exits_2(self, capsys):
         code = main(["hf", "--a", "2", "--b", "2", "--m", "5", "--s", "7",
                      "--mode", "oracle", "--prime", "1024"])
@@ -246,6 +254,49 @@ class TestReduceAndHorace:
         code = main(["horace", "--a", "3", "--b", "3", "--s", "2"])
         assert code == 2
         capsys.readouterr()
+
+
+def crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+CSV_HEADER_LINE = "a,b,m,s,value,source,known,defective,defect\n"
+TABLE_M4_S3 = (
+    "a,b,value,flags\n"
+    "0,0,1,\n1,0,2,\n2,0,3,\n3,0,4,\n4,0,5,\n5,0,6,\n"
+    "0,1,2,\n1,1,4,\n2,1,6,\n3,1,8,\n4,1,10,\n5,1,12,\n"
+    "0,2,3,\n1,2,6,\n2,2,9,\n3,2,12,\n4,2,15,\n5,2,18,\n"
+    "0,3,4,\n1,3,8,\n2,3,12,\n3,3,16,\n4,3,20,\n5,3,24,\n"
+    "0,4,5,\n1,4,10,\n2,4,15,\n3,4,20,\n4,4,24,*\n5,4,27,*\n"
+    "0,5,6,\n1,5,12,\n2,5,18,\n3,5,24,\n4,5,27,*\n5,5,29,*?\n"
+)
+
+
+CSV_CASES = [
+    ("hf --a 5 --b 4 --m 3 --s 5",
+     CSV_HEADER_LINE + "5,4,3,5,29,formula,True,True,1\n"),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode formula",
+     CSV_HEADER_LINE + "8,7,5,5,,formula,False,False,0\n"),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1",
+     CSV_HEADER_LINE + "8,7,5,5,71,oracle,False,True,1\n"),
+    ("table --m 4 --s 3 --amax 5 --bmax 5 --oracle-unknown --trials 1",
+     TABLE_M4_S3),
+    ("defects --m 3 --s 5 --amax 10 --bmax 4",
+     CSV_HEADER_LINE + "9,2,3,5,29,formula,True,True,1\n"
+     "6,3,3,5,27,formula,True,True,1\n7,3,3,5,29,formula,True,True,1\n"
+     "5,4,3,5,29,formula,True,True,1\n"),
+    ("defects --m 2 --s 2 --amax 6 --bmax 2", CSV_HEADER_LINE),
+]
+
+
+class TestCsvBytes:
+    """The exact CSV bytes of every command that writes CSV."""
+
+    @pytest.mark.parametrize("argv, expected", CSV_CASES,
+                             ids=[argv for argv, _ in CSV_CASES])
+    def test_exact_bytes(self, capsysbinary, argv, expected):
+        assert main(argv.split() + ["--format", "csv"]) == 0
+        assert capsysbinary.readouterr().out == crlf(expected).encode()
 
 
 class TestEnvironment:

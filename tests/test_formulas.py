@@ -11,10 +11,10 @@ from fatpoints.formulas import (
     hf_m_ge_b,
     hf_triple,
     hf_uniform,
-    reduce_to_plane,
     stabilization_threshold,
     table_region,
 )
+from fatpoints.schemes import reduce_to_plane
 from reference_dispatch import reference_dispatch
 
 

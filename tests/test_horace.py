@@ -10,7 +10,6 @@ from fatpoints.horace import (
     diff_slice,
     differential_residue,
     horace_verify,
-    line_residue_scheme,
     residue_corner,
     residue_line,
     specialize_triple_step1,
@@ -55,20 +54,20 @@ class TestDiffSlice:
 class TestResidueTrace:
     def test_online_fat_points_decrement(self):
         cfg = LineConfiguration.plain(0, 0, line_mults=(3, 3))
-        res = residue_line(cfg)
+        res = residue_line(cfg.scheme)
         assert widths(res) == [[2, 1], [2, 1]]
         assert trace_line(cfg) == [3, 3]
 
     def test_profile_drops_bottom_row(self):
         # the (3,1)-profile's quotient by the line equation is a simple point
         cfg = LineConfiguration.plain(0, 0, line_profiles=(SliceProfile((3, 1)),))
-        res = residue_line(cfg)
+        res = residue_line(cfg.scheme)
         assert widths(res) == [[1]]
         assert trace_line(cfg) == [3]
 
     def test_no_line_points(self):
         cfg = LineConfiguration.plain(2, 1, off_line=(2, 2))
-        assert residue_line(cfg) == cfg.scheme
+        assert residue_line(cfg.scheme) == cfg.scheme
         assert trace_line(cfg) == []
 
     def test_degree_bookkeeping(self):
@@ -80,7 +79,7 @@ class TestResidueTrace:
                 off_line=tuple(rng.randrange(1, 4) for _ in range(2)),
                 line_mults=mults,
             )
-            res = residue_line(cfg)
+            res = residue_line(cfg.scheme)
             assert cfg.scheme.degree == res.degree + sum(trace_line(cfg))
 
     def test_corner_residue(self):
@@ -188,7 +187,7 @@ class TestStepTwo:
         assert (step.residual.corner_a, step.residual.corner_b) == (4, 2)
         assert widths(step.residual) == [[1]] * 4
         assert step.residual.general == (3,)
-        stripped = line_residue_scheme(step.residual)
+        stripped = residue_line(step.residual)
         assert widths(stripped) == []
         assert stripped.general == (3,)
 
@@ -197,26 +196,26 @@ class TestStepTwo:
         assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 2]
         assert widths(step.config.scheme) == [[2, 1]] * 4 + [[3, 2, 1]]
         assert widths(step.residual) == [[1]] * 4 + [[3, 1]]
-        assert widths(line_residue_scheme(step.residual)) == [[1]]
+        assert widths(residue_line(step.residual)) == [[1]]
 
     def test_c2(self):
         step = specialize_triple_step2(specialize_triple_step1(6, 6, 8))
         assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 4 + [[2]]
-        assert widths(line_residue_scheme(step.residual)) == []
-        assert line_residue_scheme(step.residual).general == (3, 3, 3)
+        assert widths(residue_line(step.residual)) == []
+        assert residue_line(step.residual).general == (3, 3, 3)
 
     def test_c3(self):
         step = specialize_triple_step2(specialize_triple_step1(8, 5, 7))
         assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 3, 1]
         assert widths(step.residual) == [[1]] * 5 + [[3, 2]]
-        assert widths(line_residue_scheme(step.residual)) == [[2]]
+        assert widths(residue_line(step.residual)) == [[2]]
 
     def test_c4(self):
         step = specialize_triple_step2(specialize_triple_step1(10, 4, 9))
         assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 5 + [[2, 1]]
-        assert widths(line_residue_scheme(step.residual)) == [[1]]
+        assert widths(residue_line(step.residual)) == [[1]]
 
     def test_needs_spare_point(self):
         step1 = specialize_triple_step1(7, 4, 4)

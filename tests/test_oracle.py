@@ -12,7 +12,10 @@ from fatpoints.oracle import (
     OracleConfigError,
     bi_conditions_matrix,
     check_reduction,
+    conditions_bytes,
+    conditions_matrix,
     derive_seed,
+    fat_profile,
     hf_biproj,
     hf_biproj_row,
     hf_plane,
@@ -150,6 +153,65 @@ class TestRankProfile:
                     assert row[a] == rank_mod_p(M, p), (a, b, m, s)
 
 
+class TestConditionsMatrix:
+    def test_chart_fat_point_matches_reference(self):
+        p = 2**31 - 1
+        rng = random.Random(31)
+        for a, b in [(2, 2), (4, 1), (0, 3), (5, 4)]:
+            u, v = rng.randrange(1, p), rng.randrange(1, p)
+            M = conditions_matrix([(u, v)], [fat_profile(3)],
+                                  np.arange(a + 1)[:, None], np.arange(b + 1), p)
+            reference = [[x % p for x in row] for row in triple_point_rows_at(u, v, a, b)]
+            assert sorted(M.tolist()) == sorted(reference)
+
+    def test_on_line_profile_gives_sum_of_widths_rows(self):
+        p = 2**31 - 1
+        j, k = np.triu_indices(7)
+        profiles = [(3, 1), (2,), (4, 2, 1), fat_profile(2)]
+        points = [(5, 0), (9, 0), (11, 0), (13, 17)]
+        M = conditions_matrix(points, profiles, j, k - j, p)
+        assert M.shape == (sum(map(sum, profiles)), binom(8, 2))
+        # a row at level e on y = 0 sees only the monomials x^j y^e
+        assert not M[:3, k - j != 0].any()
+        assert not M[3, k - j != 1].any()
+
+    def test_reduction_holds_on_a_grid(self, fast_oracle):
+        # every corner is a chart point now, with or without on-line points
+        for a in range(1, 6):
+            for b in range(1, a + 1):
+                for m in range(1, 4):
+                    for s in range(0, 5):
+                        assert check_reduction(BiDegree(a, b), UniformFatPoints(s, m),
+                                               fast_oracle), (a, b, m, s)
+
+
+class TestSizeGuard:
+    def test_estimate(self):
+        assert conditions_bytes(0, 10) == 0
+        assert conditions_bytes(75, 494) == 5 * 8 * 75 * 494
+        # hf --a 20000 --b 20000 --m 5 --s 5: a 240 GB matrix before elimination
+        assert conditions_bytes(5 * 15, 20001**2) // 5 > 240 * 10**9
+
+    def test_refused_before_allocation(self):
+        p = 2**31 - 1
+        n = 10**6  # the box columns broadcast: two vectors, not a 10^12 grid
+        with pytest.raises(ValueError, match="physical memory"):
+            conditions_matrix([(3, 5)], [fat_profile(5)],
+                              np.arange(n + 1)[:, None], np.arange(n + 1), p)
+        # two corners of multiplicity 2000: 4 million rows, 8 million columns
+        with pytest.raises(ValueError, match="physical memory"):
+            hf_plane(4000, PlaneScheme(2000, 2000), OracleConfig(trials=1))
+
+    def test_compares_with_physical_memory(self, monkeypatch):
+        p = 2**31 - 1
+        columns = (np.arange(4)[:, None], np.arange(4))
+        assert conditions_matrix([(3, 5)], [fat_profile(2)], *columns, p).shape == (3, 16)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # one 4 KiB page
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="physical memory"):
+            conditions_matrix([(3, 5)], [fat_profile(4)], *columns, p)  # 6400 bytes
+
+
 class TestBiModel:
     def test_examples(self, oracle):
         assert hf_biproj(BiDegree(2, 2), [3], oracle) == 6
@@ -212,6 +274,7 @@ class TestPlaneModel:
         assert hf_plane(10, PlaneScheme(6, 0), oracle) == binom(12, 2) - binom(7, 2)
         # multiplicity above the degree kills everything
         assert hf_plane(2, PlaneScheme(4, 0), oracle) == 0
+        assert hf_plane(2, PlaneScheme(10**5, 0), oracle) == 0
         assert hf_plane(2, PlaneScheme(0, 0, (4,)), oracle) == 0
 
     def test_collinear_forces_the_line(self, oracle):
