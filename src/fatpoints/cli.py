@@ -1,8 +1,9 @@
 """Command-line front end: single values, tables, formula-vs-oracle
 verification, defect scans, the plane reduction, and the two-step traces.
 
-Exit codes: 0 success or full agreement, 1 semantic disagreement, 2 bad
-usage or configuration. FATPOINTS_PRIME and FATPOINTS_SEED preload the
+Exit codes: 0 success or full agreement, 1 semantic disagreement (including
+an oracle cross-check that fails with ArithmeticError), 2 bad usage or
+configuration. FATPOINTS_PRIME and FATPOINTS_SEED preload the
 corresponding flags; explicit flags win.
 """
 
@@ -246,11 +247,12 @@ def cmd_reduce(args) -> int:
     deg = BiDegree(args.a, args.b)
     pts = UniformFatPoints(args.s, args.m)
     scheme, d = reduce_to_plane(deg, pts)
+    # the oracle runs first, so a refused input prints nothing on stdout
+    agree = check_reduction(deg, pts, _oracle_config(args))
     mults = ",".join(str(m) for m in scheme.general)
     print(f"plane scheme: {scheme.corner_a}Q1 + {scheme.corner_b}Q2 + points [{mults}]")
     print(f"plane degree: {d}")
-    cfg = _oracle_config(args)
-    if check_reduction(deg, pts, cfg):
+    if agree:
         print("ideal dimensions agree")
         return 0
     print("MISMATCH between the two models")
@@ -363,6 +365,10 @@ def main(argv=None) -> int:
     except (ValueError, OracleConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # an oracle cross-check disagreed, e.g. hf_trace_line
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

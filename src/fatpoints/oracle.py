@@ -22,6 +22,16 @@ corners Q1 and Q2 are drawn as two more random chart points off the line
 y = 0, since PGL(3) takes any two general points to them; no dimension
 changes. A matrix whose elimination would not fit in physical memory is
 refused with a ValueError before it is allocated.
+
+rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^20
+entries is eliminated by the scalar int64 loop alone, as one panel. A
+larger one goes in panels of 64 columns, each factored by that same loop;
+the rows below a panel's pivots then take their Schur complement in the
+columns to the right as float64 BLAS matmuls, in chunks of 256 columns.
+The matmuls stay exact: one factor is split into 16-bit limbs, so every
+partial sum is below k (p-1) (2^16-1) < 2^53 for the panel width k, which
+is 64 for p <= 2147516417 and 63 at the largest prime OracleConfig accepts.
+The pivots are those of the single panel, bit for bit.
 """
 
 import hashlib
@@ -81,7 +91,11 @@ class OracleConfig:
             raise OracleConfigError(f"trials must be at least 1, got {self.trials}")
         if self.prime <= (1 << 30):
             raise OracleConfigError(f"prime must exceed 2^30, got {self.prime}")
-        # entries must fit in int64 through a*b accumulation in elimination
+        # entries must fit in int64 through a*b accumulation in elimination.
+        # The blocked elimination's float64 limb products need
+        # k (p-1) (2^16-1) < 2^53 for its panel width k: that allows 64 only
+        # for p <= 2147516417, about 2^31 + 2^15, so at the largest prime
+        # accepted here, 2148532223, _panel_width gives 63.
         if self.prime >= (1 << 31) + (1 << 20):
             raise OracleConfigError(f"prime too large for 64-bit elimination: {self.prime}")
         if not is_prime(self.prime):
@@ -153,12 +167,104 @@ def _derivatives(t: int, orders: int, fall: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# A matrix of at most this many entries is a single panel, the scalar loop
+# alone. On one BLAS thread the blocked path measured slower at 75x494 and
+# 210x210 (7.1 vs 5.1 ms, 33 vs 22 ms) and faster from 294x961 up (57 vs
+# 179 ms); the cutoff sits well above that, so every table, verify and plane
+# matrix up to 571x990 keeps the scalar loop.
+_SINGLE_PANEL_ENTRIES = 1 << 20
+# columns per trailing update: 128 to 512 timed alike at 720x1681, and at
+# 256 the update's temporaries peak at two thirds of the matrix
+_CHUNK_COLS = 256
+
+
+def _panel_width(p: int) -> int:
+    """Largest k <= 64 with k (p-1) (2^16-1) < 2^53.
+
+    An inner dimension of k keeps every partial sum of a limb product in
+    _mul_mod_p an exact float64 integer, whatever order BLAS adds in.
+    """
+    return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
+
+
+def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, swaps: list) -> int:
+    """Gaussian elimination over Z/p of columns c0..c1-1 of M from row `rank`.
+
+    The one elimination loop: all of a single-panel matrix, each panel of a
+    larger one, and the two runs of _inverse_mod_p. Each pivot is the first
+    nonzero entry at or below row `rank`; its whole row is swapped up and
+    the swap recorded, and the pivot row is scaled to 1 and cleared below
+    the pivot within columns c0..c1-1 only. Appends the pivot columns and
+    returns the new rank.
+    """
+    rows = M.shape[0]
+    for col in range(c0, c1):
+        if rank == rows:
+            break
+        nz = np.nonzero(M[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot = rank + int(nz[0])
+        if pivot != rank:
+            M[[rank, pivot]] = M[[pivot, rank]]
+            swaps.append((rank, pivot))
+        inv = pow(int(M[rank, col]), p - 2, p)
+        M[rank, col:c1] = M[rank, col:c1] * inv % p
+        body = M[rank + 1 :, col]
+        hit = np.nonzero(body)[0]
+        if hit.size:
+            M[rank + 1 + hit, col:c1] = (
+                M[rank + 1 + hit, col:c1] - body[hit, None] * M[rank, col:c1]
+            ) % p
+        pivots.append(col)
+        rank += 1
+    return rank
+
+
+def _mul_mod_p(A, B, p: int) -> np.ndarray:
+    """An int64 matrix below 2^54 congruent to A @ B mod p.
+
+    A and B hold residues in [0, p) and their inner dimension is at most
+    _panel_width(p). With B = 2^16 B1 + B0 split into 16-bit limbs, A @ B
+    is congruent to A @ B0 + (2^16 A mod p) @ B1, and both float64 matmuls
+    are exact.
+    """
+    shifted = (A << 16) % p
+    out = (A.astype(np.float64) @ (B & 0xFFFF).astype(np.float64)).astype(np.int64)
+    out += (shifted.astype(np.float64) @ (B >> 16).astype(np.float64)).astype(np.int64)
+    return out
+
+
+def _inverse_mod_p(A, p: int) -> np.ndarray:
+    """Inverse over Z/p of an invertible k x k matrix, by two panel runs.
+
+    The first takes [A | I] to [U | E] with E A = U unit upper triangular.
+    Reversing rows and columns makes U unit lower triangular, so the second
+    takes [J U J | J E] to [I | J U^-1 E] without a swap, and U^-1 E = A^-1.
+    """
+    k = len(A)
+    ue = np.concatenate([A, np.eye(k, dtype=np.int64)], axis=1)
+    _eliminate_panel(ue, p, 0, 0, 2 * k, [], [])
+    je = np.concatenate([ue[::-1, k - 1 :: -1], ue[::-1, k:]], axis=1)
+    _eliminate_panel(je, p, 0, 0, 2 * k, [], [])
+    return je[::-1, k:]
+
+
 def rank_profile_mod_p(matrix, p: int) -> list[int]:
     """Column rank profile over Z/p: the pivot columns of a left-to-right
     Gaussian elimination, in increasing order.
 
     They are the lexicographically first independent columns, so the rank
     of the first k columns is the number of pivots below k.
+
+    A matrix of at most _SINGLE_PANEL_ENTRIES entries is one panel. A larger
+    one is eliminated in panels of _panel_width(p) columns. After a panel
+    with k pivots, the rows below them take the Schur complement
+    A22 - A21 A11^-1 A12 in the columns to its right, by BLAS: A11 and A21
+    are the pivot and lower rows of the panel's pivot columns, read from a
+    copy taken before the panel was eliminated and permuted by its swaps,
+    and A12 is the pivot rows to the right. Those are exactly the values a
+    single panel leaves in those rows, so every later pivot is the same.
     """
     M = np.asarray(matrix, dtype=np.int64)
     if M.ndim != 2:
@@ -168,25 +274,28 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     M = M % p
     rows, cols = M.shape
     pivots = []
-    for col in range(cols):
-        rank = len(pivots)
+    width = cols if M.size <= _SINGLE_PANEL_ENTRIES else _panel_width(p)
+    rank = 0
+    for c0 in range(0, cols, width):
+        c1 = min(c0 + width, cols)
+        panel = M[rank:, c0:c1].copy() if c1 < cols else None
+        top, swaps = rank, []
+        rank = _eliminate_panel(M, p, top, c0, c1, pivots, swaps)
         if rank == rows:
             break
-        nz = np.nonzero(M[rank:, col])[0]
-        if nz.size == 0:
+        if rank == top or panel is None:
             continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            M[[rank, pivot]] = M[[pivot, rank]]
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank, col:] = M[rank, col:] * inv % p
-        body = M[rank + 1 :, col]
-        hit = np.nonzero(body)[0]
-        if hit.size:
-            M[rank + 1 + hit, col:] = (
-                M[rank + 1 + hit, col:] - body[hit, None] * M[rank, col:]
-            ) % p
-        pivots.append(col)
+        for i, j in swaps:
+            panel[[i - top, j - top]] = panel[[j - top, i - top]]
+        k = rank - top
+        q = np.array(pivots[-k:]) - c0
+        a11_inv = _inverse_mod_p(panel[:k, q], p)
+        mult = _mul_mod_p(panel[k:, q], a11_inv, p) % p  # A21 A11^-1
+        for j0 in range(c1, cols, _CHUNK_COLS):
+            j1 = min(j0 + _CHUNK_COLS, cols)
+            update = _mul_mod_p(mult, M[top:rank, j0:j1], p)
+            np.subtract(M[rank:, j0:j1], update, out=update)
+            M[rank:, j0:j1] = np.remainder(update, p, out=update)
     return pivots
 
 
@@ -195,9 +304,11 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(rank_profile_mod_p(matrix, p))
 
 
-# peak bytes of build plus elimination per matrix entry: the int64 matrix,
-# its reduced copy and the row-update temporaries measured 3.0 to 4.3 times
-# the matrix on wide and tall conditions matrices
+# peak bytes of build plus elimination per matrix entry: by tracemalloc, the
+# int64 matrix, its reduced copy and the update temporaries came to 2.3 to
+# 3.8 times the matrix on the single panel (75x494 to 571x990, the most at
+# 240x169) and 2.3 to 2.9 times on the blocked path (720x1681, 1500x1281,
+# 1650x3721), so five matrices cover both
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 

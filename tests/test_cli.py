@@ -76,6 +76,17 @@ class TestHf:
         assert captured.out == ""
         assert "physical memory" in captured.err
 
+    def test_oracle_arithmetic_error_exits_1(self, capsys, monkeypatch):
+        def disagree(*args):
+            raise ArithmeticError("univariate rank disagrees with the count")
+
+        monkeypatch.setattr("fatpoints.cli.hf_biproj", disagree)
+        code = main(["hf", "--a", "3", "--b", "2", "--m", "2", "--s", "2", "--mode", "oracle"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: univariate rank disagrees with the count\n"
+
     def test_bad_prime_exits_2(self, capsys):
         code = main(["hf", "--a", "2", "--b", "2", "--m", "5", "--s", "7",
                      "--mode", "oracle", "--prime", "1024"])
@@ -243,6 +254,13 @@ class TestReduceAndHorace:
         assert "5Q1 + 4Q2" in out
         assert "plane degree: 9" in out
         assert "agree" in out
+
+    def test_reduce_refused_input_prints_nothing(self, capsys):
+        code = main(["reduce", "--a", "200000", "--b", "200000", "--m", "5", "--s", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "physical memory" in captured.err
 
     def test_horace_trace(self, capsys):
         code, out = run(capsys, "horace", "--a", "6", "--b", "4", "--s", "5",

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fatpoints.core import BiDegree, UniformFatPoints, binom
+from fatpoints.formulas import hf_uniform
 from fatpoints.oracle import (
     ALT_PRIME,
+    DEFAULT_PRIME,
     OracleConfig,
     OracleConfigError,
     bi_conditions_matrix,
@@ -23,6 +25,8 @@ from fatpoints.oracle import (
     rank_mod_p,
     rank_profile_mod_p,
     sample_support,
+    _mul_mod_p,
+    _panel_width,
 )
 from fatpoints.schemes import PlaneScheme, SliceProfile
 
@@ -151,6 +155,86 @@ class TestRankProfile:
                     support = sample_support(seed, s, p)
                     M = bi_conditions_matrix(BiDegree(a, b), mults, support, p)
                     assert row[a] == rank_mod_p(M, p), (a, b, m, s)
+
+
+LARGEST_PRIME = 2148532223  # the largest prime OracleConfig accepts
+
+
+def low_rank(rng, rows, cols, rank, p):
+    """A random rows x cols matrix of rank at most `rank` over Z/p; factors
+    below 2^15 keep the int64 product exact."""
+    left = rng.integers(0, 1 << 15, (rows, rank))
+    return left @ rng.integers(0, 1 << 15, (rank, cols)) % p
+
+
+def blocked_cases(p):
+    """Matrices past one 64-column panel: zero and repeated columns, tall and
+    wide shapes, a panel with no pivot and a partial last panel."""
+    rng = np.random.default_rng(20261018)
+    wide = rng.integers(0, p, (100, 300))
+    wide[:, 64:128] = 0  # the second panel has no pivot
+    repeated = low_rank(rng, 90, 200, 70, p)  # 200 = 3 * 64 + 8
+    repeated[:, 100:150] = repeated[:, :50]
+    repeated[:, [3, 70, 199]] = 0
+    tall = low_rank(rng, 260, 150, 100, p)
+    tall[:, 60:70] = 0
+    exact = rng.integers(0, p, (128, 256))  # rank reaches the rows on a boundary
+    sparse = rng.integers(0, p, (120, 180)) * (rng.random((120, 180)) < 0.03)
+    return [wide, repeated, tall, exact, sparse, low_rank(rng, 150, 400, 3, p)]
+
+
+class TestBlockedElimination:
+    """The blocked path against the single panel, forced by patching the
+    private cutoff (and, for matrices under 64 columns, the panel width)."""
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, LARGEST_PRIME])
+    def test_limb_product_is_exact_at_the_panel_width(self, p):
+        k = _panel_width(p)
+        assert k == (64 if p == DEFAULT_PRIME else 63)
+        worst = np.full((5, k), p - 1, dtype=np.int64)
+        got = _mul_mod_p(worst, np.full((k, 7), p - 1, dtype=np.int64), p) % p
+        assert (got == k * (p - 1) ** 2 % p).all()
+        rng = np.random.default_rng(p)
+        A, B = rng.integers(0, p, (9, k)), rng.integers(0, p, (k, 11))
+        expected = (A.astype(object) @ B.astype(object)) % p
+        assert (_mul_mod_p(A, B, p) % p == expected).all()
+
+    @pytest.mark.parametrize("width", [3, 64])
+    def test_pivots_match_the_single_panel(self, width, monkeypatch):
+        p = DEFAULT_PRIME
+        rng = random.Random(width)
+        matrices = structured_matrices(rng, p) + blocked_cases(p)
+        nprng = np.random.default_rng(width)
+        for _ in range(10):
+            rows, cols = int(nprng.integers(1, 40)), int(nprng.integers(1, 140))
+            rank = int(nprng.integers(1, min(rows, cols) + 1))
+            matrices.append(low_rank(nprng, rows, cols, rank, p))
+        expected = [rank_profile_mod_p(M, p) for M in matrices]
+        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", 0)
+        monkeypatch.setattr("fatpoints.oracle._panel_width", lambda p: width)
+        for M, pivots in zip(matrices, expected):
+            before = M.copy()
+            assert rank_profile_mod_p(M, p) == pivots, M.shape
+            assert (M == before).all()
+
+    def test_above_the_real_cutoff(self, monkeypatch):
+        p = DEFAULT_PRIME
+        rng = np.random.default_rng(7)
+        M = low_rank(rng, 200, 5300, 40, p)  # 1.06 million entries, above 2^20
+        M[:, 2000:2100] = 0
+        M[:, 4000:4040] = M[:, 10:50]
+        pivots = rank_profile_mod_p(M, p)
+        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", M.size)
+        assert pivots == rank_profile_mod_p(M, p)
+        assert len(pivots) == 40
+
+    def test_large_row_reads_every_prefix(self, oracle):
+        # 20 points of multiplicity 8 at (40, 40): a 720 x 1681 matrix
+        row = hf_biproj_row(40, 40, (8,) * 20, oracle)
+        assert row[40] == 720
+        pts = UniformFatPoints(20, 8)
+        for a in range(9):  # min(a, b) <= m has a closed form
+            assert row[a] == hf_uniform(BiDegree(a, 40), pts).value, a
 
 
 class TestConditionsMatrix:
