@@ -16,8 +16,6 @@ from .core import (
 )
 from .formulas import (
     FormulaRoute,
-    RegionClass,
-    RegionKind,
     classify,
     defective_family,
     hf_m_ge_b,

@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .core import BiDegree, HFValue, Source, UniformFatPoints, hf_value
 from .formulas import hf_uniform, table_region
@@ -33,43 +32,14 @@ CSV_HEADER = ["a", "b", "m", "s", "value", "source", "known", "defective", "defe
 JSON_KEYS = CSV_HEADER + ["virtual_dim", "expected_dim"]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    a: int
-    b: int
-    m: int
-    s: int
-    value: int | None
-    source: str
-    known: bool
-    defective: bool
-    defect: int
-    virtual_dim: int
-    expected_dim: int
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        return {key: data[key] for key in JSON_KEYS}
-
-    @staticmethod
-    def from_dict(data: dict) -> "OutputRecord":
-        return OutputRecord(**{key: data[key] for key in JSON_KEYS})
-
-
-def make_record(deg: BiDegree, pts: UniformFatPoints, hf: HFValue) -> OutputRecord:
-    return OutputRecord(
-        a=deg.a,
-        b=deg.b,
-        m=pts.m,
-        s=pts.s,
-        value=hf.value,
-        source=hf.source.value,
-        known=hf.known,
-        defective=hf.defective,
-        defect=hf.defect,
-        virtual_dim=hf.virtual_dim,
-        expected_dim=hf.expected_dim,
-    )
+def cell_record(deg: BiDegree, pts: UniformFatPoints, hf: HFValue) -> dict:
+    """A cell as its JSON object, keys in JSON_KEYS order."""
+    return {
+        "a": deg.a, "b": deg.b, "m": pts.m, "s": pts.s,
+        "value": hf.value, "source": hf.source.value, "known": hf.known,
+        "defective": hf.defective, "defect": hf.defect,
+        "virtual_dim": hf.virtual_dim, "expected_dim": hf.expected_dim,
+    }
 
 
 def _nonneg(text: str) -> int:
@@ -98,6 +68,13 @@ def _oracle_args(parser: argparse.ArgumentParser):
                         help="field prime (default: FATPOINTS_PRIME or 2^31-1)")
 
 
+def _rectangle_args(parser: argparse.ArgumentParser):
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--s", type=_nonneg, required=True)
+    parser.add_argument("--amax", type=_nonneg, required=True)
+    parser.add_argument("--bmax", type=_nonneg, required=True)
+
+
 def _oracle_config(args) -> OracleConfig:
     seed = args.seed if args.seed is not None else _env_int("FATPOINTS_SEED", DEFAULT_SEED)
     prime = args.prime if args.prime is not None else _env_int("FATPOINTS_PRIME", DEFAULT_PRIME)
@@ -110,24 +87,23 @@ def _print_csv(header: list[str], rows):
     writer.writerows(["" if value is None else value for value in row] for row in rows)
 
 
-def _record_row(record: OutputRecord) -> list:
-    data = record.to_dict()
-    return [data[key] for key in CSV_HEADER]
-
-
-def _print_record(record: OutputRecord, fmt: str):
+def _emit(fmt: str, records, text: str = "", single: bool = False):
+    """Print the cell records as a JSON list (one object if `single`) or as
+    CSV rows under CSV_HEADER, or print `text`; records are only consumed
+    by the format that prints them."""
     if fmt == "json":
-        print(json.dumps(record.to_dict()))
+        records = list(records)
+        print(json.dumps(records[0] if single else records))
     elif fmt == "csv":
-        _print_csv(CSV_HEADER, [_record_row(record)])
+        _print_csv(CSV_HEADER, ([record[key] for key in CSV_HEADER] for record in records))
     else:
-        for key in JSON_KEYS:
-            value = record.to_dict()[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif value is None:
-                value = "unknown"
-            print(f"{key} = {value}")
+        print(text)
+
+
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "unknown" if value is None else str(value)
 
 
 def cmd_hf(args) -> int:
@@ -138,7 +114,9 @@ def cmd_hf(args) -> int:
         cfg = _oracle_config(args)
         rank = hf_biproj(deg, (pts.m,) * pts.s, cfg)
         hf = hf_value(rank, deg, pts, source=Source.ORACLE, known=hf.known)
-    _print_record(make_record(deg, pts, hf), args.format)
+    record = cell_record(deg, pts, hf)
+    text = "\n".join(f"{key} = {_text_value(value)}" for key, value in record.items())
+    _emit(args.format, [record], text, single=True)
     return 0
 
 
@@ -169,39 +147,32 @@ def render_table(grid, mark_defective: bool) -> str:
 def cmd_table(args) -> int:
     oracle = _oracle_config(args) if args.oracle_unknown else None
     grid = table_region(args.m, args.s, args.amax, args.bmax, oracle)
-    pts = UniformFatPoints(args.s, args.m)
     if args.format == "text":
         print(render_table(grid, args.mark_defective))
-        return 0
-    if args.format == "csv":
+    elif args.format == "csv":
         _print_csv(["a", "b", "value", "flags"], (
             [a, b, hf.value, _cell_marks(hf, mark_defective=True)]
             for b, row in enumerate(grid)
             for a, hf in enumerate(row)
         ))
-        return 0
-    records = [
-        make_record(BiDegree(a, b), pts, hf).to_dict()
-        for b, row in enumerate(grid)
-        for a, hf in enumerate(row)
-    ]
-    print(json.dumps(records))
+    else:
+        pts = UniformFatPoints(args.s, args.m)
+        _emit("json", (
+            cell_record(BiDegree(a, b), pts, hf)
+            for b, row in enumerate(grid)
+            for a, hf in enumerate(row)
+        ))
     return 0
 
 
 def cmd_verify(args) -> int:
     cfg = _oracle_config(args)
-    pts = UniformFatPoints(args.s, args.m)
-    mults = (pts.m,) * pts.s
+    mults = (args.m,) * args.s
     mismatches = []
     checked = 0
     inject = args.inject_mismatch
-    for b in range(args.bmax + 1):
-        closed = {}
-        for a in range(args.amax + 1):
-            hf = hf_uniform(BiDegree(a, b), pts)
-            if hf.value is not None:
-                closed[a] = hf.value
+    for b, row in enumerate(table_region(args.m, args.s, args.amax, args.bmax)):
+        closed = {a: hf.value for a, hf in enumerate(row) if hf.value is not None}
         if not closed:
             continue
         ranks = hf_biproj_row(max(closed), b, mults, cfg)
@@ -223,23 +194,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_defects(args) -> int:
+    grid = table_region(args.m, args.s, args.amax, args.bmax)
+    cells = [
+        (BiDegree(a, b), hf)
+        for b, row in enumerate(grid) if b >= 1
+        for a, hf in enumerate(row) if a >= 1 and hf.defective
+    ]
+    text = "\n".join(f"a={deg.a} b={deg.b} value={hf.value} defect={hf.defect}"
+                     for deg, hf in cells) or "no defective cells"
     pts = UniformFatPoints(args.s, args.m)
-    records = []
-    for b in range(1, args.bmax + 1):
-        for a in range(1, args.amax + 1):
-            deg = BiDegree(a, b)
-            hf = hf_uniform(deg, pts)
-            if hf.value is not None and hf.defective:
-                records.append(make_record(deg, pts, hf))
-    if args.format == "json":
-        print(json.dumps([record.to_dict() for record in records]))
-    elif args.format == "csv":
-        _print_csv(CSV_HEADER, map(_record_row, records))
-    else:
-        if not records:
-            print("no defective cells")
-        for record in records:
-            print(f"a={record.a} b={record.b} value={record.value} defect={record.defect}")
+    _emit(args.format, (cell_record(deg, pts, hf) for deg, hf in cells), text)
     return 0
 
 
@@ -302,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hf.set_defaults(func=cmd_hf)
 
     p_table = sub.add_parser("table", help="grid of values, b rows by a columns")
-    p_table.add_argument("--m", type=int, required=True)
-    p_table.add_argument("--s", type=_nonneg, required=True)
-    p_table.add_argument("--amax", type=_nonneg, required=True)
-    p_table.add_argument("--bmax", type=_nonneg, required=True)
+    _rectangle_args(p_table)
     p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p_table.add_argument("--mark-defective", action="store_true",
                          help="append * to defective cells in text output")
@@ -315,20 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="compare formulas against the oracle")
-    p_verify.add_argument("--m", type=int, required=True)
-    p_verify.add_argument("--s", type=_nonneg, required=True)
-    p_verify.add_argument("--amax", type=_nonneg, required=True)
-    p_verify.add_argument("--bmax", type=_nonneg, required=True)
+    _rectangle_args(p_verify)
     p_verify.add_argument("--inject-mismatch", action="store_true",
                           help="perturb one formula value (reporter self-test)")
     _oracle_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_defects = sub.add_parser("defects", help="list defective cells in a rectangle")
-    p_defects.add_argument("--m", type=int, required=True)
-    p_defects.add_argument("--s", type=_nonneg, required=True)
-    p_defects.add_argument("--amax", type=_nonneg, required=True)
-    p_defects.add_argument("--bmax", type=_nonneg, required=True)
+    _rectangle_args(p_defects)
     p_defects.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p_defects.set_defaults(func=cmd_defects)
 
@@ -362,7 +317,7 @@ def main(argv=None) -> int:
         # moves to devnull so the final flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OracleConfigError) as exc:
+    except ValueError as exc:  # OracleConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -15,7 +15,6 @@ Unknown is a first-class answer, never a guess; the oracle can fill those
 cells on request.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -30,8 +29,6 @@ from .oracle import OracleConfig, hf_biproj_row
 
 __all__ = [
     "FormulaRoute",
-    "RegionClass",
-    "RegionKind",
     "classify",
     "defective_family",
     "hf_m_ge_b",
@@ -40,12 +37,6 @@ __all__ = [
     "stabilization_threshold",
     "table_region",
 ]
-
-
-class RegionKind(Enum):
-    KNOWN_FORMULA = "known"
-    KNOWN_DEFECTIVE_FAMILY = "known-defective-family"
-    UNKNOWN = "unknown"
 
 
 class FormulaRoute(Enum):
@@ -58,34 +49,21 @@ class FormulaRoute(Enum):
     DEFECTIVE_FAMILY = "defective-family"
 
 
-@dataclass(frozen=True)
-class RegionClass:
-    route: FormulaRoute | None
-
-    @property
-    def kind(self) -> RegionKind:
-        if self.route is None:
-            return RegionKind.UNKNOWN
-        if self.route is FormulaRoute.DEFECTIVE_FAMILY:
-            return RegionKind.KNOWN_DEFECTIVE_FAMILY
-        return RegionKind.KNOWN_FORMULA
-
-
-def classify(deg: BiDegree, pts: UniformFatPoints) -> RegionClass:
-    """Locate (deg, pts) in the known/unknown map of the formula layer."""
+def classify(deg: BiDegree, pts: UniformFatPoints) -> FormulaRoute | None:
+    """The closed form covering (deg, pts), or None on the open region."""
     b = deg.normalized.b
     m = pts.m
     if m == 1:
-        return RegionClass(FormulaRoute.SIMPLE)
+        return FormulaRoute.SIMPLE
     if b <= m:
-        return RegionClass(FormulaRoute.M_GE_B)
+        return FormulaRoute.M_GE_B
     if m == 2:
-        return RegionClass(FormulaRoute.DOUBLE)
+        return FormulaRoute.DOUBLE
     if m == 3:
-        return RegionClass(FormulaRoute.TRIPLE)
+        return FormulaRoute.TRIPLE
     if _family_cell(deg, pts):
-        return RegionClass(FormulaRoute.DEFECTIVE_FAMILY)
-    return RegionClass(None)
+        return FormulaRoute.DEFECTIVE_FAMILY
+    return None
 
 
 def hf_m_ge_b(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
@@ -164,16 +142,16 @@ def hf_uniform(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
     (m >= 4, min(a, b) > m, off the defective family).
     """
     deg = deg.normalized
-    region = classify(deg, pts)
-    if region.route is FormulaRoute.SIMPLE:
+    route = classify(deg, pts)
+    if route is FormulaRoute.SIMPLE:
         return hf_value(min(deg.cells, pts.s), deg, pts)
-    if region.route is FormulaRoute.M_GE_B:
+    if route is FormulaRoute.M_GE_B:
         return hf_m_ge_b(deg, pts)
-    if region.route is FormulaRoute.DOUBLE:
+    if route is FormulaRoute.DOUBLE:
         return hf_value(min(deg.cells, 3 * pts.s), deg, pts)
-    if region.route is FormulaRoute.TRIPLE:
+    if route is FormulaRoute.TRIPLE:
         return hf_triple(deg, pts.s)
-    if region.route is FormulaRoute.DEFECTIVE_FAMILY:
+    if route is FormulaRoute.DEFECTIVE_FAMILY:
         result = defective_family(deg, pts)
         assert result is not None
         return result

@@ -26,9 +26,7 @@ def diff_slice(m: int, t: int) -> tuple[SliceProfile | None, int]:
     """
     if not 0 <= t <= m - 1:
         raise ValueError(f"slice index must satisfy 0 <= t <= m-1, got t={t}, m={m}")
-    width = m - t
-    rows = [w for w in range(m, 0, -1) if w != width]
-    return (SliceProfile(tuple(rows)) if rows else None), width
+    return LinePoint(SliceProfile.fat_point(m), m - t).split()
 
 
 @dataclass(frozen=True)
@@ -50,10 +48,11 @@ class LinePoint:
             )
 
     def split(self) -> tuple[SliceProfile | None, int]:
-        if self.slice_width == self.profile.bottom:
-            return self.profile.drop_bottom(), self.slice_width
-        m = len(self.profile.widths)
-        return diff_slice(m, m - self.slice_width)
+        """Residue and trace: the residue loses the first row of the chosen
+        width, the rows above it shift down one level."""
+        rows = list(self.profile.widths)
+        rows.remove(self.slice_width)
+        return (SliceProfile(tuple(rows)) if rows else None), self.slice_width
 
 
 @dataclass(frozen=True)

@@ -117,14 +117,6 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
-@dataclass(frozen=True)
-class SupportSample:
-    """Reproducible random support: coordinate lists with distinct entries."""
-
-    seed: int
-    points: tuple[tuple[int, int], ...]
-
-
 def _distinct(rng: random.Random, count: int, p: int) -> list[int]:
     seen = set()
     out = []
@@ -136,8 +128,9 @@ def _distinct(rng: random.Random, count: int, p: int) -> list[int]:
     return out
 
 
-def sample_support(seed: int, count: int, p: int) -> SupportSample:
-    """count chart points with pairwise-distinct x's and pairwise-distinct y's.
+def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]:
+    """count chart points with pairwise-distinct x's and pairwise-distinct y's,
+    reproducible from the seed.
 
     Distinctness per coordinate keeps the support off every ruling/vertical
     line shared by two points, which is what general position requires here.
@@ -145,7 +138,7 @@ def sample_support(seed: int, count: int, p: int) -> SupportSample:
     rng = random.Random(seed)
     xs = _distinct(rng, count, p)
     ys = _distinct(rng, count, p)
-    return SupportSample(seed, tuple(zip(xs, ys)))
+    return tuple(zip(xs, ys))
 
 
 def _falling_table(max_exp: int, max_order: int, p: int) -> np.ndarray:
@@ -367,7 +360,7 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
     return out
 
 
-def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -> np.ndarray:
+def bi_conditions_matrix(deg: BiDegree, mults, points, p: int) -> np.ndarray:
     """One row per derivative condition against the monomial basis x^j y^l.
 
     Point i of multiplicity m contributes the rows (c,e) with c+e <= m-1:
@@ -375,7 +368,7 @@ def bi_conditions_matrix(deg: BiDegree, mults, support: SupportSample, p: int) -
     Column j*(b+1) + l holds x^j y^l; hf_biproj_row relies on this j-major
     order to read smaller a off a prefix of the columns.
     """
-    return conditions_matrix(support.points, map(fat_profile, mults),
+    return conditions_matrix(points, map(fat_profile, mults),
                              np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
 
 
@@ -412,8 +405,8 @@ def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG)
     best = [0] * (a_max + 1)
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, "bi", b, mults, trial)
-        support = sample_support(seed, len(mults), cfg.prime)
-        M = bi_conditions_matrix(deg, mults, support, cfg.prime)
+        points = sample_support(seed, len(mults), cfg.prime)
+        M = bi_conditions_matrix(deg, mults, points, cfg.prime)
         pivots = rank_profile_mod_p(M, cfg.prime)
         best = [max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in enumerate(best)]
     return best

@@ -7,10 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fatpoints.cli import CSV_HEADER, JSON_KEYS, OutputRecord, main
+from fatpoints.cli import CSV_HEADER, JSON_KEYS, main
 
 
 def run(capsys, *argv):
@@ -92,22 +90,6 @@ class TestHf:
                      "--mode", "oracle", "--prime", "1024"])
         assert code == 2
         capsys.readouterr()
-
-
-class TestRecordRoundTrip:
-    @given(
-        st.integers(0, 40), st.integers(0, 40), st.integers(1, 8), st.integers(0, 20),
-        st.one_of(st.none(), st.integers(0, 2000)), st.sampled_from(["formula", "oracle"]),
-        st.booleans(), st.integers(0, 9), st.integers(-500, 500),
-    )
-    @settings(max_examples=200, derandomize=True)
-    def test_json_round_trip(self, a, b, m, s, value, source, known, defect, virtual):
-        record = OutputRecord(
-            a=a, b=b, m=m, s=s, value=value, source=source, known=known,
-            defective=defect > 0, defect=defect, virtual_dim=virtual,
-            expected_dim=max(0, virtual),
-        )
-        assert OutputRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
 
 class TestTable:
@@ -307,14 +289,88 @@ CSV_CASES = [
 ]
 
 
-class TestCsvBytes:
-    """The exact CSV bytes of every command that writes CSV."""
+KEYS = ("a", "b", "m", "s", "value", "source", "known", "defective", "defect",
+        "virtual_dim", "expected_dim")
+JSON_CELL = ('{{"a": {}, "b": {}, "m": {}, "s": {}, "value": {}, "source": "{}", '
+             '"known": {}, "defective": {}, "defect": {}, "virtual_dim": {}, '
+             '"expected_dim": {}}}')
 
-    @pytest.mark.parametrize("argv, expected", CSV_CASES,
-                             ids=[argv for argv, _ in CSV_CASES])
+
+def json_cell(row):
+    """One JSON record, given as its values in key order."""
+    return JSON_CELL.format(*row.split())
+
+
+def json_cells(*rows):
+    return "[" + ", ".join(map(json_cell, rows)) + "]\n"
+
+
+def text_cell(row):
+    return "".join(f"{key} = {value}\n" for key, value in zip(KEYS, row.split()))
+
+
+# below b = 4 every cell of the degree-30 scheme has its full size as value
+TABLE_M4_S3_CELLS = [
+    f"{a} {b} 4 3 {(a + 1) * (b + 1)} formula true false 0 {(a + 1) * (b + 1) - 30} 0"
+    for b in range(4) for a in range(6)
+] + [
+    "0 4 4 3 5 formula true false 0 -25 0",
+    "1 4 4 3 10 formula true false 0 -20 0",
+    "2 4 4 3 15 formula true false 0 -15 0",
+    "3 4 4 3 20 formula true false 0 -10 0",
+    "4 4 4 3 24 formula true true 1 -5 0",
+    "5 4 4 3 27 formula true true 3 0 0",
+    "0 5 4 3 6 formula true false 0 -24 0",
+    "1 5 4 3 12 formula true false 0 -18 0",
+    "2 5 4 3 18 formula true false 0 -12 0",
+    "3 5 4 3 24 formula true false 0 -6 0",
+    "4 5 4 3 27 formula true true 3 0 0",
+    "5 5 4 3 29 oracle false true 1 6 6",
+]
+DEFECTS_M3_S5_CELLS = [
+    "9 2 3 5 29 formula true true 1 0 0",
+    "6 3 3 5 27 formula true true 1 -2 0",
+    "7 3 3 5 29 formula true true 1 2 2",
+    "5 4 3 5 29 formula true true 1 0 0",
+]
+
+# JSON and text cases carry their own --format
+RECORD_CASES = [
+    ("hf --a 5 --b 4 --m 3 --s 5 --format json",
+     json_cell("5 4 3 5 29 formula true true 1 0 0") + "\n"),
+    ("hf --a 5 --b 4 --m 3 --s 5 --format text",
+     text_cell("5 4 3 5 29 formula true true 1 0 0")),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode formula --format json",
+     json_cell("8 7 5 5 null formula false false 0 -3 0") + "\n"),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode formula --format text",
+     text_cell("8 7 5 5 unknown formula false false 0 -3 0")),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1 --format json",
+     json_cell("8 7 5 5 71 oracle false true 1 -3 0") + "\n"),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1 --format text",
+     text_cell("8 7 5 5 71 oracle false true 1 -3 0")),
+    ("table --m 4 --s 3 --amax 5 --bmax 5 --oracle-unknown --trials 1 --format json",
+     json_cells(*TABLE_M4_S3_CELLS)),
+    ("defects --m 3 --s 5 --amax 10 --bmax 4 --format text",
+     "a=9 b=2 value=29 defect=1\na=6 b=3 value=27 defect=1\n"
+     "a=7 b=3 value=29 defect=1\na=5 b=4 value=29 defect=1\n"),
+    ("defects --m 2 --s 2 --amax 6 --bmax 2 --format text", "no defective cells\n"),
+    ("defects --m 3 --s 5 --amax 10 --bmax 4 --format json",
+     json_cells(*DEFECTS_M3_S5_CELLS)),
+    ("defects --m 2 --s 2 --amax 6 --bmax 2 --format json", "[]\n"),
+]
+BYTE_CASES = [(argv + " --format csv", crlf(expected)) for argv, expected in CSV_CASES]
+BYTE_CASES += RECORD_CASES
+
+
+class TestCsvBytes:
+    """The exact bytes of every record a command prints: CSV, JSON and text."""
+
+    @pytest.mark.parametrize(
+        "argv, expected", BYTE_CASES,
+        ids=[argv for argv, _ in CSV_CASES] + [argv for argv, _ in RECORD_CASES])
     def test_exact_bytes(self, capsysbinary, argv, expected):
-        assert main(argv.split() + ["--format", "csv"]) == 0
-        assert capsysbinary.readouterr().out == crlf(expected).encode()
+        assert main(argv.split()) == 0
+        assert capsysbinary.readouterr().out == expected.encode()
 
 
 class TestEnvironment:

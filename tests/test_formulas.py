@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
 from fatpoints.formulas import (
     FormulaRoute,
-    RegionKind,
     classify,
     defective_family,
     hf_m_ge_b,
@@ -105,23 +104,15 @@ class TestUniformDispatch:
         assert val(hf_uniform(BiDegree(2, 2), UniformFatPoints(9, 1))) == 9
 
     def test_region_classes(self):
-        assert classify(BiDegree(8, 7), UniformFatPoints(5, 5)).kind is RegionKind.UNKNOWN
+        assert classify(BiDegree(8, 7), UniformFatPoints(5, 5)) is None
         assert (
-            classify(BiDegree(14, 5), UniformFatPoints(9, 4)).kind
-            is RegionKind.KNOWN_DEFECTIVE_FAMILY
+            classify(BiDegree(14, 5), UniformFatPoints(9, 4))
+            is FormulaRoute.DEFECTIVE_FAMILY
         )
-        assert (
-            classify(BiDegree(4, 9), UniformFatPoints(2, 1)).route is FormulaRoute.SIMPLE
-        )
-        assert (
-            classify(BiDegree(9, 4), UniformFatPoints(2, 4)).route is FormulaRoute.M_GE_B
-        )
-        assert (
-            classify(BiDegree(9, 4), UniformFatPoints(2, 3)).route is FormulaRoute.TRIPLE
-        )
-        assert (
-            classify(BiDegree(9, 4), UniformFatPoints(2, 2)).route is FormulaRoute.DOUBLE
-        )
+        assert classify(BiDegree(4, 9), UniformFatPoints(2, 1)) is FormulaRoute.SIMPLE
+        assert classify(BiDegree(9, 4), UniformFatPoints(2, 4)) is FormulaRoute.M_GE_B
+        assert classify(BiDegree(9, 4), UniformFatPoints(2, 3)) is FormulaRoute.TRIPLE
+        assert classify(BiDegree(9, 4), UniformFatPoints(2, 2)) is FormulaRoute.DOUBLE
 
     def test_unknown_only_above_m(self):
         for m in range(1, 7):
@@ -172,8 +163,8 @@ class TestReferenceParity:
                         try:
                             expected = reference_dispatch(m, s, a, b)
                         except ValueError:
-                            region = classify(BiDegree(a, b), UniformFatPoints(s, m))
-                            assert region.kind is not RegionKind.KNOWN_FORMULA
+                            route = classify(BiDegree(a, b), UniformFatPoints(s, m))
+                            assert route in (None, FormulaRoute.DEFECTIVE_FAMILY)
                             continue
                         hf = hf_uniform(BiDegree(a, b), UniformFatPoints(s, m))
                         assert hf.value == expected, (m, s, a, b)

@@ -152,8 +152,8 @@ class TestRankProfile:
                 row = hf_biproj_row(12, b, mults, oracle)
                 for a in range(13):
                     seed = derive_seed(oracle.seed, "cross-check", a, b, mults)
-                    support = sample_support(seed, s, p)
-                    M = bi_conditions_matrix(BiDegree(a, b), mults, support, p)
+                    points = sample_support(seed, s, p)
+                    M = bi_conditions_matrix(BiDegree(a, b), mults, points, p)
                     assert row[a] == rank_mod_p(M, p), (a, b, m, s)
 
 
@@ -415,12 +415,13 @@ class TestConfig:
             cfg.require_degree(2**31)
 
     def test_support_is_distinct_and_reproducible(self):
-        sample = sample_support(123, 40, 2**31 - 1)
-        xs = [x for x, _ in sample.points]
-        ys = [y for _, y in sample.points]
+        points = sample_support(123, 40, 2**31 - 1)
+        assert len(points) == 40
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
         assert len(set(xs)) == len(xs)
         assert len(set(ys)) == len(ys)
-        assert sample == sample_support(123, 40, 2**31 - 1)
+        assert points == sample_support(123, 40, 2**31 - 1)
 
     def test_seed_derivation_spreads(self):
         seeds = {derive_seed(0, "bi", a, b, (3, 3), t) for a in range(5)
