@@ -12,7 +12,6 @@ from .core import (
     critical_counts,
     hf_value,
     virtual_dim_bi,
-    virtual_dim_plane,
 )
 from .formulas import (
     FormulaRoute,
@@ -21,7 +20,6 @@ from .formulas import (
     hf_m_ge_b,
     hf_triple,
     hf_uniform,
-    stabilization_threshold,
     table_region,
 )
 from .horace import (

@@ -4,7 +4,9 @@ verification, defect scans, the plane reduction, and the two-step traces.
 Exit codes: 0 success or full agreement, 1 semantic disagreement (including
 an oracle cross-check that fails with ArithmeticError), 2 bad usage or
 configuration. FATPOINTS_PRIME and FATPOINTS_SEED preload the
-corresponding flags; explicit flags win.
+corresponding flags; explicit flags win. The integer flags other than --m
+must be nonnegative when parsed; --m may be any integer and is validated
+later, by UniformFatPoints.
 """
 
 import argparse
@@ -68,11 +70,11 @@ def _oracle_args(parser: argparse.ArgumentParser):
                         help="field prime (default: FATPOINTS_PRIME or 2^31-1)")
 
 
-def _rectangle_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--m", type=int, required=True)
-    parser.add_argument("--s", type=_nonneg, required=True)
-    parser.add_argument("--amax", type=_nonneg, required=True)
-    parser.add_argument("--bmax", type=_nonneg, required=True)
+def _int_args(parser: argparse.ArgumentParser, *names: str):
+    """Required integer flags, in the given order: --m any integer, the rest
+    nonnegative."""
+    for name in names:
+        parser.add_argument(f"--{name}", type=int if name == "m" else _nonneg, required=True)
 
 
 def _oracle_config(args) -> OracleConfig:
@@ -256,17 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_hf = sub.add_parser("hf", help="one Hilbert-function value")
-    p_hf.add_argument("--a", type=_nonneg, required=True)
-    p_hf.add_argument("--b", type=_nonneg, required=True)
-    p_hf.add_argument("--m", type=int, required=True)
-    p_hf.add_argument("--s", type=_nonneg, required=True)
+    _int_args(p_hf, "a", "b", "m", "s")
     p_hf.add_argument("--mode", choices=["auto", "formula", "oracle"], default="auto")
     p_hf.add_argument("--format", choices=["text", "json", "csv"], default="text")
     _oracle_args(p_hf)
     p_hf.set_defaults(func=cmd_hf)
 
     p_table = sub.add_parser("table", help="grid of values, b rows by a columns")
-    _rectangle_args(p_table)
+    _int_args(p_table, "m", "s", "amax", "bmax")
     p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p_table.add_argument("--mark-defective", action="store_true",
                          help="append * to defective cells in text output")
@@ -276,29 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="compare formulas against the oracle")
-    _rectangle_args(p_verify)
+    _int_args(p_verify, "m", "s", "amax", "bmax")
     p_verify.add_argument("--inject-mismatch", action="store_true",
                           help="perturb one formula value (reporter self-test)")
     _oracle_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_defects = sub.add_parser("defects", help="list defective cells in a rectangle")
-    _rectangle_args(p_defects)
+    _int_args(p_defects, "m", "s", "amax", "bmax")
     p_defects.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p_defects.set_defaults(func=cmd_defects)
 
     p_reduce = sub.add_parser("reduce", help="show the plane model and confirm it")
-    p_reduce.add_argument("--a", type=_nonneg, required=True)
-    p_reduce.add_argument("--b", type=_nonneg, required=True)
-    p_reduce.add_argument("--m", type=int, required=True)
-    p_reduce.add_argument("--s", type=_nonneg, required=True)
+    _int_args(p_reduce, "a", "b", "m", "s")
     _oracle_args(p_reduce)
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_horace = sub.add_parser("horace", help="run the two-step trace for triple points")
-    p_horace.add_argument("--a", type=_nonneg, required=True)
-    p_horace.add_argument("--b", type=_nonneg, required=True)
-    p_horace.add_argument("--s", type=_nonneg, required=True)
+    _int_args(p_horace, "a", "b", "s")
     _oracle_args(p_horace)
     p_horace.set_defaults(func=cmd_horace)
 

@@ -65,33 +65,14 @@ class UniformFatPoints:
             raise ValueError(f"multiplicity must be at least 1, got {self.m}")
 
     @property
-    def conditions_per_point(self) -> int:
-        """Number of vanishing conditions one point imposes: C(m+1, 2)."""
-        return binom(self.m + 1, 2)
-
-    @property
     def degree(self) -> int:
-        """Total degree of the scheme: s * C(m+1, 2)."""
-        return self.s * self.conditions_per_point
+        """Total degree s * C(m+1, 2): each point imposes C(m+1, 2) conditions."""
+        return self.s * binom(self.m + 1, 2)
 
 
 def virtual_dim_bi(deg: BiDegree, pts: UniformFatPoints) -> int:
     """Parameter-count dimension (a+1)(b+1) - s*C(m+1,2); may be negative."""
     return deg.cells - pts.degree
-
-
-def virtual_dim_plane(a: int, b: int, pts: UniformFatPoints) -> int:
-    """Same count in the plane model with the two corner points added.
-
-    C(a+b+2,2) - C(a+1,2) - C(b+1,2) - s*C(m+1,2); agrees with
-    virtual_dim_bi on all inputs.
-    """
-    return (
-        binom(a + b + 2, 2)
-        - binom(a + 1, 2)
-        - binom(b + 1, 2)
-        - pts.s * binom(pts.m + 1, 2)
-    )
 
 
 def critical_counts(deg: BiDegree, m: int) -> tuple[int, int]:
@@ -124,11 +105,6 @@ class HFValue:
     expected_dim: int
     defect: int
     defective: bool
-
-    @property
-    def algebraic_defect(self) -> int:
-        """Gap to the virtual (not expected) dimension; >= defect."""
-        return self.defect + max(0, -self.virtual_dim) if self.value is not None else 0
 
 
 def hf_value(value: int | None, deg: BiDegree, pts: UniformFatPoints,

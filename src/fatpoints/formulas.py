@@ -34,7 +34,6 @@ __all__ = [
     "hf_m_ge_b",
     "hf_triple",
     "hf_uniform",
-    "stabilization_threshold",
     "table_region",
 ]
 
@@ -156,19 +155,6 @@ def hf_uniform(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
         assert result is not None
         return result
     return hf_value(None, deg, pts, known=False)
-
-
-def stabilization_threshold(b: int, pts: UniformFatPoints) -> int:
-    """Smallest a from which the b-th column is constant at s*C(m+1,2).
-
-    Only the two columns next to the multiplicity are covered: b in
-    {m-1, m}. The threshold is b(k+1) + s(m-b) - 1 with k = floor(s/2).
-    """
-    m, s = pts.m, pts.s
-    if b not in (m - 1, m):
-        raise ValueError(f"column must be m-1 or m, got b={b} for m={m}")
-    k = s // 2
-    return b * (k + 1) + s * (m - b) - 1
 
 
 def table_region(

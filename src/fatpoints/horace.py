@@ -12,7 +12,7 @@ oracle can confirm the dimension bookkeeping.
 
 from dataclasses import dataclass
 
-from .core import binom
+from .core import BiDegree, binom, critical_counts
 from .oracle import DEFAULT_CONFIG, OracleConfig, hf_plane, hf_trace_line
 from .schemes import PlaneScheme, SliceProfile
 
@@ -88,14 +88,11 @@ class LineConfiguration:
 def residue_line(scheme: PlaneScheme) -> PlaneScheme:
     """Plain residue by the line: every on-line profile loses its bottom row.
 
+    This is the differential residue with every slice at the bottom row.
     Off-line points are untouched; the reduced points remain on the line.
     """
-    residues = []
-    for pr in scheme.on_line:
-        rest = pr.drop_bottom()
-        if rest is not None:
-            residues.append(rest)
-    return PlaneScheme(scheme.corner_a, scheme.corner_b, scheme.general, tuple(residues))
+    return differential_residue(LineConfiguration.plain(
+        scheme.corner_a, scheme.corner_b, scheme.general, line_profiles=scheme.on_line))
 
 
 def trace_line(cfg: LineConfiguration) -> list[int]:
@@ -173,20 +170,14 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
     """
     if ambient.on_line:
         raise ValueError("ambient scheme may not carry its own on-line points")
-    residues = []
-    traces = []
-    mults = []
-    for m, t in line_points:
-        rest, width = diff_slice(m, t)
-        if rest is not None:
-            residues.append(rest)
-        traces.append(width)
-        mults.append(m)
-
-    res_scheme = PlaneScheme(ambient.corner_a, ambient.corner_b, ambient.general,
-                             tuple(residues))
+    line_points = tuple(line_points)
+    # diff_slice checks 0 <= t <= m-1 and gives the trace width m - t
+    traces = [diff_slice(m, t)[1] for m, t in line_points]
+    cfg = LineConfiguration(ambient.corner_a, ambient.corner_b, ambient.general, tuple(
+        LinePoint(SliceProfile.fat_point(m), w) for (m, _), w in zip(line_points, traces)))
+    res_scheme = differential_residue(cfg)
     general_scheme = PlaneScheme(ambient.corner_a, ambient.corner_b,
-                                 ambient.general + tuple(mults))
+                                 ambient.general + tuple(m for m, _ in line_points))
 
     res_dim = hf_plane(d - 1, res_scheme, oracle) if d >= 1 else 0
     res_expected = max(0, binom(d + 1, 2) - res_scheme.degree)
@@ -262,7 +253,7 @@ def specialize_triple_step1(a: int, b: int, s: int) -> TripleStep:
         widths.append(_STEP1_EXTRA[c])
     if sum(widths) != a + b + 1:
         raise AssertionError(f"trace degree {sum(widths)} != {a + b + 1}")
-    s1 = (a + 1) * (b + 1) // 6
+    s1 = critical_counts(BiDegree(a, b), 3)[0]
     if x + y + 1 > s1:
         raise AssertionError(f"x + y + 1 = {x + y + 1} exceeds s1 = {s1}")
     if s < len(widths):
@@ -308,7 +299,7 @@ def specialize_triple_step2(step1: TripleStep) -> TripleStep:
     if sum(widths) != a + b - 1:
         raise AssertionError(f"trace degree {sum(widths)} != {a + b - 1}")
     if c in (3, 4):
-        s1 = (a + 1) * (b + 1) // 6
+        s1 = critical_counts(BiDegree(a, b), 3)[0]
         if x + y + 2 > s1:
             raise AssertionError(f"x + y + 2 = {x + y + 2} exceeds s1 = {s1}")
     cfg = LineConfiguration(prior.corner_a, prior.corner_b, tuple(off), tuple(points))

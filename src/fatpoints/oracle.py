@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BiDegree, binom
-from .schemes import PlaneScheme, reduce_to_plane
+from .schemes import PlaneScheme, fat_profile, reduce_to_plane
 
 DEFAULT_PRIME = (1 << 31) - 1  # Mersenne; exponents in scope stay far below it
 ALT_PRIME = (1 << 31) + 11  # independent second field for paranoia runs
@@ -320,11 +320,6 @@ def _require_fits(rows: int, cols: int):
         )
 
 
-def fat_profile(m: int) -> tuple[int, ...]:
-    """Width profile of a chart fat point of multiplicity m: (m, m-1, ..., 1)."""
-    return tuple(range(m, 0, -1))
-
-
 def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
     """Derivative conditions at chart points against exponent columns.
 
@@ -402,6 +397,7 @@ def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG)
     cfg.require_degree(a_max + b)
     cfg.require_degree(max(mults, default=0))
     deg = BiDegree(a_max, b)
+    _require_fits(sum(binom(m + 1, 2) for m in mults), deg.cells)  # before the row exists
     best = [0] * (a_max + 1)
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, "bi", b, mults, trial)
@@ -460,6 +456,7 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
         raise ValueError(f"lengths must be positive, got {lengths}")
     cfg.require_degree(d)
     expected = max(0, d + 1 - sum(lengths))
+    _require_fits(sum(lengths), d + 1)  # before the columns exist
     p = cfg.prime
     rng = random.Random(derive_seed(cfg.seed, "line", d, lengths))
     ts = _distinct(rng, len(lengths), p)

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 from .core import BiDegree, UniformFatPoints, binom
 
 
+def fat_profile(m: int) -> tuple[int, ...]:
+    """Width profile of a fat point of multiplicity m: (m, m-1, ..., 1)."""
+    return tuple(range(m, 0, -1))
+
+
 @dataclass(frozen=True)
 class SliceProfile:
     """Row widths of a vertically graded point, bottom row first."""
@@ -21,6 +26,8 @@ class SliceProfile:
     widths: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.widths:
+            raise ValueError("a profile needs at least one row")
         if any(w < 1 for w in self.widths):
             raise ValueError(f"profile widths must be positive, got {self.widths}")
         if any(a < b for a, b in zip(self.widths, self.widths[1:])):
@@ -31,7 +38,7 @@ class SliceProfile:
         """Full fat point of multiplicity m on the line: widths (m, ..., 1)."""
         if m < 1:
             raise ValueError(f"multiplicity must be at least 1, got {m}")
-        return SliceProfile(tuple(range(m, 0, -1)))
+        return SliceProfile(fat_profile(m))
 
     @property
     def degree(self) -> int:
@@ -42,13 +49,8 @@ class SliceProfile:
         """Width of the row on the line itself (the trace length)."""
         return self.widths[0]
 
-    def drop_bottom(self) -> "SliceProfile | None":
-        """Residue by the line: lose the bottom row, shift the rest down."""
-        rest = self.widths[1:]
-        return SliceProfile(rest) if rest else None
-
     def is_fat_point(self) -> bool:
-        return self.widths == tuple(range(len(self.widths), 0, -1))
+        return self.widths == fat_profile(len(self.widths))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from fatpoints.core import (
     critical_counts,
     hf_value,
     virtual_dim_bi,
-    virtual_dim_plane,
 )
+from fatpoints.schemes import reduce_to_plane
 
 
 def test_binom_known_values():
@@ -58,17 +58,14 @@ def test_virtual_dim_examples():
     assert virtual_dim_bi(BiDegree(5, 4), UniformFatPoints(5, 3)) == 0
     assert virtual_dim_bi(BiDegree(7, 2), UniformFatPoints(0, 4)) == 24
     assert virtual_dim_bi(BiDegree(14, 5), UniformFatPoints(9, 4)) == 0
-    assert virtual_dim_plane(5, 4, UniformFatPoints(5, 3)) == 0
-    assert virtual_dim_plane(4, 4, UniformFatPoints(4, 3)) == 1
-    assert virtual_dim_plane(8, 8, UniformFatPoints(0, 1)) == binom(18, 2) - 2 * binom(9, 2)
-    assert virtual_dim_plane(8, 8, UniformFatPoints(0, 1)) == 81
 
 
 @given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 50), st.integers(1, 20))
 @settings(max_examples=300, derandomize=True)
 def test_virtual_dims_agree(a, b, s, m):
-    pts = UniformFatPoints(s, m)
-    assert virtual_dim_plane(a, b, pts) == virtual_dim_bi(BiDegree(a, b), pts)
+    deg, pts = BiDegree(a, b), UniformFatPoints(s, m)
+    scheme, d = reduce_to_plane(deg, pts)
+    assert binom(d + 2, 2) - scheme.degree == virtual_dim_bi(deg, pts)
 
 
 def test_critical_counts_examples():
@@ -95,7 +92,6 @@ def test_hf_value_bookkeeping():
     assert hf.expected_dim == 0
     assert hf.defect == 1
     assert hf.defective
-    assert hf.algebraic_defect == 1
     assert hf.source is Source.FORMULA
 
     # negative virtual dimension: defect is measured against max(0, virtual)
@@ -103,7 +99,6 @@ def test_hf_value_bookkeeping():
     assert hf2.virtual_dim == -5
     assert hf2.expected_dim == 0
     assert hf2.defect == 1
-    assert hf2.algebraic_defect == 6
 
     unknown = hf_value(None, deg, pts, known=False)
     assert unknown.value is None

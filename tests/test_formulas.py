@@ -10,7 +10,6 @@ from fatpoints.formulas import (
     hf_m_ge_b,
     hf_triple,
     hf_uniform,
-    stabilization_threshold,
     table_region,
 )
 from fatpoints.schemes import reduce_to_plane
@@ -194,24 +193,16 @@ class TestHighColumnRoutes:
 
 
 class TestStabilization:
-    def test_examples(self):
-        assert stabilization_threshold(5, UniformFatPoints(5, 5)) == 14
-        assert stabilization_threshold(4, UniformFatPoints(5, 5)) == 16
-        for m in (2, 3, 5, 8):
-            assert stabilization_threshold(m, UniformFatPoints(2, m)) == 2 * m - 1
-
-    def test_rejects_far_columns(self):
-        with pytest.raises(ValueError):
-            stabilization_threshold(2, UniformFatPoints(5, 5))
-
     def test_constant_beyond_threshold(self):
+        # columns b in {m-1, m} are constant at s*C(m+1,2) from
+        # a = b(k+1) + s(m-b) - 1, k = floor(s/2)
         for m in (2, 3, 4, 5):
             for s in (1, 2, 5, 6):
                 pts = UniformFatPoints(s, m)
                 for b in (m - 1, m):
                     if b == 0:
                         continue
-                    start = stabilization_threshold(b, pts)
+                    start = b * (s // 2 + 1) + s * (m - b) - 1
                     for a in range(max(start, b), start + 4):
                         assert val(hf_uniform(BiDegree(a, b), pts)) == pts.degree
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -81,6 +82,18 @@ class TestResidueTrace:
             )
             res = residue_line(cfg.scheme)
             assert cfg.scheme.degree == res.degree + sum(trace_line(cfg))
+
+    def test_residue_removes_bottom_row(self):
+        # every valid profile of up to 5 rows of width up to 5
+        profiles = [SliceProfile(w) for k in range(1, 6)
+                    for w in combinations_with_replacement(range(5, 0, -1), k)]
+        assert len(profiles) == 251
+        rests = [pr.widths[1:] for pr in profiles]
+        for pr, rest in zip(profiles, rests):
+            res = residue_line(PlaneScheme(2, 1, (3,), (pr,)))
+            assert res == PlaneScheme(2, 1, (3,), (SliceProfile(rest),) if rest else ())
+        res = residue_line(PlaneScheme(0, 0, (), tuple(profiles)))
+        assert [pr.widths for pr in res.on_line] == [rest for rest in rests if rest]
 
     def test_corner_residue(self):
         scheme = PlaneScheme(4, 1, (2,))

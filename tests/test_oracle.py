@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -276,7 +277,7 @@ class TestSizeGuard:
         # hf --a 20000 --b 20000 --m 5 --s 5: a 240 GB matrix before elimination
         assert conditions_bytes(5 * 15, 20001**2) // 5 > 240 * 10**9
 
-    def test_refused_before_allocation(self):
+    def test_refused_before_allocation(self, monkeypatch):
         p = 2**31 - 1
         n = 10**6  # the box columns broadcast: two vectors, not a 10^12 grid
         with pytest.raises(ValueError, match="physical memory"):
@@ -285,6 +286,21 @@ class TestSizeGuard:
         # two corners of multiplicity 2000: 4 million rows, 8 million columns
         with pytest.raises(ValueError, match="physical memory"):
             hf_plane(4000, PlaneScheme(2000, 2000), OracleConfig(trials=1))
+        # the row and line entries ask before building a 10^6-long row or
+        # column range (8 MB each); one 4 KiB page refuses any matrix
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        cfg = OracleConfig(trials=1)
+        for refused in (lambda: hf_biproj_row(n, 1, (5,) * 5, cfg),
+                        lambda: hf_trace_line(n, (1,), cfg)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="physical memory"):
+                    refused()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_compares_with_physical_memory(self, monkeypatch):
         p = 2**31 - 1

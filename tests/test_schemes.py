@@ -14,11 +14,12 @@ def test_profile_validation():
         SliceProfile((2, 0))
     with pytest.raises(ValueError):
         SliceProfile.fat_point(0)
+    # no bottom row, so no residue or trace by the line
+    with pytest.raises(ValueError, match="at least one row"):
+        SliceProfile(())
 
 
 def test_profile_residue():
-    assert SliceProfile((3, 2, 1)).drop_bottom() == SliceProfile((2, 1))
-    assert SliceProfile((1,)).drop_bottom() is None
     assert SliceProfile.fat_point(4).is_fat_point()
     assert not SliceProfile((3, 1)).is_fat_point()
 
