@@ -14,8 +14,6 @@ from .core import (
     virtual_dim_bi,
 )
 from .formulas import (
-    FormulaRoute,
-    classify,
     defective_family,
     hf_m_ge_b,
     hf_triple,
@@ -26,8 +24,6 @@ from .horace import (
     CastelnuovoResult,
     ChainReport,
     HoraceReport,
-    LineConfiguration,
-    LinePoint,
     castelnuovo_check,
     diff_slice,
     differential_residue,

@@ -230,10 +230,10 @@ def cmd_horace(args) -> int:
     report = verify_chain(args.a, args.b, args.s, cfg)
     step1, step2 = report.step1, report.step2
     print(f"a+b = 5*{step1.h} + {step1.c}; on-line points: x={step1.x} y={step1.y}")
-    print("step 1 slices:", [lp.slice_width for lp in step1.config.line_points])
+    print("step 1 slices:", list(step1.slices))
     print("step 1 residual profiles:",
           [list(pr.widths) for pr in step1.residual.on_line])
-    print("step 2 slices:", [lp.slice_width for lp in step2.config.line_points])
+    print("step 2 slices:", list(step2.slices))
     print("step 2 residual profiles:",
           [list(pr.widths) for pr in step2.residual.on_line])
     d = args.a + args.b

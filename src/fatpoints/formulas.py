@@ -1,4 +1,4 @@
-"""Closed-form Hilbert functions, region classification, and the table fill.
+"""Closed-form Hilbert functions, their dispatch, and the table fill.
 
 The known regions and their values:
 
@@ -15,8 +15,6 @@ Unknown is a first-class answer, never a guess; the oracle can fill those
 cells on request.
 """
 
-from enum import Enum
-
 from .core import (
     BiDegree,
     HFValue,
@@ -26,43 +24,6 @@ from .core import (
     hf_value,
 )
 from .oracle import OracleConfig, hf_biproj_row
-
-__all__ = [
-    "FormulaRoute",
-    "classify",
-    "defective_family",
-    "hf_m_ge_b",
-    "hf_triple",
-    "hf_uniform",
-    "table_region",
-]
-
-
-class FormulaRoute(Enum):
-    """Which closed form covers a cell."""
-
-    SIMPLE = "simple"
-    M_GE_B = "m-ge-b"
-    DOUBLE = "double"
-    TRIPLE = "triple"
-    DEFECTIVE_FAMILY = "defective-family"
-
-
-def classify(deg: BiDegree, pts: UniformFatPoints) -> FormulaRoute | None:
-    """The closed form covering (deg, pts), or None on the open region."""
-    b = deg.normalized.b
-    m = pts.m
-    if m == 1:
-        return FormulaRoute.SIMPLE
-    if b <= m:
-        return FormulaRoute.M_GE_B
-    if m == 2:
-        return FormulaRoute.DOUBLE
-    if m == 3:
-        return FormulaRoute.TRIPLE
-    if _family_cell(deg, pts):
-        return FormulaRoute.DEFECTIVE_FAMILY
-    return None
 
 
 def hf_m_ge_b(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
@@ -109,27 +70,17 @@ def hf_triple(deg: BiDegree, s: int) -> HFValue:
     return hf_value(value, deg, pts)
 
 
-def _family_cell(deg: BiDegree, pts: UniformFatPoints) -> bool:
-    deg = deg.normalized
-    m = pts.m
-    return (
-        m >= 3
-        and deg.a == (2 * m - 1) * (m - 2)
-        and deg.b == m + 1
-        and pts.s == 4 * m - 7
-    )
-
-
 def defective_family(deg: BiDegree, pts: UniformFatPoints) -> HFValue | None:
     """The one known infinite defective family above the low-bidegree region.
 
     At a = (2m-1)(m-2), b = m+1, s = 4m-7 (m >= 3) the ideal piece has
-    dimension (m-3)(m-4)/2 + 1, one more than expected.
+    dimension (m-3)(m-4)/2 + 1, one more than expected. None off the family.
     """
-    if not _family_cell(deg, pts):
-        return None
     deg = deg.normalized
     m = pts.m
+    if not (m >= 3 and deg.a == (2 * m - 1) * (m - 2) and deg.b == m + 1
+            and pts.s == 4 * m - 7):
+        return None
     ideal_dim = (m - 3) * (m - 4) // 2 + 1
     return hf_value(deg.cells - ideal_dim, deg, pts)
 
@@ -141,20 +92,17 @@ def hf_uniform(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
     (m >= 4, min(a, b) > m, off the defective family).
     """
     deg = deg.normalized
-    route = classify(deg, pts)
-    if route is FormulaRoute.SIMPLE:
+    m = pts.m
+    if m == 1:
         return hf_value(min(deg.cells, pts.s), deg, pts)
-    if route is FormulaRoute.M_GE_B:
+    if deg.b <= m:
         return hf_m_ge_b(deg, pts)
-    if route is FormulaRoute.DOUBLE:
+    if m == 2:
         return hf_value(min(deg.cells, 3 * pts.s), deg, pts)
-    if route is FormulaRoute.TRIPLE:
+    if m == 3:
         return hf_triple(deg, pts.s)
-    if route is FormulaRoute.DEFECTIVE_FAMILY:
-        result = defective_family(deg, pts)
-        assert result is not None
-        return result
-    return hf_value(None, deg, pts, known=False)
+    family = defective_family(deg, pts)
+    return family if family is not None else hf_value(None, deg, pts, known=False)
 
 
 def table_region(

@@ -4,10 +4,11 @@ two-step specializations used for triple points.
 A point on the line is a width profile (see schemes). The plain residue by
 the line drops the bottom row of every on-line profile; the differential
 variant may instead remove a chosen higher row of a full fat point, trading
-a shorter trace on the line for a larger residual scheme. The two-step
-builders reproduce the specific slice choices that make the line and the
-corner line removable, and expose every intermediate scheme so the rank
-oracle can confirm the dimension bookkeeping.
+a shorter trace on the line for a larger residual scheme. A differential
+step is a PlaneScheme plus one row width (its slice) for each on-line
+profile. The two-step builders reproduce the specific slice choices that
+make the line and the corner line removable, and expose every intermediate
+scheme so the rank oracle can confirm the dimension bookkeeping.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,21 @@ from dataclasses import dataclass
 from .core import BiDegree, binom, critical_counts
 from .oracle import DEFAULT_CONFIG, OracleConfig, hf_plane, hf_trace_line
 from .schemes import PlaneScheme, SliceProfile
+
+
+def _split(profile: SliceProfile, width: int) -> SliceProfile | None:
+    """Residue of an on-line profile split at the row of the given width: the
+    first row of that width goes, the rows above it shift down one level."""
+    if width not in profile.widths:
+        raise ValueError(f"no row of width {width} in profile {profile.widths}")
+    if width != profile.bottom and not profile.is_fat_point():
+        raise ValueError(
+            "a higher slice can only be taken on a full fat point, "
+            f"got {profile.widths} with slice {width}"
+        )
+    rows = list(profile.widths)
+    rows.remove(width)
+    return SliceProfile(tuple(rows)) if rows else None
 
 
 def diff_slice(m: int, t: int) -> tuple[SliceProfile | None, int]:
@@ -26,88 +42,28 @@ def diff_slice(m: int, t: int) -> tuple[SliceProfile | None, int]:
     """
     if not 0 <= t <= m - 1:
         raise ValueError(f"slice index must satisfy 0 <= t <= m-1, got t={t}, m={m}")
-    return LinePoint(SliceProfile.fat_point(m), m - t).split()
+    return _split(SliceProfile.fat_point(m), m - t), m - t
 
 
-@dataclass(frozen=True)
-class LinePoint:
-    """An on-line profile together with the row chosen for the next split."""
-
-    profile: SliceProfile
-    slice_width: int
-
-    def __post_init__(self):
-        if self.slice_width not in self.profile.widths:
-            raise ValueError(
-                f"no row of width {self.slice_width} in profile {self.profile.widths}"
-            )
-        if self.slice_width != self.profile.bottom and not self.profile.is_fat_point():
-            raise ValueError(
-                "a higher slice can only be taken on a full fat point, "
-                f"got {self.profile.widths} with slice {self.slice_width}"
-            )
-
-    def split(self) -> tuple[SliceProfile | None, int]:
-        """Residue and trace: the residue loses the first row of the chosen
-        width, the rows above it shift down one level."""
-        rows = list(self.profile.widths)
-        rows.remove(self.slice_width)
-        return (SliceProfile(tuple(rows)) if rows else None), self.slice_width
+def trace_line(scheme: PlaneScheme) -> list[int]:
+    """Bottom widths of the on-line points: the lengths cut out on the line."""
+    return [pr.bottom for pr in scheme.on_line]
 
 
-@dataclass(frozen=True)
-class LineConfiguration:
-    """A plane scheme with some points on the distinguished line."""
+def differential_residue(scheme: PlaneScheme, slices) -> PlaneScheme:
+    """Residue with on-line profile i split at the row of width slices[i].
 
-    corner_a: int
-    corner_b: int
-    off_line: tuple[int, ...] = ()
-    line_points: tuple[LinePoint, ...] = ()
-
-    @staticmethod
-    def plain(corner_a: int, corner_b: int, off_line=(), line_mults=(),
-              line_profiles=()) -> "LineConfiguration":
-        """Configuration with no differential choices: every slice is the
-        bottom row."""
-        points = [
-            LinePoint(SliceProfile.fat_point(m), m) for m in line_mults
-        ] + [LinePoint(pr, pr.bottom) for pr in line_profiles]
-        return LineConfiguration(corner_a, corner_b, tuple(off_line), tuple(points))
-
-    @property
-    def scheme(self) -> PlaneScheme:
-        """The honest scheme: slice choices do not change the scheme itself."""
-        return PlaneScheme(
-            self.corner_a,
-            self.corner_b,
-            self.off_line,
-            tuple(lp.profile for lp in self.line_points),
-        )
+    slices holds one width per on-line profile. Off-line points are
+    untouched; the reduced points remain on the line.
+    """
+    rests = (_split(pr, w) for pr, w in zip(scheme.on_line, slices, strict=True))
+    return PlaneScheme(scheme.corner_a, scheme.corner_b, scheme.general,
+                       tuple(rest for rest in rests if rest is not None))
 
 
 def residue_line(scheme: PlaneScheme) -> PlaneScheme:
-    """Plain residue by the line: every on-line profile loses its bottom row.
-
-    This is the differential residue with every slice at the bottom row.
-    Off-line points are untouched; the reduced points remain on the line.
-    """
-    return differential_residue(LineConfiguration.plain(
-        scheme.corner_a, scheme.corner_b, scheme.general, line_profiles=scheme.on_line))
-
-
-def trace_line(cfg: LineConfiguration) -> list[int]:
-    """Bottom widths of the on-line points: the lengths cut out on the line."""
-    return [lp.profile.bottom for lp in cfg.line_points]
-
-
-def differential_residue(cfg: LineConfiguration) -> PlaneScheme:
-    """Residue with each on-line point split at its chosen slice."""
-    residues = []
-    for lp in cfg.line_points:
-        rest, _ = lp.split()
-        if rest is not None:
-            residues.append(rest)
-    return PlaneScheme(cfg.corner_a, cfg.corner_b, cfg.off_line, tuple(residues))
+    """Plain residue by the line: every on-line profile loses its bottom row."""
+    return differential_residue(scheme, trace_line(scheme))
 
 
 def residue_corner(scheme: PlaneScheme) -> PlaneScheme:
@@ -128,16 +84,16 @@ class CastelnuovoResult:
     holds: bool
 
 
-def castelnuovo_check(cfg: LineConfiguration, d: int,
+def castelnuovo_check(scheme: PlaneScheme, d: int,
                       oracle: OracleConfig = DEFAULT_CONFIG) -> CastelnuovoResult:
     """Ideal dimension of the scheme vs plain residue at d-1 plus trace at d.
 
     The inequality lhs <= rhs_res + rhs_tr is a theorem for the plain
     residue/trace pair; a False result signals a bug, not mathematics.
     """
-    lhs = hf_plane(d, cfg.scheme, oracle)
-    rhs_res = hf_plane(d - 1, residue_line(cfg.scheme), oracle) if d >= 1 else 0
-    rhs_tr = hf_trace_line(d, trace_line(cfg), oracle)
+    lhs = hf_plane(d, scheme, oracle)
+    rhs_res = hf_plane(d - 1, residue_line(scheme), oracle) if d >= 1 else 0
+    rhs_tr = hf_trace_line(d, trace_line(scheme), oracle)
     return CastelnuovoResult(lhs, rhs_res, rhs_tr, lhs <= rhs_res + rhs_tr)
 
 
@@ -173,9 +129,9 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
     line_points = tuple(line_points)
     # diff_slice checks 0 <= t <= m-1 and gives the trace width m - t
     traces = [diff_slice(m, t)[1] for m, t in line_points]
-    cfg = LineConfiguration(ambient.corner_a, ambient.corner_b, ambient.general, tuple(
-        LinePoint(SliceProfile.fat_point(m), w) for (m, _), w in zip(line_points, traces)))
-    res_scheme = differential_residue(cfg)
+    res_scheme = differential_residue(PlaneScheme(
+        ambient.corner_a, ambient.corner_b, ambient.general,
+        tuple(SliceProfile.fat_point(m) for m, _ in line_points)), traces)
     general_scheme = PlaneScheme(ambient.corner_a, ambient.corner_b,
                                  ambient.general + tuple(m for m, _ in line_points))
 
@@ -206,13 +162,14 @@ _STEP2_EXTRA2 = {3: 1, 4: 3}
 
 @dataclass(frozen=True)
 class TripleStep:
-    """One removal round: the specialized scheme and its residual.
+    """One removal round: the specialized scheme, the row width taken at each
+    of its on-line profiles, and the residual.
 
     The oracle-checkable claim is that the residual in degree `degree - 2`
     has the same ideal dimension as the scheme with all points in general
     position in degree `degree`. When every chosen slice is a bottom row the
     round is a plain line removal and the specialized scheme
-    `config.scheme` itself has that dimension too; rounds that take a higher
+    `scheme` itself has that dimension too; rounds that take a higher
     slice are limit arguments, and the honestly specialized scheme can sit
     strictly higher.
     """
@@ -225,7 +182,8 @@ class TripleStep:
     x: int
     y: int
     degree: int
-    config: LineConfiguration
+    scheme: PlaneScheme
+    slices: tuple[int, ...]
     residual: PlaneScheme
 
 
@@ -258,10 +216,10 @@ def specialize_triple_step1(a: int, b: int, s: int) -> TripleStep:
         raise AssertionError(f"x + y + 1 = {x + y + 1} exceeds s1 = {s1}")
     if s < len(widths):
         raise ValueError(f"need at least {len(widths)} points, got s={s}")
-    line = tuple(LinePoint(SliceProfile.fat_point(3), w) for w in widths)
-    cfg = LineConfiguration(a, b, (3,) * (s - len(widths)), line)
-    residual = residue_corner(differential_residue(cfg))
-    return TripleStep(a, b, s, h, c, x, y, a + b, cfg, residual)
+    scheme = PlaneScheme(a, b, (3,) * (s - len(widths)),
+                         (SliceProfile.fat_point(3),) * len(widths))
+    residual = residue_corner(differential_residue(scheme, widths))
+    return TripleStep(a, b, s, h, c, x, y, a + b, scheme, tuple(widths), residual)
 
 
 def specialize_triple_step2(step1: TripleStep) -> TripleStep:
@@ -275,15 +233,8 @@ def specialize_triple_step2(step1: TripleStep) -> TripleStep:
     a, b, s, h, c, x, y = (step1.a, step1.b, step1.s, step1.h,
                            step1.c, step1.x, step1.y)
     prior = step1.residual
-    points = []
-    widths = []
-    for i, profile in enumerate(prior.on_line):
-        if i < x + y:
-            width = 2 if i < x else 3
-        else:
-            width = _STEP2_EXTRA1[c]
-        points.append(LinePoint(profile, width))
-        widths.append(width)
+    profiles = list(prior.on_line)
+    widths = [2] * x + [3] * y + [_STEP2_EXTRA1[c] for _ in profiles[x + y:]]
     off = list(prior.general)
     extras = []
     if c == 1:
@@ -294,7 +245,7 @@ def specialize_triple_step2(step1: TripleStep) -> TripleStep:
         if not off:
             raise ValueError(f"not enough off-line points for step 2 with s={s}")
         off.pop()
-        points.append(LinePoint(SliceProfile.fat_point(3), w))
+        profiles.append(SliceProfile.fat_point(3))
         widths.append(w)
     if sum(widths) != a + b - 1:
         raise AssertionError(f"trace degree {sum(widths)} != {a + b - 1}")
@@ -302,13 +253,9 @@ def specialize_triple_step2(step1: TripleStep) -> TripleStep:
         s1 = critical_counts(BiDegree(a, b), 3)[0]
         if x + y + 2 > s1:
             raise AssertionError(f"x + y + 2 = {x + y + 2} exceeds s1 = {s1}")
-    cfg = LineConfiguration(prior.corner_a, prior.corner_b, tuple(off), tuple(points))
-    residual = residue_corner(differential_residue(cfg))
-    return TripleStep(a, b, s, h, c, x, y, step1.degree - 2, cfg, residual)
-
-
-def _plain_round(cfg: LineConfiguration) -> bool:
-    return all(lp.slice_width == lp.profile.bottom for lp in cfg.line_points)
+    scheme = PlaneScheme(prior.corner_a, prior.corner_b, tuple(off), tuple(profiles))
+    residual = residue_corner(differential_residue(scheme, widths))
+    return TripleStep(a, b, s, h, c, x, y, step1.degree - 2, scheme, tuple(widths), residual)
 
 
 @dataclass(frozen=True)
@@ -340,11 +287,11 @@ def verify_chain(a: int, b: int, s: int,
     generic = hf_plane(d, PlaneScheme(a, b, (3,) * s), oracle)
     res1 = hf_plane(d - 2, step1.residual, oracle)
     res2 = hf_plane(d - 4, step2.residual, oracle)
-    spec1 = hf_plane(d, step1.config.scheme, oracle)
-    spec2 = hf_plane(d - 2, step2.config.scheme, oracle)
+    spec1 = hf_plane(d, step1.scheme, oracle)
+    spec2 = hf_plane(d - 2, step2.scheme, oracle)
     ok = generic == res1 == res2
-    if _plain_round(step1.config):
+    if list(step1.slices) == trace_line(step1.scheme):
         ok = ok and spec1 == res1
-    if _plain_round(step2.config):
+    if list(step2.slices) == trace_line(step2.scheme):
         ok = ok and spec2 == res2
     return ChainReport(step1, step2, generic, res1, res2, spec1, spec2, ok)

@@ -311,7 +311,8 @@ def conditions_bytes(rows: int, cols: int) -> int:
 
 
 def _require_fits(rows: int, cols: int):
-    need = conditions_bytes(rows, cols)
+    # a matrix with no rows still allocates its column index arrays
+    need = conditions_bytes(max(rows, 1), cols)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(

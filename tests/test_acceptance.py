@@ -14,7 +14,6 @@ from fatpoints.cli import main
 from fatpoints.core import BiDegree, UniformFatPoints, binom
 from fatpoints.formulas import hf_triple, hf_uniform
 from fatpoints.horace import (
-    LineConfiguration,
     castelnuovo_check,
     diff_slice,
     verify_chain,
@@ -118,14 +117,15 @@ def test_criterion_6_horace_calculus():
     cfg = OracleConfig()
     rng = random.Random(606)
     for _ in range(100):
-        config = LineConfiguration.plain(
+        scheme = PlaneScheme(
             rng.randrange(0, 5), rng.randrange(0, 5),
-            off_line=tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))),
-            line_mults=tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 4))),
+            tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))),
+            tuple(SliceProfile.fat_point(rng.randrange(1, 4))
+                  for _ in range(rng.randrange(0, 4))),
         )
         d = rng.randrange(1, 10)
-        result = castelnuovo_check(config, d, cfg)
-        assert result.holds, (config, d)
+        result = castelnuovo_check(scheme, d, cfg)
+        assert result.holds, (scheme, d)
 
     chains = 0
     for total in range(10, 15):

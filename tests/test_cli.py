@@ -244,6 +244,17 @@ class TestReduceAndHorace:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "physical memory" in captured.err
 
+    def test_refused_empty_scheme_prints_nothing(self, capsys, monkeypatch):
+        # no points, so no rows: the 10^9 + 1 columns are still refused
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        code = main(["hf", "--a", "1000000000", "--b", "0", "--m", "5", "--s", "0",
+                     "--mode", "oracle"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "physical memory" in captured.err
+
     def test_horace_trace(self, capsys):
         code, out = run(capsys, "horace", "--a", "6", "--b", "4", "--s", "5",
                         "--trials", "1")

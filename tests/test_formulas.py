@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
+from fatpoints.core import BiDegree, Source, UniformFatPoints, binom, hf_value
 from fatpoints.formulas import (
-    FormulaRoute,
-    classify,
     defective_family,
     hf_m_ge_b,
     hf_triple,
@@ -103,15 +101,17 @@ class TestUniformDispatch:
         assert val(hf_uniform(BiDegree(2, 2), UniformFatPoints(9, 1))) == 9
 
     def test_region_classes(self):
-        assert classify(BiDegree(8, 7), UniformFatPoints(5, 5)) is None
-        assert (
-            classify(BiDegree(14, 5), UniformFatPoints(9, 4))
-            is FormulaRoute.DEFECTIVE_FAMILY
-        )
-        assert classify(BiDegree(4, 9), UniformFatPoints(2, 1)) is FormulaRoute.SIMPLE
-        assert classify(BiDegree(9, 4), UniformFatPoints(2, 4)) is FormulaRoute.M_GE_B
-        assert classify(BiDegree(9, 4), UniformFatPoints(2, 3)) is FormulaRoute.TRIPLE
-        assert classify(BiDegree(9, 4), UniformFatPoints(2, 2)) is FormulaRoute.DOUBLE
+        assert hf_uniform(BiDegree(8, 7), UniformFatPoints(5, 5)).known is False
+        deg, pts = BiDegree(14, 5), UniformFatPoints(9, 4)
+        assert hf_uniform(deg, pts) == defective_family(deg, pts)
+        deg = BiDegree(9, 4)
+        pts = UniformFatPoints(2, 1)
+        assert hf_uniform(BiDegree(4, 9), pts) == hf_value(min(deg.cells, 2), deg, pts)
+        pts = UniformFatPoints(2, 4)
+        assert hf_uniform(deg, pts) == hf_m_ge_b(deg, pts)
+        assert hf_uniform(deg, UniformFatPoints(2, 3)) == hf_triple(deg, 2)
+        pts = UniformFatPoints(2, 2)
+        assert hf_uniform(deg, pts) == hf_value(min(deg.cells, 3 * 2), deg, pts)
 
     def test_unknown_only_above_m(self):
         for m in range(1, 7):
@@ -162,8 +162,9 @@ class TestReferenceParity:
                         try:
                             expected = reference_dispatch(m, s, a, b)
                         except ValueError:
-                            route = classify(BiDegree(a, b), UniformFatPoints(s, m))
-                            assert route in (None, FormulaRoute.DEFECTIVE_FAMILY)
+                            deg, pts = BiDegree(a, b), UniformFatPoints(s, m)
+                            hf = hf_uniform(deg, pts)
+                            assert hf.value is None or hf == defective_family(deg, pts)
                             continue
                         hf = hf_uniform(BiDegree(a, b), UniformFatPoints(s, m))
                         assert hf.value == expected, (m, s, a, b)

@@ -5,8 +5,6 @@ import pytest
 
 from fatpoints.core import binom
 from fatpoints.horace import (
-    LineConfiguration,
-    LinePoint,
     castelnuovo_check,
     diff_slice,
     differential_residue,
@@ -23,6 +21,12 @@ from fatpoints.schemes import PlaneScheme, SliceProfile
 
 def widths(scheme):
     return [list(pr.widths) for pr in scheme.on_line]
+
+
+def on_line_scheme(a, b, off_line=(), line_mults=()):
+    """Corners, general points and full fat points on the line."""
+    return PlaneScheme(a, b, tuple(off_line),
+                       tuple(SliceProfile.fat_point(m) for m in line_mults))
 
 
 class TestDiffSlice:
@@ -54,34 +58,34 @@ class TestDiffSlice:
 
 class TestResidueTrace:
     def test_online_fat_points_decrement(self):
-        cfg = LineConfiguration.plain(0, 0, line_mults=(3, 3))
-        res = residue_line(cfg.scheme)
+        scheme = on_line_scheme(0, 0, line_mults=(3, 3))
+        res = residue_line(scheme)
         assert widths(res) == [[2, 1], [2, 1]]
-        assert trace_line(cfg) == [3, 3]
+        assert trace_line(scheme) == [3, 3]
 
     def test_profile_drops_bottom_row(self):
         # the (3,1)-profile's quotient by the line equation is a simple point
-        cfg = LineConfiguration.plain(0, 0, line_profiles=(SliceProfile((3, 1)),))
-        res = residue_line(cfg.scheme)
+        scheme = PlaneScheme(0, 0, (), (SliceProfile((3, 1)),))
+        res = residue_line(scheme)
         assert widths(res) == [[1]]
-        assert trace_line(cfg) == [3]
+        assert trace_line(scheme) == [3]
 
     def test_no_line_points(self):
-        cfg = LineConfiguration.plain(2, 1, off_line=(2, 2))
-        assert residue_line(cfg.scheme) == cfg.scheme
-        assert trace_line(cfg) == []
+        scheme = on_line_scheme(2, 1, off_line=(2, 2))
+        assert residue_line(scheme) == scheme
+        assert trace_line(scheme) == []
 
     def test_degree_bookkeeping(self):
         rng = random.Random(5)
         for _ in range(50):
             mults = tuple(rng.randrange(1, 5) for _ in range(rng.randrange(0, 4)))
-            cfg = LineConfiguration.plain(
+            scheme = on_line_scheme(
                 rng.randrange(0, 3), rng.randrange(0, 3),
                 off_line=tuple(rng.randrange(1, 4) for _ in range(2)),
                 line_mults=mults,
             )
-            res = residue_line(cfg.scheme)
-            assert cfg.scheme.degree == res.degree + sum(trace_line(cfg))
+            res = residue_line(scheme)
+            assert scheme.degree == res.degree + sum(trace_line(scheme))
 
     def test_residue_removes_bottom_row(self):
         # every valid profile of up to 5 rows of width up to 5
@@ -102,39 +106,45 @@ class TestResidueTrace:
         assert residue_corner(dropped).corner_b == 0
 
     def test_differential_residue_uses_selectors(self):
-        cfg = LineConfiguration(0, 0, (), (LinePoint(SliceProfile.fat_point(3), 2),))
-        assert widths(differential_residue(cfg)) == [[3, 1]]
+        scheme = on_line_scheme(0, 0, line_mults=(3,))
+        assert widths(differential_residue(scheme, [2])) == [[3, 1]]
         with pytest.raises(ValueError):
-            LinePoint(SliceProfile((3, 1)), 1)
+            differential_residue(PlaneScheme(0, 0, (), (SliceProfile((3, 1)),)), [1])
+        # a width the profile does not have, and one slice too many or too few
+        with pytest.raises(ValueError):
+            differential_residue(scheme, [4])
+        for slices in ([], [3, 3]):
+            with pytest.raises(ValueError):
+                differential_residue(scheme, slices)
 
 
 class TestCastelnuovo:
     def test_two_collinear_double_points(self, oracle):
-        cfg = LineConfiguration.plain(0, 0, line_mults=(2, 2))
-        result = castelnuovo_check(cfg, 2, oracle)
+        scheme = on_line_scheme(0, 0, line_mults=(2, 2))
+        result = castelnuovo_check(scheme, 2, oracle)
         assert (result.lhs, result.rhs_residue, result.rhs_trace) == (1, 1, 0)
         assert result.holds
 
     def test_single_point_slack(self, oracle):
-        cfg = LineConfiguration.plain(0, 0, off_line=(1,))
-        result = castelnuovo_check(cfg, 1, oracle)
+        scheme = on_line_scheme(0, 0, off_line=(1,))
+        result = castelnuovo_check(scheme, 1, oracle)
         assert result.lhs == 2
         assert result.holds
 
     def test_two_step_shape_at_degree_8(self, oracle):
-        cfg = LineConfiguration.plain(4, 4, off_line=(3, 3), line_mults=(3, 3))
-        assert castelnuovo_check(cfg, 8, oracle).holds
+        scheme = on_line_scheme(4, 4, off_line=(3, 3), line_mults=(3, 3))
+        assert castelnuovo_check(scheme, 8, oracle).holds
 
     def test_randomized(self, fast_oracle):
         rng = random.Random(77)
         for _ in range(25):
-            cfg = LineConfiguration.plain(
+            scheme = on_line_scheme(
                 rng.randrange(0, 4), rng.randrange(0, 4),
                 off_line=tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 3))),
                 line_mults=tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 4))),
             )
             d = rng.randrange(1, 9)
-            assert castelnuovo_check(cfg, d, fast_oracle).holds
+            assert castelnuovo_check(scheme, d, fast_oracle).holds
 
 
 class TestHoraceVerify:
@@ -167,21 +177,21 @@ class TestStepOne:
     def test_c0(self):
         step = specialize_triple_step1(6, 4, 5)
         assert (step.h, step.c, step.x, step.y) == (2, 0, 3, 1)
-        assert [lp.slice_width for lp in step.config.line_points] == [3, 3, 3, 2]
-        assert step.config.off_line == (3,)
+        assert list(step.slices) == [3, 3, 3, 2]
+        assert step.scheme.general == (3,)
         assert (step.residual.corner_a, step.residual.corner_b) == (5, 3)
         assert widths(step.residual) == [[2, 1], [2, 1], [2, 1], [3, 1]]
 
     def test_c1(self):
         step = specialize_triple_step1(7, 4, 6)
         assert (step.h, step.c, step.x, step.y) == (2, 1, 4, 0)
-        assert [lp.slice_width for lp in step.config.line_points] == [3, 3, 3, 3]
+        assert list(step.slices) == [3, 3, 3, 3]
         assert widths(step.residual) == [[2, 1]] * 4
 
     def test_c2(self):
         step = specialize_triple_step1(6, 6, 8)
         assert (step.h, step.c, step.x, step.y) == (2, 2, 4, 0)
-        assert [lp.slice_width for lp in step.config.line_points] == [3, 3, 3, 3, 1]
+        assert list(step.slices) == [3, 3, 3, 3, 1]
         assert widths(step.residual) == [[2, 1]] * 4 + [[3, 2]]
 
     def test_regime_errors(self):
@@ -196,7 +206,7 @@ class TestStepOne:
 class TestStepTwo:
     def test_c0(self):
         step = specialize_triple_step2(specialize_triple_step1(6, 4, 5))
-        assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 3]
+        assert list(step.slices) == [2, 2, 2, 3]
         assert (step.residual.corner_a, step.residual.corner_b) == (4, 2)
         assert widths(step.residual) == [[1]] * 4
         assert step.residual.general == (3,)
@@ -206,27 +216,27 @@ class TestStepTwo:
 
     def test_c1(self):
         step = specialize_triple_step2(specialize_triple_step1(7, 4, 6))
-        assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 2]
-        assert widths(step.config.scheme) == [[2, 1]] * 4 + [[3, 2, 1]]
+        assert list(step.slices) == [2, 2, 2, 2, 2]
+        assert widths(step.scheme) == [[2, 1]] * 4 + [[3, 2, 1]]
         assert widths(step.residual) == [[1]] * 4 + [[3, 1]]
         assert widths(residue_line(step.residual)) == [[1]]
 
     def test_c2(self):
         step = specialize_triple_step2(specialize_triple_step1(6, 6, 8))
-        assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 3]
+        assert list(step.slices) == [2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 4 + [[2]]
         assert widths(residue_line(step.residual)) == []
         assert residue_line(step.residual).general == (3, 3, 3)
 
     def test_c3(self):
         step = specialize_triple_step2(specialize_triple_step1(8, 5, 7))
-        assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 3, 1]
+        assert list(step.slices) == [2, 2, 2, 2, 3, 1]
         assert widths(step.residual) == [[1]] * 5 + [[3, 2]]
         assert widths(residue_line(step.residual)) == [[2]]
 
     def test_c4(self):
         step = specialize_triple_step2(specialize_triple_step1(10, 4, 9))
-        assert [lp.slice_width for lp in step.config.line_points] == [2, 2, 2, 2, 2, 3]
+        assert list(step.slices) == [2, 2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 5 + [[2, 1]]
         assert widths(residue_line(step.residual)) == [[1]]
 

@@ -287,12 +287,16 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="physical memory"):
             hf_plane(4000, PlaneScheme(2000, 2000), OracleConfig(trials=1))
         # the row and line entries ask before building a 10^6-long row or
-        # column range (8 MB each); one 4 KiB page refuses any matrix
+        # column range (8 MB each); one 4 KiB page refuses any matrix, also
+        # one with no rows, whose index arrays still have a column each
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         cfg = OracleConfig(trials=1)
         for refused in (lambda: hf_biproj_row(n, 1, (5,) * 5, cfg),
-                        lambda: hf_trace_line(n, (1,), cfg)):
+                        lambda: hf_trace_line(n, (1,), cfg),
+                        lambda: hf_biproj_row(n, 0, (), cfg),
+                        lambda: hf_plane(2000, PlaneScheme(0, 0), cfg),
+                        lambda: hf_trace_line(n, (), cfg)):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match="physical memory"):

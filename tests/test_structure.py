@@ -1,5 +1,5 @@
-"""Structure checks on the package source: no module-level function or class
-that nothing in src/ calls."""
+"""Structure checks on the package source: no module-level function or class,
+and no method or property of a class, that nothing in src/ calls."""
 
 import ast
 from pathlib import Path
@@ -11,21 +11,33 @@ ENTRY_POINTS = {"castelnuovo_check", "horace_verify"}
 
 
 def unreferenced_definitions(src: Path = SRC) -> set[str]:
-    """Module-level functions and classes of src/*.py whose name appears in
-    no name or attribute reference of any module there; imports, __all__
-    and the definition itself do not count."""
-    defined, referenced = set(), set()
+    """Definitions of src/*.py that no module there references; imports,
+    __all__ and the definition itself do not count.
+
+    A module-level function or class is reported by its name when that name
+    appears in no name or attribute reference. A non-dunder method or
+    property of a class is reported as Class.name when that name appears in
+    no attribute reference.
+    """
+    defined, members, names, attrs = set(), set(), set(), set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                members.update(
+                    (node.name, item.name) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return defined - referenced
+                attrs.add(node.attr)
+    unused = defined - names - attrs
+    return unused | {f"{cls}.{name}" for cls, name in members if name not in attrs}
 
 
 def test_every_definition_has_a_caller():
