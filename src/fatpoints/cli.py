@@ -62,8 +62,9 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _oracle_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                        help="rank trials per instance (max is taken)")
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, metavar="N",
+                        help="at most N rank trials per instance; stops once the rank "
+                             "reaches min(rows, cols)")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: FATPOINTS_SEED or 0)")
     parser.add_argument("--prime", type=int, default=None,

@@ -5,8 +5,12 @@ in [1, p-1], p a large prime, and the rank of the conditions matrix is the
 number of independent conditions. A nonzero minor of the generic matrix is an
 integer polynomial of degree far below p in the coordinates, so each trial
 returns the generic rank except with probability bounded by degree/p; taking
-the maximum over trials only sharpens this. Agreement under a second prime
-and under distinct seeds is part of the test suite.
+the maximum over trials only sharpens this. Specialization can only lower a
+rank, so a trial whose rank reaches the trivial bound min(rows, cols) has
+found the generic rank: the trials stop there, and since no later trial
+could go past that bound, the maximum is the one all trials would give.
+cfg.trials is an upper bound. Agreement under a second prime and under
+distinct seeds is part of the test suite.
 
 Everything is deterministic: support is derived from (master seed, instance,
 trial index), so identical inputs give identical outputs in any call order.
@@ -385,27 +389,37 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) ->
     return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
 
 
-def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> list[int]:
-    """Generic Hilbert-function values at (a, b) for every a <= a_max.
+def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG,
+                  *, a_min: int = 0) -> dict[int, int]:
+    """Generic Hilbert-function values at (a, b) for a_min <= a <= a_max.
 
     The columns of the conditions matrix run j-major, so the (a, b) matrix is
     the first (a+1)(b+1) columns of the (a_max, b) matrix on the same
     support. One elimination per trial gives the column rank profile, and
     the rank at a is the number of pivots before column (a+1)(b+1). Each
-    entry is the max over trials.
+    entry is the max over trials. The trials stop once every entry equals
+    its bound min(rows, (a+1)(b+1)), which no trial can pass, so each value
+    is the one all cfg.trials would give. Only the entries the stop waited
+    for are returned, keyed by a; the support does not depend on a_min.
     """
     mults = tuple(mults)
+    if not 0 <= a_min <= a_max:
+        raise ValueError(f"need 0 <= a_min <= a_max, got {a_min} and {a_max}")
     cfg.require_degree(a_max + b)
     cfg.require_degree(max(mults, default=0))
     deg = BiDegree(a_max, b)
-    _require_fits(sum(binom(m + 1, 2) for m in mults), deg.cells)  # before the row exists
-    best = [0] * (a_max + 1)
+    rows = sum(binom(m + 1, 2) for m in mults)
+    _require_fits(rows, deg.cells)  # before the row exists
+    bound = {a: min(rows, (a + 1) * (b + 1)) for a in range(a_min, a_max + 1)}
+    best = dict.fromkeys(bound, 0)
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, "bi", b, mults, trial)
         points = sample_support(seed, len(mults), cfg.prime)
         M = bi_conditions_matrix(deg, mults, points, cfg.prime)
         pivots = rank_profile_mod_p(M, cfg.prime)
-        best = [max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in enumerate(best)]
+        best = {a: max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in best.items()}
+        if best == bound:
+            break
     return best
 
 
@@ -413,14 +427,21 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Generic Hilbert-function value at `deg` for the given multiplicities.
 
     Max over trials of the conditions-matrix rank; the value plus the ideal
-    piece's dimension is (a+1)(b+1). Read off the row of `deg.b`, so a
-    single cell and a table row drawn on the same support agree bit for bit.
+    piece's dimension is (a+1)(b+1). Read off the row of `deg.b` with
+    a_min = deg.a, so its trials stop as soon as this one cell reaches its
+    bound. The support is the row's, and the value is the max over all
+    trials either way, so a single cell and a table row agree bit for bit.
     """
-    return hf_biproj_row(deg.a, deg.b, mults, cfg)[deg.a]
+    return hf_biproj_row(deg.a, deg.b, mults, cfg, a_min=deg.a)[deg.a]
 
 
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Dimension of the degree-d piece of the plane scheme's ideal."""
+    """Dimension of the degree-d piece of the plane scheme's ideal.
+
+    The complement of the max over trials of the conditions-matrix rank.
+    The trials stop once a rank reaches min(rows, cols), which no trial can
+    pass, so the value is the one all cfg.trials would give.
+    """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
@@ -440,6 +461,8 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
         line = xs[n_gen : n_gen + n_line]
         M = plane_conditions_matrix(d, scheme, chart, line, cfg.prime)
         best = max(best, rank_mod_p(M, cfg.prime))
+        if best == min(M.shape):
+            break
     return binom(d + 2, 2) - best
 
 

@@ -148,20 +148,24 @@ class TestTable:
         assert code == 0
         assert out.strip().split("\n")[8].split()[9] == "71*?"
 
-    @pytest.mark.parametrize("seed", ["0", "5"])
-    def test_oracle_unknown_matches_hf_oracle(self, capsys, seed):
-        code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", "9",
-                        "--bmax", "9", "--oracle-unknown", "--format", "json",
+    # hf stops its trials on its one cell, a table row on all of its unknown
+    # cells; both must give the value of every trial. (25, 18) is the golden
+    # rectangle, whose open region is 6 <= b <= 18, 6 <= a <= 25.
+    @pytest.mark.parametrize("seed,amax,bmax,unknown",
+                             [("0", 25, 18, 13 * 20), ("5", 9, 9, 4 * 4)], ids=["0", "5"])
+    def test_oracle_unknown_matches_hf_oracle(self, capsys, seed, amax, bmax, unknown):
+        code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", str(amax),
+                        "--bmax", str(bmax), "--oracle-unknown", "--format", "json",
                         "--seed", seed)
         assert code == 0
         cells = [r for r in json.loads(out) if r["source"] == "oracle"]
-        assert len(cells) == 16  # the open region 6 <= a, b <= 9
+        assert len(cells) == unknown
         for cell in cells:
             code, out = run(capsys, "hf", "--a", str(cell["a"]), "--b", str(cell["b"]),
                             "--m", "5", "--s", "5", "--mode", "oracle",
                             "--format", "json", "--seed", seed)
             assert code == 0
-            assert json.loads(out)["value"] == cell["value"]
+            assert json.loads(out) == cell
 
 
 class TestClosedPipe:

@@ -6,8 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fatpoints.core import BiDegree, UniformFatPoints, binom
-from fatpoints.formulas import hf_uniform
+from fatpoints import oracle as oracle_module
+from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
+from fatpoints.formulas import hf_uniform, table_region
+from fatpoints.horace import specialize_triple_step1, specialize_triple_step2, verify_chain
 from fatpoints.oracle import (
     ALT_PRIME,
     DEFAULT_PRIME,
@@ -23,9 +25,11 @@ from fatpoints.oracle import (
     hf_biproj_row,
     hf_plane,
     hf_trace_line,
+    plane_conditions_matrix,
     rank_mod_p,
     rank_profile_mod_p,
     sample_support,
+    _distinct,
     _mul_mod_p,
     _panel_width,
 )
@@ -402,6 +406,130 @@ class TestPlaneModel:
             )
             assert hf_plane(d, special, fast_oracle) >= hf_plane(d, general, fast_oracle)
 
+
+def all_trials_row(a_max, b, mults, cfg):
+    """hf_biproj_row's support and ranks, every trial run, max kept."""
+    mults = tuple(mults)
+    best = [0] * (a_max + 1)
+    for trial in range(cfg.trials):
+        points = sample_support(derive_seed(cfg.seed, "bi", b, mults, trial),
+                                len(mults), cfg.prime)
+        M = bi_conditions_matrix(BiDegree(a_max, b), mults, points, cfg.prime)
+        pivots = rank_profile_mod_p(M, cfg.prime)
+        best = [max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in enumerate(best)]
+    return best
+
+
+def all_trials_plane(d, scheme, cfg):
+    """hf_plane's draw and ranks, every trial run, max kept."""
+    p = cfg.prime
+    n_gen, n_line = len(scheme.general), len(scheme.on_line)
+    best = 0
+    for trial in range(cfg.trials):
+        rng = random.Random(derive_seed(
+            cfg.seed, "plane", d, scheme.corner_a, scheme.corner_b,
+            scheme.general, tuple(pr.widths for pr in scheme.on_line), trial,
+        ))
+        xs = _distinct(rng, n_gen + n_line + 2, p)
+        ys = _distinct(rng, n_gen + 2, p)
+        chart = list(zip(xs[:n_gen] + xs[-2:], ys))
+        M = plane_conditions_matrix(d, scheme, chart, xs[n_gen : n_gen + n_line], p)
+        best = max(best, len(rank_profile_mod_p(M, p)))
+    return binom(d + 2, 2) - best
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the calls of the elimination kernel; rank_mod_p goes through it."""
+    calls = []
+    kernel = oracle_module.rank_profile_mod_p
+
+    def counted(M, p):
+        calls.append(M.shape)
+        return kernel(M, p)
+
+    monkeypatch.setattr(oracle_module, "rank_profile_mod_p", counted)
+    return calls
+
+
+class TestEarlyStop:
+    """Trials stop once every requested rank reaches min(rows, cols); the
+    values must equal the max over every trial."""
+
+    def test_criterion_2_and_3_grids(self, oracle, eliminations):
+        rows = 0
+        for b in range(1, 13):
+            for s in range(1, 13):
+                expected = all_trials_row(12, b, [3] * s, oracle)
+                assert hf_biproj_row(12, b, [3] * s, oracle) == dict(enumerate(expected))
+                rows += 1
+        for m in range(2, 7):
+            for b in range(0, m + 1):
+                for s in range(1, 11):
+                    expected = all_trials_row(20, b, [m] * s, oracle)
+                    row = hf_biproj_row(20, b, [m] * s, oracle, a_min=b)
+                    assert row == {a: expected[a] for a in range(b, 21)}, (b, m, s)
+                    rows += 1
+        assert len(eliminations) < rows * oracle.trials  # some rows stopped early
+
+    def test_golden_table_rows(self, oracle, eliminations):
+        grid = table_region(5, 5, 25, 18, oracle)
+        # 7 of the 13 oracle rows certify every unknown cell on trial 1
+        assert len(eliminations) == 7 + 6 * oracle.trials
+        resolved = 0
+        for b, cells in enumerate(grid):
+            expected = all_trials_row(25, b, [5] * 5, oracle)
+            for a, hf in enumerate(cells):
+                if hf.source is Source.ORACLE:
+                    assert hf.value == expected[a], (a, b)
+                    resolved += 1
+        assert resolved == 13 * 20
+
+    def test_criterion_6_chain(self, oracle):
+        a, b, s = 6, 4, 6
+        step1 = specialize_triple_step1(a, b, s)
+        step2 = specialize_triple_step2(step1)
+        d = a + b
+        calls = [(d, PlaneScheme(a, b, (3,) * s)), (d - 2, step1.residual),
+                 (d - 4, step2.residual), (d, step1.scheme), (d - 2, step2.scheme)]
+        for degree, scheme in calls:
+            assert hf_plane(degree, scheme, oracle) == all_trials_plane(degree, scheme, oracle)
+
+    def test_criterion_6_chain_stops_early(self, oracle, eliminations):
+        # the same chain: at least one of its five plane calls certifies
+        verify_chain(6, 4, 6, oracle)
+        assert len(eliminations) < 5 * oracle.trials
+
+    def test_certified_cell_takes_one_elimination(self, oracle, eliminations):
+        # 5 points of multiplicity 5 give 75 rows, and the rank reaches them
+        assert hf_biproj(BiDegree(12, 7), [5] * 5, oracle) == 75
+        assert len(eliminations) == 1
+
+    def test_defective_cell_takes_every_trial(self, oracle, eliminations):
+        # rank 69 below min(75, 70): never certified
+        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        assert len(eliminations) == oracle.trials
+
+    def test_golden_row_waits_for_its_defective_cell(self, oracle, eliminations):
+        grid = table_region(5, 5, 25, 6, oracle)
+        assert grid[6][9].value == 69
+        # rows 0 to 5 are all closed forms, so row 6 is the only oracle row
+        assert len(eliminations) == oracle.trials
+
+    def test_plane_scheme(self, oracle, eliminations):
+        # one 6-fold corner imposes its 21 conditions on degree-10 forms
+        assert hf_plane(10, PlaneScheme(6, 0), oracle) == binom(12, 2) - binom(7, 2)
+        assert len(eliminations) == 1
+        # four collinear points impose only three conditions on conics
+        scheme = PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)
+        assert hf_plane(2, scheme, oracle) == 3
+        assert len(eliminations) == 1 + oracle.trials
+
+    def test_a_min_is_checked(self, oracle):
+        with pytest.raises(ValueError, match="a_min"):
+            hf_biproj_row(3, 2, [2], oracle, a_min=4)
+        with pytest.raises(ValueError, match="a_min"):
+            hf_biproj_row(3, 2, [2], oracle, a_min=-1)
 
 class TestTraceLine:
     def test_examples(self, oracle):
