@@ -1,12 +1,14 @@
 """Command-line front end: single values, tables, formula-vs-oracle
 verification, defect scans, the plane reduction, and the two-step traces.
 
-Exit codes: 0 success or full agreement, 1 semantic disagreement (including
-an oracle cross-check that fails with ArithmeticError), 2 bad usage or
-configuration. FATPOINTS_PRIME and FATPOINTS_SEED preload the
-corresponding flags; explicit flags win. The integer flags other than --m
-must be nonnegative when parsed; --m may be any integer and is validated
-later, by UniformFatPoints.
+Exit codes: 0 success or full agreement, 1 semantic disagreement (MISMATCH
+from verify or reduce, chain FAILED from horace) or any ArithmeticError, 2
+bad usage or configuration. No command reaches hf_trace_line, the one
+cross-check that raises ArithmeticError; exit 1 keeps any other (say a
+ZeroDivisionError) from ending in a traceback. FATPOINTS_PRIME and
+FATPOINTS_SEED preload the corresponding flags; explicit flags win. The
+integer flags other than --m must be nonnegative when parsed; --m may be
+any integer and is validated later, by UniformFatPoints.
 """
 
 import argparse
@@ -176,9 +178,7 @@ def cmd_verify(args) -> int:
     inject = args.inject_mismatch
     for b, row in enumerate(table_region(args.m, args.s, args.amax, args.bmax)):
         closed = {a: hf.value for a, hf in enumerate(row) if hf.value is not None}
-        if not closed:
-            continue
-        ranks = hf_biproj_row(max(closed), b, mults, cfg)
+        ranks = hf_biproj_row(b, closed, mults, cfg)
         for a, formula in closed.items():
             if inject:
                 formula += 1
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # an oracle cross-check disagreed, e.g. hf_trace_line
+        # no command reaches hf_trace_line; any ArithmeticError exits 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -116,9 +116,9 @@ def table_region(
 
     Unknown cells are resolved by the rank oracle when a configuration is
     given (tagged source=ORACLE), one oracle row per table row, and left
-    value-less otherwise. The oracle row runs from the first to the last
-    unknown a of the table row, so its trials stop once those cells reach
-    their bounds; the values are the ones all trials would give.
+    value-less otherwise. The oracle row is asked for exactly the unknown
+    cells of the table row, so its trials stop once those cells reach their
+    bounds; the values are the ones all trials would give.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")
@@ -128,7 +128,7 @@ def table_region(
         row = [hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]
         unknown = [a for a, cell in enumerate(row) if cell.value is None]
         if oracle is not None and unknown:
-            ranks = hf_biproj_row(unknown[-1], b, (m,) * s, oracle, a_min=unknown[0])
+            ranks = hf_biproj_row(b, unknown, (m,) * s, oracle)
             for a in unknown:
                 row[a] = hf_value(ranks[a], BiDegree(a, b), pts,
                                   source=Source.ORACLE, known=False)

@@ -154,10 +154,11 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
 
 # slice widths for the two scripted specializations, by a+b mod 5:
 # step 1 places x points of width 3 and y of width 2, plus one extra point;
-# step 2 swaps the widths on those points and may move one more point in.
+# step 2 swaps the widths on those points, slices step 1's extra point at
+# _STEP2_KEPT and may move one more point in at _STEP2_MOVED.
 _STEP1_EXTRA = {2: 1, 3: 2, 4: 3}
-_STEP2_EXTRA1 = {1: 2, 2: 3, 3: 3, 4: 2}
-_STEP2_EXTRA2 = {3: 1, 4: 3}
+_STEP2_KEPT = {2: 3, 3: 3, 4: 2}
+_STEP2_MOVED = {1: 2, 3: 1, 4: 3}
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,23 @@ def _step_params(a: int, b: int) -> tuple[int, int, int, int]:
     return h, c, x, y
 
 
+def _round(prior: PlaneScheme, kept, moved, degree: int, too_few: str):
+    """One removal round in degree `degree`: move len(moved) general triple
+    points of prior onto the line, slice prior's on-line profiles at kept and
+    the moved points at moved, check that the line cuts out degree + 1, and
+    remove the line and then the corner line. Returns (scheme, slices,
+    residual)."""
+    widths = tuple(kept) + tuple(moved)
+    if sum(widths) != degree + 1:
+        raise AssertionError(f"trace degree {sum(widths)} != {degree + 1}")
+    left = len(prior.general) - len(moved)
+    if left < 0:
+        raise ValueError(too_few)
+    scheme = PlaneScheme(prior.corner_a, prior.corner_b, prior.general[:left],
+                         prior.on_line + (SliceProfile.fat_point(3),) * len(moved))
+    return scheme, widths, residue_corner(differential_residue(scheme, widths))
+
+
 def specialize_triple_step1(a: int, b: int, s: int) -> TripleStep:
     """First round: move x + y (+ maybe one) triple points onto the line.
 
@@ -206,20 +224,15 @@ def specialize_triple_step1(a: int, b: int, s: int) -> TripleStep:
     components; the residual lives in degree a+b-2.
     """
     h, c, x, y = _step_params(a, b)
-    widths = [3] * x + [2] * y
-    if c in _STEP1_EXTRA:
-        widths.append(_STEP1_EXTRA[c])
-    if sum(widths) != a + b + 1:
-        raise AssertionError(f"trace degree {sum(widths)} != {a + b + 1}")
     s1 = critical_counts(BiDegree(a, b), 3)[0]
     if x + y + 1 > s1:
         raise AssertionError(f"x + y + 1 = {x + y + 1} exceeds s1 = {s1}")
-    if s < len(widths):
-        raise ValueError(f"need at least {len(widths)} points, got s={s}")
-    scheme = PlaneScheme(a, b, (3,) * (s - len(widths)),
-                         (SliceProfile.fat_point(3),) * len(widths))
-    residual = residue_corner(differential_residue(scheme, widths))
-    return TripleStep(a, b, s, h, c, x, y, a + b, scheme, tuple(widths), residual)
+    moved = [3] * x + [2] * y
+    if c in _STEP1_EXTRA:
+        moved.append(_STEP1_EXTRA[c])
+    scheme, widths, residual = _round(PlaneScheme(a, b, (3,) * s), (), moved, a + b,
+                                      f"need at least {len(moved)} points, got s={s}")
+    return TripleStep(a, b, s, h, c, x, y, a + b, scheme, widths, residual)
 
 
 def specialize_triple_step2(step1: TripleStep) -> TripleStep:
@@ -232,30 +245,15 @@ def specialize_triple_step2(step1: TripleStep) -> TripleStep:
     """
     a, b, s, h, c, x, y = (step1.a, step1.b, step1.s, step1.h,
                            step1.c, step1.x, step1.y)
-    prior = step1.residual
-    profiles = list(prior.on_line)
-    widths = [2] * x + [3] * y + [_STEP2_EXTRA1[c] for _ in profiles[x + y:]]
-    off = list(prior.general)
-    extras = []
-    if c == 1:
-        extras.append(_STEP2_EXTRA1[1])
-    if c in _STEP2_EXTRA2:
-        extras.append(_STEP2_EXTRA2[c])
-    for w in extras:
-        if not off:
-            raise ValueError(f"not enough off-line points for step 2 with s={s}")
-        off.pop()
-        profiles.append(SliceProfile.fat_point(3))
-        widths.append(w)
-    if sum(widths) != a + b - 1:
-        raise AssertionError(f"trace degree {sum(widths)} != {a + b - 1}")
+    kept = [2] * x + [3] * y + [_STEP2_KEPT[c] for _ in step1.residual.on_line[x + y:]]
+    moved = [_STEP2_MOVED[c]] if c in _STEP2_MOVED else []
+    scheme, widths, residual = _round(step1.residual, kept, moved, step1.degree - 2,
+                                      f"not enough off-line points for step 2 with s={s}")
     if c in (3, 4):
         s1 = critical_counts(BiDegree(a, b), 3)[0]
         if x + y + 2 > s1:
             raise AssertionError(f"x + y + 2 = {x + y + 2} exceeds s1 = {s1}")
-    scheme = PlaneScheme(prior.corner_a, prior.corner_b, tuple(off), tuple(profiles))
-    residual = residue_corner(differential_residue(scheme, widths))
-    return TripleStep(a, b, s, h, c, x, y, step1.degree - 2, scheme, tuple(widths), residual)
+    return TripleStep(a, b, s, h, c, x, y, step1.degree - 2, scheme, widths, residual)
 
 
 @dataclass(frozen=True)

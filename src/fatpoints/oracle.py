@@ -389,28 +389,27 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) ->
     return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
 
 
-def hf_biproj_row(a_max: int, b: int, mults, cfg: OracleConfig = DEFAULT_CONFIG,
-                  *, a_min: int = 0) -> dict[int, int]:
-    """Generic Hilbert-function values at (a, b) for a_min <= a <= a_max.
+def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
+    """Generic Hilbert-function values at (a, b) for each a in cells.
 
     The columns of the conditions matrix run j-major, so the (a, b) matrix is
-    the first (a+1)(b+1) columns of the (a_max, b) matrix on the same
+    the first (a+1)(b+1) columns of the (max(cells), b) matrix on the same
     support. One elimination per trial gives the column rank profile, and
     the rank at a is the number of pivots before column (a+1)(b+1). Each
-    entry is the max over trials. The trials stop once every entry equals
-    its bound min(rows, (a+1)(b+1)), which no trial can pass, so each value
-    is the one all cfg.trials would give. Only the entries the stop waited
-    for are returned, keyed by a; the support does not depend on a_min.
+    value is the max over trials. The trials stop once every cell asked for
+    equals its bound min(rows, (a+1)(b+1)), which no trial can pass, so each
+    value is the one all cfg.trials would give. Exactly those cells are
+    returned, keyed by a; the support does not depend on them.
     """
-    mults = tuple(mults)
-    if not 0 <= a_min <= a_max:
-        raise ValueError(f"need 0 <= a_min <= a_max, got {a_min} and {a_max}")
-    cfg.require_degree(a_max + b)
+    mults, cells = tuple(mults), tuple(cells)
+    if not cells or min(cells) < 0:
+        raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
+    deg = BiDegree(max(cells), b)
+    cfg.require_degree(deg.a + b)
     cfg.require_degree(max(mults, default=0))
-    deg = BiDegree(a_max, b)
     rows = sum(binom(m + 1, 2) for m in mults)
     _require_fits(rows, deg.cells)  # before the row exists
-    bound = {a: min(rows, (a + 1) * (b + 1)) for a in range(a_min, a_max + 1)}
+    bound = {a: min(rows, (a + 1) * (b + 1)) for a in cells}
     best = dict.fromkeys(bound, 0)
     for trial in range(cfg.trials):
         seed = derive_seed(cfg.seed, "bi", b, mults, trial)
@@ -427,12 +426,12 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Generic Hilbert-function value at `deg` for the given multiplicities.
 
     Max over trials of the conditions-matrix rank; the value plus the ideal
-    piece's dimension is (a+1)(b+1). Read off the row of `deg.b` with
-    a_min = deg.a, so its trials stop as soon as this one cell reaches its
-    bound. The support is the row's, and the value is the max over all
-    trials either way, so a single cell and a table row agree bit for bit.
+    piece's dimension is (a+1)(b+1). Read off the row of `deg.b` with this
+    one cell, so its trials stop as soon as the cell reaches its bound. The
+    support is the row's, and the value is the max over all trials either
+    way, so a single cell and a table row agree bit for bit.
     """
-    return hf_biproj_row(deg.a, deg.b, mults, cfg, a_min=deg.a)[deg.a]
+    return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
 
 
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -445,7 +444,6 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
-    cfg.require_degree(max(scheme.corner_a, scheme.corner_b))
     n_gen, n_line = len(scheme.general), len(scheme.on_line)
     best = 0
     for trial in range(cfg.trials):

@@ -65,7 +65,7 @@ def test_criterion_2_triple_points_vs_oracle():
                 A, B = max(a, b), min(a, b)
                 if (B, s) not in cache:
                     # one row holds every A: hf_biproj(A, B) is its entry A
-                    cache[B, s] = hf_biproj_row(12, B, [3] * s, cfg)
+                    cache[B, s] = hf_biproj_row(B, range(13), [3] * s, cfg)
                 assert formula == cache[B, s][A], (a, b, s)
                 checked += 1
     print(f"criterion 2 PASS: triple-point formula == oracle on {checked} instances")
@@ -78,7 +78,7 @@ def test_criterion_3_m_ge_b_vs_oracle():
         for b in range(0, m + 1):
             for s in range(1, 11):
                 # one row holds every a: hf_biproj(a, b) is its entry a
-                ranks = hf_biproj_row(20, b, [m] * s, cfg)
+                ranks = hf_biproj_row(b, range(21), [m] * s, cfg)
                 for a in range(b, 21):
                     formula = hf_uniform(BiDegree(a, b), UniformFatPoints(s, m))
                     assert formula.value == ranks[a], (a, b, m, s)

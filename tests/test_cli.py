@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fatpoints.cli import CSV_HEADER, JSON_KEYS, main
+from fatpoints.horace import verify_chain
 
 
 def run(capsys, *argv):
@@ -90,6 +92,18 @@ class TestHf:
                      "--mode", "oracle", "--prime", "1024"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("prime, message", [
+        ("1073803517", "1073803517 is not prime"),  # 32707 * 32831
+        ("2148532231", "prime too large for 64-bit elimination: 2148532231"),
+    ])
+    def test_refused_prime_exits_2(self, capsys, prime, message):
+        code = main(["hf", "--a", "8", "--b", "7", "--m", "5", "--s", "5",
+                     "--mode", "oracle", "--prime", prime])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestTable:
@@ -264,6 +278,23 @@ class TestReduceAndHorace:
                         "--trials", "1")
         assert code == 0
         assert "chain verified" in out
+
+    def test_reduce_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("fatpoints.cli.check_reduction", lambda *args: False)
+        code, out = run(capsys, "reduce", "--a", "5", "--b", "4", "--m", "3", "--s", "5")
+        assert code == 1
+        assert out == ("plane scheme: 5Q1 + 4Q2 + points [3,3,3,3,3]\n"
+                       "plane degree: 9\nMISMATCH between the two models\n")
+
+    def test_horace_failed_chain_exits_1(self, capsys, monkeypatch):
+        def failed(*args):
+            return dataclasses.replace(verify_chain(*args), ok=False)
+
+        monkeypatch.setattr("fatpoints.cli.verify_chain", failed)
+        code, out = run(capsys, "horace", "--a", "6", "--b", "4", "--s", "5",
+                        "--trials", "1")
+        assert code == 1
+        assert out.endswith("\nchain FAILED\n") and "chain verified" not in out
 
     def test_horace_regime_error(self, capsys):
         code = main(["horace", "--a", "3", "--b", "3", "--s", "2"])

@@ -25,6 +25,7 @@ from fatpoints.oracle import (
     hf_biproj_row,
     hf_plane,
     hf_trace_line,
+    is_prime,
     plane_conditions_matrix,
     rank_mod_p,
     rank_profile_mod_p,
@@ -147,6 +148,11 @@ class TestRankProfile:
         assert rank_profile_mod_p(tall, p) == [0, 1, 2, 4]
         assert rank_profile_mod_p(empty, p) == []
 
+    def test_refuses_other_dimensions(self):
+        for bad in (np.arange(3), np.zeros((2, 2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="two-dimensional"):
+                rank_profile_mod_p(bad, 2**31 - 1)
+
     @pytest.mark.parametrize("m", [4, 5])
     def test_row_matches_cells_on_independent_support(self, m, oracle):
         # each cell gets its own support, drawn under a tag the row never uses
@@ -154,7 +160,7 @@ class TestRankProfile:
         for s in range(3, 7):
             mults = (m,) * s
             for b in range(5, 9):
-                row = hf_biproj_row(12, b, mults, oracle)
+                row = hf_biproj_row(b, range(13), mults, oracle)
                 for a in range(13):
                     seed = derive_seed(oracle.seed, "cross-check", a, b, mults)
                     points = sample_support(seed, s, p)
@@ -222,6 +228,20 @@ class TestBlockedElimination:
             assert rank_profile_mod_p(M, p) == pivots, M.shape
             assert (M == before).all()
 
+    @pytest.mark.parametrize("cutoff", [None, 0], ids=["single_panel", "blocked"])
+    def test_leaves_the_input_unmodified(self, cutoff, monkeypatch):
+        # callers eliminate views of one matrix in turn, so the kernel must
+        # not write into its argument, even one already reduced mod p; the
+        # check above cannot see that, as its matrices went through an
+        # earlier call and an echelon form comes back unchanged
+        p = DEFAULT_PRIME
+        if cutoff is not None:
+            monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", cutoff)
+        for M in structured_matrices(random.Random(11), p) + blocked_cases(p):
+            before = M.copy()
+            rank_profile_mod_p(M, p)
+            assert (M == before).all(), M.shape
+
     def test_above_the_real_cutoff(self, monkeypatch):
         p = DEFAULT_PRIME
         rng = np.random.default_rng(7)
@@ -235,7 +255,7 @@ class TestBlockedElimination:
 
     def test_large_row_reads_every_prefix(self, oracle):
         # 20 points of multiplicity 8 at (40, 40): a 720 x 1681 matrix
-        row = hf_biproj_row(40, 40, (8,) * 20, oracle)
+        row = hf_biproj_row(40, range(41), (8,) * 20, oracle)
         assert row[40] == 720
         pts = UniformFatPoints(20, 8)
         for a in range(9):  # min(a, b) <= m has a closed form
@@ -296,9 +316,9 @@ class TestSizeGuard:
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         cfg = OracleConfig(trials=1)
-        for refused in (lambda: hf_biproj_row(n, 1, (5,) * 5, cfg),
+        for refused in (lambda: hf_biproj_row(1, (n,), (5,) * 5, cfg),
                         lambda: hf_trace_line(n, (1,), cfg),
-                        lambda: hf_biproj_row(n, 0, (), cfg),
+                        lambda: hf_biproj_row(0, (n,), (), cfg),
                         lambda: hf_plane(2000, PlaneScheme(0, 0), cfg),
                         lambda: hf_trace_line(n, (), cfg)):
             tracemalloc.start()
@@ -383,7 +403,14 @@ class TestPlaneModel:
         # multiplicity above the degree kills everything
         assert hf_plane(2, PlaneScheme(4, 0), oracle) == 0
         assert hf_plane(2, PlaneScheme(10**5, 0), oracle) == 0
+        # the builder clamps every multiplicity to d + 1, so only d has to
+        # stay below the prime
+        assert hf_plane(5, PlaneScheme(2**31, 0), oracle) == 0
         assert hf_plane(2, PlaneScheme(0, 0, (4,)), oracle) == 0
+
+    def test_negative_degree(self, oracle):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hf_plane(-1, PlaneScheme(1, 1), oracle)
 
     def test_collinear_forces_the_line(self, oracle):
         # conics through four collinear points all contain the line
@@ -461,13 +488,13 @@ class TestEarlyStop:
         for b in range(1, 13):
             for s in range(1, 13):
                 expected = all_trials_row(12, b, [3] * s, oracle)
-                assert hf_biproj_row(12, b, [3] * s, oracle) == dict(enumerate(expected))
+                assert hf_biproj_row(b, range(13), [3] * s, oracle) == dict(enumerate(expected))
                 rows += 1
         for m in range(2, 7):
             for b in range(0, m + 1):
                 for s in range(1, 11):
                     expected = all_trials_row(20, b, [m] * s, oracle)
-                    row = hf_biproj_row(20, b, [m] * s, oracle, a_min=b)
+                    row = hf_biproj_row(b, range(b, 21), [m] * s, oracle)
                     assert row == {a: expected[a] for a in range(b, 21)}, (b, m, s)
                     rows += 1
         assert len(eliminations) < rows * oracle.trials  # some rows stopped early
@@ -525,11 +552,25 @@ class TestEarlyStop:
         assert hf_plane(2, scheme, oracle) == 3
         assert len(eliminations) == 1 + oracle.trials
 
-    def test_a_min_is_checked(self, oracle):
-        with pytest.raises(ValueError, match="a_min"):
-            hf_biproj_row(3, 2, [2], oracle, a_min=4)
-        with pytest.raises(ValueError, match="a_min"):
-            hf_biproj_row(3, 2, [2], oracle, a_min=-1)
+    def test_row_reads_only_its_cells(self, oracle, eliminations):
+        # m = 4, s = 9: the closed defective-family cell (14, 5) sits among
+        # the unknown cells 5..20 of row b = 5, which certify on trial 1
+        grid = table_region(4, 9, 20, 5, oracle)
+        assert len(eliminations) == 1
+        expected = all_trials_row(20, 5, [4] * 9, oracle)
+        oracle_cells = [a for a, hf in enumerate(grid[5]) if hf.source is Source.ORACLE]
+        assert oracle_cells == [a for a in range(5, 21) if a != 14]
+        for a in oracle_cells:
+            assert grid[5][a].value == expected[a], a
+        assert grid[5][14].source is Source.FORMULA
+        row = hf_biproj_row(5, (20, 6), [4] * 9, oracle)
+        assert row == {20: expected[20], 6: expected[6]}
+
+    def test_cells_are_checked(self, oracle):
+        for cells in ((), [], (3, -1), (-1,)):
+            with pytest.raises(ValueError, match="cells"):
+                hf_biproj_row(2, cells, [2], oracle)
+
 
 class TestTraceLine:
     def test_examples(self, oracle):
@@ -539,6 +580,13 @@ class TestTraceLine:
 
     def test_overloaded_line(self, oracle):
         assert hf_trace_line(3, [3, 3], oracle) == 0
+
+    def test_refuses_bad_input(self, oracle):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hf_trace_line(-1, [1], oracle)
+        for lengths in ([0], [2, -1]):
+            with pytest.raises(ValueError, match="positive"):
+                hf_trace_line(5, lengths, oracle)
 
 
 class TestReduction:
@@ -556,6 +604,17 @@ class TestConfig:
             OracleConfig(prime=101)
         with pytest.raises(OracleConfigError):
             OracleConfig(trials=0)
+        with pytest.raises(OracleConfigError, match="too large"):
+            OracleConfig(prime=2148532231)
+
+    def test_miller_rabin(self):
+        # 32707 * 32831: no factor up to 37, so the witness loop decides
+        assert not is_prime(1073803517)
+        with pytest.raises(OracleConfigError, match="not prime"):
+            OracleConfig(prime=1073803517)
+        assert is_prime(DEFAULT_PRIME) and is_prime(ALT_PRIME) and is_prime(LARGEST_PRIME)
+        assert [n for n in range(2, 60) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
     def test_rejects_small_prime_for_degree(self):
         cfg = OracleConfig()
