@@ -27,11 +27,11 @@ y = 0, since PGL(3) takes any two general points to them; no dimension
 changes. A matrix whose elimination would not fit in physical memory is
 refused with a ValueError before it is allocated.
 
-rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^20
+rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^18
 entries is eliminated by the scalar int64 loop alone, as one panel. A
 larger one goes in panels of 64 columns, each factored by that same loop;
 the rows below a panel's pivots then take their Schur complement in the
-columns to the right as float64 BLAS matmuls, in chunks of 256 columns.
+columns to the right as float64 BLAS matmuls, in chunks of 128 columns.
 The matmuls stay exact: one factor is split into 16-bit limbs, so every
 partial sum is below k (p-1) (2^16-1) < 2^53 for the panel width k, which
 is 64 for p <= 2147516417 and 63 at the largest prime OracleConfig accepts.
@@ -165,21 +165,27 @@ def _derivatives(t: int, orders: int, fall: np.ndarray, p: int) -> np.ndarray:
 
 
 # A matrix of at most this many entries is a single panel, the scalar loop
-# alone. On one BLAS thread the blocked path measured slower at 75x494 and
-# 210x210 (7.1 vs 5.1 ms, 33 vs 22 ms) and faster from 294x961 up (57 vs
-# 179 ms); the cutoff sits well above that, so every table, verify and plane
-# matrix up to 571x990 keeps the scalar loop.
-_SINGLE_PANEL_ENTRIES = 1 << 20
-# columns per trailing update: 128 to 512 timed alike at 720x1681, and at
-# 256 the update's temporaries peak at two thirds of the matrix
-_CHUNK_COLS = 256
+# alone. On one BLAS thread, single panel against blocked: the plane matrices
+# of reduce cells ran faster on the single panel up to 464x780 (2^18.5
+# entries; 390x630: 30 vs 34 ms) and faster blocked from 471x780 up
+# (540x861: 83 vs 128 ms), while dense random matrices, with no zero for the
+# loop to skip, cross near 210x294 (2^15.9; 294x961: 29 vs 163 ms). The
+# cutoff sits between, so the golden table (75x494), verify (210x42) and the
+# Horace chains (125x120) keep the single panel and the plane reductions
+# (540x861, 571x990) go blocked.
+_SINGLE_PANEL_ENTRIES = 1 << 18
+# columns per chunk of the trailing update: 64 to 512 timed alike at 540x861,
+# 571x990 and 720x1681, and the update's float64 buffer holds rows x
+# _CHUNK_COLS entries, so a narrow chunk keeps the peak down (2.40 times the
+# matrix at 571x990, against 2.53 at 256)
+_CHUNK_COLS = 128
 
 
 def _panel_width(p: int) -> int:
     """Largest k <= 64 with k (p-1) (2^16-1) < 2^53.
 
     An inner dimension of k keeps every partial sum of a limb product in
-    _mul_mod_p an exact float64 integer, whatever order BLAS adds in.
+    _sub_mul_mod_p an exact float64 integer, whatever order BLAS adds in.
     """
     return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
 
@@ -198,38 +204,51 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, swaps
     for col in range(c0, c1):
         if rank == rows:
             break
-        nz = np.nonzero(M[rank:, col])[0]
+        nz = M[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pivot = rank + int(nz[0])
         if pivot != rank:
-            M[[rank, pivot]] = M[[pivot, rank]]
+            row = M[pivot].copy()
+            M[pivot] = M[rank]
+            M[rank] = row
             swaps.append((rank, pivot))
-        inv = pow(int(M[rank, col]), p - 2, p)
-        M[rank, col:c1] = M[rank, col:c1] * inv % p
-        body = M[rank + 1 :, col]
-        hit = np.nonzero(body)[0]
+        top = M[rank, col:c1]
+        top *= pow(int(top[0]), -1, p)
+        top %= p
+        # the rows to clear: the row swapped down holds a zero in col
+        hit = nz[1:] + rank
         if hit.size:
-            M[rank + 1 + hit, col:c1] = (
-                M[rank + 1 + hit, col:c1] - body[hit, None] * M[rank, col:c1]
-            ) % p
+            block = M[hit, col:c1]
+            block -= block[:, :1] * top
+            # entries lie in (-(p-1)^2, p): floor division leaves [0, p)
+            block -= block // p * p
+            M[hit, col:c1] = block
         pivots.append(col)
         rank += 1
     return rank
 
 
-def _mul_mod_p(A, B, p: int) -> np.ndarray:
-    """An int64 matrix below 2^54 congruent to A @ B mod p.
+def _sub_mul_mod_p(C, A, B, p: int):
+    """C = (C - A @ B) mod p in place, _CHUNK_COLS columns at a time.
 
-    A and B hold residues in [0, p) and their inner dimension is at most
-    _panel_width(p). With B = 2^16 B1 + B0 split into 16-bit limbs, A @ B
-    is congruent to A @ B0 + (2^16 A mod p) @ B1, and both float64 matmuls
-    are exact.
+    C, A and B hold residues in [0, p) and the inner dimension of A @ B is
+    at most _panel_width(p). With B = 2^16 B1 + B0 split into 16-bit limbs,
+    A @ B is congruent to A @ B0 + (2^16 A mod p) @ B1. Both float64 matmuls
+    are exact; one float64 buffer takes each in turn, and C, subtracted from
+    as int64, stays above -2^54 until the remainder.
     """
-    shifted = (A << 16) % p
-    out = (A.astype(np.float64) @ (B & 0xFFFF).astype(np.float64)).astype(np.int64)
-    out += (shifted.astype(np.float64) @ (B >> 16).astype(np.float64)).astype(np.int64)
-    return out
+    lo = A.astype(np.float64)
+    hi = ((A << 16) % p).astype(np.float64)
+    product = np.empty((len(A), min(_CHUNK_COLS, C.shape[1])))
+    for j0 in range(0, C.shape[1], _CHUNK_COLS):
+        b, c = B[:, j0 : j0 + _CHUNK_COLS], C[:, j0 : j0 + _CHUNK_COLS]
+        out = product[:, : c.shape[1]]
+        np.matmul(lo, (b & 0xFFFF).astype(np.float64), out=out)
+        np.subtract(c, out, out=c, dtype=np.int64, casting="unsafe")
+        np.matmul(hi, (b >> 16).astype(np.float64), out=out)
+        np.subtract(c, out, out=c, dtype=np.int64, casting="unsafe")
+        np.remainder(c, p, out=c)
 
 
 def _inverse_mod_p(A, p: int) -> np.ndarray:
@@ -286,13 +305,11 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             panel[[i - top, j - top]] = panel[[j - top, i - top]]
         k = rank - top
         q = np.array(pivots[-k:]) - c0
-        a11_inv = _inverse_mod_p(panel[:k, q], p)
-        mult = _mul_mod_p(panel[k:, q], a11_inv, p) % p  # A21 A11^-1
-        for j0 in range(c1, cols, _CHUNK_COLS):
-            j1 = min(j0 + _CHUNK_COLS, cols)
-            update = _mul_mod_p(mult, M[top:rank, j0:j1], p)
-            np.subtract(M[rank:, j0:j1], update, out=update)
-            M[rank:, j0:j1] = np.remainder(update, p, out=update)
+        # 0 - A21 (-A11^-1) = A21 A11^-1
+        neg_inv = -_inverse_mod_p(panel[:k, q], p) % p
+        mult = np.zeros((rows - rank, k), dtype=np.int64)
+        _sub_mul_mod_p(mult, panel[k:, q], neg_inv, p)
+        _sub_mul_mod_p(M[rank:, c1:], mult, M[top:rank, c1:], p)
     return pivots
 
 
@@ -302,10 +319,10 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 # peak bytes of build plus elimination per matrix entry: by tracemalloc, the
-# int64 matrix, its reduced copy and the update temporaries came to 2.3 to
-# 3.8 times the matrix on the single panel (75x494 to 571x990, the most at
-# 240x169) and 2.3 to 2.9 times on the blocked path (720x1681, 1500x1281,
-# 1650x3721), so five matrices cover both
+# int64 matrix, its reduced copy and the update temporaries came to 3.0 and
+# 3.8 times the matrix on the single panel (75x494, 240x169) and 2.4, 2.5
+# and 2.2 times on the blocked path (571x990, 540x861, 720x1681), so five
+# matrices cover both
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 

@@ -31,10 +31,10 @@ from fatpoints.oracle import (
     rank_profile_mod_p,
     sample_support,
     _distinct,
-    _mul_mod_p,
     _panel_width,
+    _sub_mul_mod_p,
 )
-from fatpoints.schemes import PlaneScheme, SliceProfile
+from fatpoints.schemes import PlaneScheme, SliceProfile, reduce_to_plane
 
 
 def rational_rank(rows):
@@ -194,6 +194,60 @@ def blocked_cases(p):
     return [wide, repeated, tall, exact, sparse, low_rank(rng, 150, 400, 3, p)]
 
 
+def reference_profile(M, p):
+    """Pivot columns of a left-to-right Gaussian elimination over Z/p in
+    Python integers; independent of the int64 and float64 arithmetic."""
+    rows = [[int(x) % p for x in row] for row in M]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        pivots.append(col)
+    return pivots
+
+
+def extreme_matrices(p):
+    """Small matrices with entries at the ends of [0, p)."""
+    rng = random.Random(p)
+    full = np.full((6, 9), p - 1, dtype=np.int64)
+    # the first pivot row is (1, p-1, ...) and every row below is
+    # (p-1, 0, ...), so the first update takes 0 - (p-1) (p-1) = -(p-1)^2
+    worst = np.zeros((8, 11), dtype=np.int64)
+    worst[0] = p - 1
+    worst[0, 0] = 1
+    worst[1:, 0] = p - 1
+    worst[4:, 5:] = p - 1
+    ends = [np.array([[rng.choice((0, 1, p - 1)) for _ in range(cols)] for _ in range(rows)],
+                     dtype=np.int64)
+            for rows, cols in [(5, 7), (9, 4), (12, 13), (7, 20)]]
+    dense = np.array([[rng.randrange(p) for _ in range(10)] for _ in range(8)],
+                     dtype=np.int64)
+    return [full, worst, dense] + ends
+
+
+class TestReferenceElimination:
+    """The kernel against plain Python-int elimination, on the single panel
+    and on the blocked path forced with cutoff 0 and panel width 3."""
+
+    @pytest.mark.parametrize("path", ["single_panel", "blocked"])
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, ALT_PRIME, LARGEST_PRIME])
+    def test_matches_python_int_elimination(self, p, path, monkeypatch):
+        matrices = structured_matrices(random.Random(p), p) + extreme_matrices(p)
+        if path == "blocked":
+            monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", 0)
+            monkeypatch.setattr("fatpoints.oracle._panel_width", lambda p: 3)
+        for M in matrices:
+            assert rank_profile_mod_p(M, p) == reference_profile(M, p), M.shape
+
+
 class TestBlockedElimination:
     """The blocked path against the single panel, forced by patching the
     private cutoff (and, for matrices under 64 columns, the panel width)."""
@@ -202,13 +256,18 @@ class TestBlockedElimination:
     def test_limb_product_is_exact_at_the_panel_width(self, p):
         k = _panel_width(p)
         assert k == (64 if p == DEFAULT_PRIME else 63)
+        # from C = 0 both limb products take C to its least value before the
+        # remainder; 300 columns make three chunks
         worst = np.full((5, k), p - 1, dtype=np.int64)
-        got = _mul_mod_p(worst, np.full((k, 7), p - 1, dtype=np.int64), p) % p
-        assert (got == k * (p - 1) ** 2 % p).all()
+        C = np.zeros((5, 300), dtype=np.int64)
+        _sub_mul_mod_p(C, worst, np.full((k, 300), p - 1, dtype=np.int64), p)
+        assert (C == -k * (p - 1) ** 2 % p).all()
         rng = np.random.default_rng(p)
-        A, B = rng.integers(0, p, (9, k)), rng.integers(0, p, (k, 11))
-        expected = (A.astype(object) @ B.astype(object)) % p
-        assert (_mul_mod_p(A, B, p) % p == expected).all()
+        A, B = rng.integers(0, p, (9, k)), rng.integers(0, p, (k, 300))
+        C = rng.integers(0, p, (9, 300))
+        expected = (C.astype(object) - A.astype(object) @ B.astype(object)) % p
+        _sub_mul_mod_p(C, A, B, p)
+        assert (C == expected).all()
 
     @pytest.mark.parametrize("width", [3, 64])
     def test_pivots_match_the_single_panel(self, width, monkeypatch):
@@ -245,13 +304,41 @@ class TestBlockedElimination:
     def test_above_the_real_cutoff(self, monkeypatch):
         p = DEFAULT_PRIME
         rng = np.random.default_rng(7)
-        M = low_rank(rng, 200, 5300, 40, p)  # 1.06 million entries, above 2^20
+        M = low_rank(rng, 200, 5300, 40, p)
         M[:, 2000:2100] = 0
         M[:, 4000:4040] = M[:, 10:50]
+        assert M.size > oracle_module._SINGLE_PANEL_ENTRIES
         pivots = rank_profile_mod_p(M, p)
         monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", M.size)
         assert pivots == rank_profile_mod_p(M, p)
         assert len(pivots) == 40
+
+    def test_routing_of_the_workload_shapes(self):
+        # the golden table's widest row (75 x 494), the widest verify row
+        # (m 6, s 10, 210 x 42) and every matrix of the 23 criterion-6 chains
+        # of the benchmark (at most 125 x 120) stay on the single panel; the
+        # plane matrices of the reduce cells (25, 18, 5, 5) and (20, 20, 5, 8)
+        # take the blocked path
+        for rows, cols in [(75, 494), (210, 42), (125, 120)]:
+            assert rows * cols <= oracle_module._SINGLE_PANEL_ENTRIES
+        for rows, cols in [(540, 861), (571, 990)]:
+            assert rows * cols > oracle_module._SINGLE_PANEL_ENTRIES
+
+    def test_reduce_cell_pivots_match_the_single_panel(self, monkeypatch):
+        # the plane matrix of reduce --a 25 --b 18 --m 5 --s 5, as hf_plane
+        # draws it on its first trial
+        scheme, d = reduce_to_plane(BiDegree(25, 18), UniformFatPoints(5, 5))
+        seen = []
+        monkeypatch.setattr("fatpoints.oracle.rank_mod_p",
+                            lambda M, p: seen.append(M) or len(rank_profile_mod_p(M, p)))
+        hf_plane(d, scheme, OracleConfig(trials=1))
+        (M,) = seen
+        assert M.shape == (571, 990) and M.size > oracle_module._SINGLE_PANEL_ENTRIES
+        p = DEFAULT_PRIME
+        pivots = rank_profile_mod_p(M, p)
+        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", M.size)
+        assert pivots == rank_profile_mod_p(M, p)
+        assert len(pivots) == 571
 
     def test_large_row_reads_every_prefix(self, oracle):
         # 20 points of multiplicity 8 at (40, 40): a 720 x 1681 matrix
