@@ -175,14 +175,10 @@ def cmd_verify(args) -> int:
     mults = (args.m,) * args.s
     mismatches = []
     checked = 0
-    inject = args.inject_mismatch
     for b, row in enumerate(table_region(args.m, args.s, args.amax, args.bmax)):
         closed = {a: hf.value for a, hf in enumerate(row) if hf.value is not None}
         ranks = hf_biproj_row(b, closed, mults, cfg)
         for a, formula in closed.items():
-            if inject:
-                formula += 1
-                inject = False
             checked += 1
             if formula != ranks[a]:
                 mismatches.append((a, b, formula, ranks[a]))
@@ -277,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="compare formulas against the oracle")
     _int_args(p_verify, "m", "s", "amax", "bmax")
-    p_verify.add_argument("--inject-mismatch", action="store_true",
-                          help="perturb one formula value (reporter self-test)")
     _oracle_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -5,12 +5,10 @@ in [1, p-1], p a large prime, and the rank of the conditions matrix is the
 number of independent conditions. A nonzero minor of the generic matrix is an
 integer polynomial of degree far below p in the coordinates, so each trial
 returns the generic rank except with probability bounded by degree/p; taking
-the maximum over trials only sharpens this. Specialization can only lower a
-rank, so a trial whose rank reaches the trivial bound min(rows, cols) has
-found the generic rank: the trials stop there, and since no later trial
-could go past that bound, the maximum is the one all trials would give.
-cfg.trials is an upper bound. Agreement under a second prime and under
-distinct seeds is part of the test suite.
+the maximum over trials only sharpens this. Both the bidegree and the plane
+model run their trials through _max_ranks, which stops them once no later
+trial could raise the maximum, so cfg.trials is an upper bound. Agreement
+under a second prime and under distinct seeds is part of the test suite.
 
 Everything is deterministic: support is derived from (master seed, instance,
 trial index), so identical inputs give identical outputs in any call order.
@@ -406,17 +404,34 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) ->
     return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
 
 
+def _max_ranks(tags, draw, cuts, cfg: OracleConfig) -> dict[int, int]:
+    """For each cut c, the max over trials of the rank of the first c columns.
+
+    Trial t eliminates draw(derive_seed(cfg.seed, *tags, t)), a conditions
+    matrix on support drawn from that seed, and the rank of its first c
+    columns is the number of pivots before column c. Specialization can only
+    lower a rank, so no trial passes min(rows, c), read off the drawn matrix:
+    once every value reaches it, the trials stop, and each value is the one
+    all cfg.trials would give.
+    """
+    best = dict.fromkeys(cuts, 0)
+    for trial in range(cfg.trials):
+        M = draw(derive_seed(cfg.seed, *tags, trial))
+        pivots = rank_profile_mod_p(M, cfg.prime)
+        best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
+        if all(r == min(len(M), c) for c, r in best.items()):
+            break
+    return best
+
+
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
     The columns of the conditions matrix run j-major, so the (a, b) matrix is
     the first (a+1)(b+1) columns of the (max(cells), b) matrix on the same
-    support. One elimination per trial gives the column rank profile, and
-    the rank at a is the number of pivots before column (a+1)(b+1). Each
-    value is the max over trials. The trials stop once every cell asked for
-    equals its bound min(rows, (a+1)(b+1)), which no trial can pass, so each
-    value is the one all cfg.trials would give. Exactly those cells are
-    returned, keyed by a; the support does not depend on them.
+    support, and one elimination per trial gives every cell. Exactly the
+    cells asked for are returned, keyed by a, and only they can hold the
+    trials up; the support does not depend on them.
     """
     mults, cells = tuple(mults), tuple(cells)
     if not cells or min(cells) < 0:
@@ -424,19 +439,14 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     deg = BiDegree(max(cells), b)
     cfg.require_degree(deg.a + b)
     cfg.require_degree(max(mults, default=0))
-    rows = sum(binom(m + 1, 2) for m in mults)
-    _require_fits(rows, deg.cells)  # before the row exists
-    bound = {a: min(rows, (a + 1) * (b + 1)) for a in cells}
-    best = dict.fromkeys(bound, 0)
-    for trial in range(cfg.trials):
-        seed = derive_seed(cfg.seed, "bi", b, mults, trial)
+    _require_fits(sum(binom(m + 1, 2) for m in mults), deg.cells)  # before the row exists
+
+    def draw(seed):
         points = sample_support(seed, len(mults), cfg.prime)
-        M = bi_conditions_matrix(deg, mults, points, cfg.prime)
-        pivots = rank_profile_mod_p(M, cfg.prime)
-        best = {a: max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in best.items()}
-        if best == bound:
-            break
-    return best
+        return bi_conditions_matrix(deg, mults, points, cfg.prime)
+
+    ranks = _max_ranks(("bi", b, mults), draw, [(a + 1) * (b + 1) for a in cells], cfg)
+    return {a: ranks[(a + 1) * (b + 1)] for a in cells}
 
 
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -444,41 +454,33 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
     Max over trials of the conditions-matrix rank; the value plus the ideal
     piece's dimension is (a+1)(b+1). Read off the row of `deg.b` with this
-    one cell, so its trials stop as soon as the cell reaches its bound. The
-    support is the row's, and the value is the max over all trials either
-    way, so a single cell and a table row agree bit for bit.
+    one cell, on the row's support, so a single cell and a table row agree
+    bit for bit.
     """
     return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
 
 
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Dimension of the degree-d piece of the plane scheme's ideal.
-
-    The complement of the max over trials of the conditions-matrix rank.
-    The trials stop once a rank reaches min(rows, cols), which no trial can
-    pass, so the value is the one all cfg.trials would give.
-    """
+    """Dimension of the degree-d piece of the plane scheme's ideal: the
+    complement of the max over trials of the conditions-matrix rank."""
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
     n_gen, n_line = len(scheme.general), len(scheme.on_line)
-    best = 0
-    for trial in range(cfg.trials):
-        seed = derive_seed(
-            cfg.seed, "plane", d, scheme.corner_a, scheme.corner_b,
-            scheme.general, tuple(pr.widths for pr in scheme.on_line), trial,
-        )
+
+    def draw(seed):
         rng = random.Random(seed)
         # distinct x's over every point, distinct nonzero y's off the line
         xs = _distinct(rng, n_gen + n_line + 2, cfg.prime)
         ys = _distinct(rng, n_gen + 2, cfg.prime)
         chart = list(zip(xs[:n_gen] + xs[-2:], ys))
         line = xs[n_gen : n_gen + n_line]
-        M = plane_conditions_matrix(d, scheme, chart, line, cfg.prime)
-        best = max(best, rank_mod_p(M, cfg.prime))
-        if best == min(M.shape):
-            break
-    return binom(d + 2, 2) - best
+        return plane_conditions_matrix(d, scheme, chart, line, cfg.prime)
+
+    tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general,
+            tuple(pr.widths for pr in scheme.on_line))
+    cols = binom(d + 2, 2)
+    return cols - _max_ranks(tags, draw, (cols,), cfg)[cols]
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 from fatpoints.cli import CSV_HEADER, JSON_KEYS, main
 from fatpoints.horace import verify_chain
+from fatpoints.oracle import hf_biproj_row
 
 
 def run(capsys, *argv):
@@ -209,11 +210,20 @@ class TestVerify:
         assert code == 0
         assert "36/36 cells confirmed" in out
 
-    def test_injected_mismatch_exits_1(self, capsys):
+    def test_injected_mismatch_exits_1(self, capsys, monkeypatch):
+        def one_off(b, cells, mults, cfg):
+            # the first cell of row 0 comes back one too high
+            ranks = hf_biproj_row(b, cells, mults, cfg)
+            if b == 0:
+                ranks[next(iter(ranks))] += 1
+            return ranks
+
+        monkeypatch.setattr("fatpoints.cli.hf_biproj_row", one_off)
         code, out = run(capsys, "verify", "--m", "3", "--s", "2", "--amax", "4",
-                        "--bmax", "4", "--trials", "1", "--inject-mismatch")
+                        "--bmax", "4", "--trials", "1")
         assert code == 1
         assert "MISMATCH" in out
+        assert out.endswith("\n24/25 cells confirmed, 1 mismatches\n")
 
     def test_exceptional_column_region(self, capsys):
         code, out = run(capsys, "verify", "--m", "5", "--s", "5", "--amax", "16",

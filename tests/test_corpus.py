@@ -43,8 +43,7 @@ def replay(argv) -> dict:
     """Run one command in process and describe its outputs as a corpus entry."""
     out, err = io.StringIO(), io.StringIO()
     env = {key: value for key, value in os.environ.items()
-           if key not in ("FATPOINTS_SEED", "FATPOINTS_PRIME")}
-    env["COLUMNS"] = "80"
+           if key not in ("FATPOINTS_SEED", "FATPOINTS_PRIME")} | {"COLUMNS": "80"}
     sysconf = os.sysconf
     with mock.patch.dict(os.environ, env, clear=True), \
          mock.patch("os.sysconf", lambda name: PAGES.get(name) or sysconf(name)), \
@@ -59,9 +58,10 @@ def replay(argv) -> dict:
 
 RECORD = json.loads(CORPUS.read_text())
 ENTRIES = RECORD["entries"]
+IDS = [" ".join(entry["argv"]) or "(no arguments)" for entry in ENTRIES]
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) or "(no arguments)" for e in ENTRIES])
+@pytest.mark.parametrize("entry", ENTRIES, ids=IDS)
 def test_command_output_is_unchanged(entry):
     got = replay(entry["argv"])
     assert (got["exit"], got["argparse"]) == (entry["exit"], entry["argparse"])

@@ -329,8 +329,8 @@ class TestBlockedElimination:
         # draws it on its first trial
         scheme, d = reduce_to_plane(BiDegree(25, 18), UniformFatPoints(5, 5))
         seen = []
-        monkeypatch.setattr("fatpoints.oracle.rank_mod_p",
-                            lambda M, p: seen.append(M) or len(rank_profile_mod_p(M, p)))
+        monkeypatch.setattr("fatpoints.oracle.rank_profile_mod_p",
+                            lambda M, p: seen.append(M) or rank_profile_mod_p(M, p))
         hf_plane(d, scheme, OracleConfig(trials=1))
         (M,) = seen
         assert M.shape == (571, 990) and M.size > oracle_module._SINGLE_PANEL_ENTRIES
@@ -652,6 +652,14 @@ class TestEarlyStop:
         assert grid[5][14].source is Source.FORMULA
         row = hf_biproj_row(5, (20, 6), [4] * 9, oracle)
         assert row == {20: expected[20], 6: expected[6]}
+
+    def test_bound_is_read_off_the_matrix(self, oracle, eliminations):
+        # more rows than the cut: five double points give 15 conditions, and
+        # each rank reaches its cut on the first trial
+        assert hf_plane(3, PlaneScheme(0, 0, (2,) * 5), oracle) == 0
+        assert eliminations == [(15, 10)]
+        assert hf_biproj_row(3, (0, 1, 2), (2,) * 5, oracle) == {0: 4, 1: 8, 2: 12}
+        assert eliminations == [(15, 10), (15, 12)]
 
     def test_cells_are_checked(self, oracle):
         for cells in ((), [], (3, -1), (-1,)):

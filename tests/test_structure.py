@@ -1,10 +1,16 @@
 """Structure checks on the package source: no module-level function or class,
-and no method or property of a class, that nothing in src/ calls."""
+and no method or property of a class, that nothing in src/ calls, and no
+command-line option that README.md does not name."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fatpoints"
+from fatpoints.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fatpoints"
 
 # documented entries of the Horace calculus; only library users call them
 ENTRY_POINTS = {"castelnuovo_check", "horace_verify"}
@@ -43,3 +49,22 @@ def unreferenced_definitions(src: Path = SRC) -> set[str]:
 def test_every_definition_has_a_caller():
     # an exemption that gains a caller in src/ is dropped from ENTRY_POINTS
     assert unreferenced_definitions() == ENTRY_POINTS
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options of a parser and of its subcommands, --help aside."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= long_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            options.update(opt for opt in action.option_strings if opt.startswith("--"))
+    return options
+
+
+def test_every_option_is_documented():
+    readme = (ROOT / "README.md").read_text()
+    undocumented = {opt for opt in long_options(build_parser())
+                    if not re.search(re.escape(opt) + r"(?![\w-])", readme)}
+    assert undocumented == set()
