@@ -23,7 +23,13 @@ from .core import (
     binom,
     hf_value,
 )
-from .oracle import OracleConfig, hf_biproj_row
+from .oracle import OracleConfig, hf_biproj_row, require_memory
+
+# peak bytes per cell of filling a table and printing it: by tracemalloc on
+# 30000 to 40000 cells, the grid of HFValues alone peaks at 175 bytes a cell
+# and `table --format json`, the most of any command that fills one, at 980
+# (text 200 to 250, csv 250, defects 180 to 240)
+_TABLE_BYTES_PER_CELL = 1024
 
 
 def hf_m_ge_b(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
@@ -118,11 +124,15 @@ def table_region(
     given (tagged source=ORACLE), one oracle row per table row, and left
     value-less otherwise. The oracle row is asked for exactly the unknown
     cells of the table row, so its trials stop once those cells reach their
-    bounds; the values are the ones all trials would give.
+    bounds; the values are the ones all trials would give. A table whose
+    cells would not fit in physical memory is refused with a ValueError
+    before its first row.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")
     pts = UniformFatPoints(s, m)
+    cells = (a_max + 1) * (b_max + 1)
+    require_memory(cells * _TABLE_BYTES_PER_CELL, f"a table of {cells} cells", "to fill")
     grid = []
     for b in range(b_max + 1):
         row = [hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]

@@ -19,11 +19,16 @@ costs one elimination per trial, and a single cell reads the same support.
 
 All three models share one builder, conditions_matrix: derivative conditions
 at chart points against a set of exponent columns, a box for bidegree
-(a, b), a triangle for plane degree d and a segment for the line. The plane
-corners Q1 and Q2 are drawn as two more random chart points off the line
-y = 0, since PGL(3) takes any two general points to them; no dimension
-changes. A matrix whose elimination would not fit in physical memory is
-refused with a ValueError before it is allocated.
+(a, b), a triangle for plane degree d and a segment for the line. It
+computes the derivative tables of all points together and writes the rows
+of each run of points with equal width profile one level at a time, each
+level one block multiplied and reduced in place. The bidegree model is one
+run and the plane model a few, so the builder's Python-level work does not
+grow with the number of points. The plane corners Q1 and Q2 are drawn as two
+more random chart points off the line y = 0, since PGL(3) takes any two
+general points to them; no dimension changes. A matrix whose elimination
+would not fit in physical memory is refused with a ValueError before it is
+allocated.
 
 rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^18
 entries is eliminated by the scalar int64 loop alone, as one panel. A
@@ -42,6 +47,7 @@ import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -152,13 +158,23 @@ def _falling_table(max_exp: int, max_order: int, p: int) -> np.ndarray:
     return fall
 
 
-def _derivatives(t: int, orders: int, fall: np.ndarray, p: int) -> np.ndarray:
-    """D[c, j] = d^c/dt^c t^j = fall[c, j] t^(j-c) mod p, for c < orders."""
-    n = fall.shape[1]
-    powers = np.array([pow(t, e, p) for e in range(n)], dtype=np.int64)
-    out = np.zeros((orders, n), dtype=np.int64)
-    for c in range(min(orders, n)):
-        out[c, c:] = fall[c, c:] * powers[: n - c] % p
+def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
+    """D[..., c, j] = d^c/dt^c t^j = fall[c, j] t^(j-c) mod p at each t of
+    coords, for c < orders and j <= max_exp.
+
+    The powers t^j come from the recurrence t^j = t^(j-1) t mod p, one step
+    per exponent for every t at once.
+    """
+    coords = np.asarray(coords, dtype=np.int64) % p
+    powers = np.empty(coords.shape + (max_exp + 1,), dtype=np.int64)
+    powers[..., 0] = 1
+    for j in range(1, max_exp + 1):
+        np.multiply(powers[..., j - 1], coords, out=powers[..., j])
+        powers[..., j] %= p
+    fall = _falling_table(max_exp, orders - 1, p)
+    out = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
+    for c in range(min(orders, max_exp + 1)):
+        out[..., c, c:] = fall[c, c:] * powers[..., : max_exp + 1 - c] % p
     return out
 
 
@@ -320,7 +336,9 @@ def rank_mod_p(matrix, p: int) -> int:
 # int64 matrix, its reduced copy and the update temporaries came to 3.0 and
 # 3.8 times the matrix on the single panel (75x494, 240x169) and 2.4, 2.5
 # and 2.2 times on the blocked path (571x990, 540x861, 720x1681), so five
-# matrices cover both
+# matrices cover both. The build alone peaks at 1.03 to 1.7 times the
+# matrix, the most on the smallest, where numpy's fixed iteration buffers
+# (about 0.2 MB) weigh most.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
@@ -329,15 +347,21 @@ def conditions_bytes(rows: int, cols: int) -> int:
     return _PEAK_BYTES_PER_ENTRY * rows * cols
 
 
-def _require_fits(rows: int, cols: int):
-    # a matrix with no rows still allocates its column index arrays
-    need = conditions_bytes(max(rows, 1), cols)
+def require_memory(need: int, subject: str, purpose: str):
+    """Refuse with a ValueError work on `subject` whose peak memory, `need`
+    bytes, exceeds the physical memory of the host."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"a {rows} x {cols} conditions matrix needs about {need / 2**30:.1f} GiB "
-            f"to eliminate, more than the {have / 2**30:.1f} GiB of physical memory"
+            f"{subject} needs about {need / 2**30:.1f} GiB {purpose}, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _require_fits(rows: int, cols: int):
+    # a matrix with no rows still allocates its column index arrays
+    require_memory(conditions_bytes(max(rows, 1), cols),
+                   f"a {rows} x {cols} conditions matrix", "to eliminate")
 
 
 def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
@@ -348,8 +372,15 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
     (w_0, w_1, ...) gives, for each level e and each c < w_e, the row of
     d^c/dx^c d^e/dy^e of every column monomial at (x, y). A fat point of
     multiplicity m is the profile (m, ..., 1); a point on the line y = 0
-    takes its SliceProfile widths. The rows are written one point at a time
-    into one preallocated array, so no temporary is as large as the matrix.
+    takes its SliceProfile widths. Rows run point by point, then by level,
+    then by c.
+
+    The derivative tables DX and DY of all points are computed together.
+    Points come in runs of equal profile (the bidegree model is one run, the
+    plane model a few), and each level of a run is one block of rows of the
+    preallocated matrix, written in place by one multiply and one remainder.
+    The only temporaries are the two gathered factors of a block, the x one
+    no larger than the block and the y one no larger than a row per point.
     """
     profiles = [tuple(widths) for widths in profiles]
     shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
@@ -358,20 +389,25 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.int64)
     if rows == 0:
         return out
-    xexp, yexp = np.asarray(xexp), np.asarray(yexp)
-    max_order = max(max(len(w), *w) for w in profiles if w) - 1
-    fall = _falling_table(int(max(xexp.max(), yexp.max())), max_order, p)
-    r = 0
-    for (x, y), widths in zip(points, profiles, strict=True):
-        if not widths:
-            continue
-        dx = _derivatives(x, max(widths), fall, p)
-        dy = _derivatives(y, len(widths), fall, p)
+    # strict: a point without a profile, or a profile without a point, is an error
+    coords = [xy for xy, _ in zip(points, profiles, strict=True)]
+    # both exponent arrays get the full number of axes, behind the point and c axes
+    xexp, yexp = (np.reshape(e, (1,) * (len(shape) - np.ndim(e)) + np.shape(e))
+                  for e in (xexp, yexp))
+    orders = max(max(len(w), *w) for w in profiles if w)
+    DX, DY = _derivative_tables(np.transpose(coords), orders,
+                                int(max(xexp.max(), yexp.max())), p)
+    r = i = 0
+    for widths, run in groupby(profiles):
+        n, size = len(list(run)), sum(widths)
+        view = out[r : r + n * size].reshape((n, size) + shape)
+        level = 0
         for e, w in enumerate(widths):
-            block = out[r : r + w].reshape((w,) + shape)
-            np.multiply(dx[:w, xexp], dy[e, yexp], out=block)
+            block = view[:, level : level + w]
+            np.multiply(DX[i : i + n, :w, xexp], DY[i : i + n, e][:, None, yexp], out=block)
             np.remainder(block, p, out=block)
-            r += w
+            level += w
+        r, i = r + n * size, i + n
     return out
 
 

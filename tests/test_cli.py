@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,16 @@ class TestHf:
 
 
 class TestTable:
+    @pytest.mark.parametrize("command", ["table", "verify", "defects"])
+    def test_oversized_table_exits_2_at_once(self, capsys, command):
+        argv = [command, "--m", "5", "--s", "5", "--amax", "100000", "--bmax", "100000"]
+        start = time.perf_counter()
+        assert main(argv + ["--oracle-unknown"] * (command == "table")) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a table of 10000200001 cells needs about")
+
     def test_text_marks_defective(self, capsys):
         code, out = run(capsys, "table", "--m", "3", "--s", "3", "--amax", "5",
                         "--bmax", "3", "--mark-defective")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,3 +249,24 @@ class TestTableRegion:
         assert cell.source is Source.ORACLE
         assert not cell.known
         assert cell.defective
+
+    def test_refused_before_filling(self, monkeypatch):
+        # one 4 KiB page of physical memory refuses the golden table's 494
+        # cells, and a table of 10^10 cells is refused before its first row
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        for a_max, b_max in [(25, 18), (100000, 100000)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="physical memory"):
+                    table_region(5, 5, a_max, b_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
+
+    def test_golden_table_is_not_refused(self, monkeypatch):
+        # the 1 GiB of physical memory the byte-identity corpus pins
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        assert len(table_region(5, 5, 25, 18)) == 19

@@ -35,6 +35,7 @@ from fatpoints.oracle import (
     _sub_mul_mod_p,
 )
 from fatpoints.schemes import PlaneScheme, SliceProfile, reduce_to_plane
+from reference_builder import reference_conditions_matrix
 
 
 def rational_rank(rows):
@@ -370,6 +371,79 @@ class TestConditionsMatrix:
         # a row at level e on y = 0 sees only the monomials x^j y^e
         assert not M[:3, k - j != 0].any()
         assert not M[3, k - j != 1].any()
+
+    def test_equals_per_point_reference(self, fast_oracle, monkeypatch):
+        shapes = []
+
+        def checked(points, profiles, xexp, yexp, p):
+            args = (list(points), list(profiles), xexp, yexp, p)
+            M = conditions_matrix(*args)
+            assert np.array_equal(M, reference_conditions_matrix(*args)), M.shape
+            shapes.append(M.shape)
+            return M
+
+        monkeypatch.setattr("fatpoints.oracle.conditions_matrix", checked)
+        # the widest matrix of each verify call of the benchmark's scan,
+        # m 2..6 and s 1..10 at a 5, b m
+        for m in range(2, 7):
+            for s in range(1, 11):
+                hf_biproj_row(m, (5,), (m,) * s, fast_oracle)
+        assert len(shapes) == 50 and (210, 42) in shapes
+        # every golden-table row, at its widest unknown cell
+        table_region(5, 5, 25, 18, fast_oracle)
+        assert (75, 494) in shapes
+        # the plane matrices of the reduce cells (25, 18, 5, 5) and (20, 20, 5, 8)
+        for a, b, m, s in [(25, 18, 5, 5), (20, 20, 5, 8)]:
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, m))
+            hf_plane(d, scheme, fast_oracle)
+        assert {(571, 990), (540, 861)} <= set(shapes)
+        # mixed plane schemes whose runs of equal profile come back, with an
+        # empty profile among them
+        p = DEFAULT_PRIME
+        rng = random.Random(12)
+        j, k = np.triu_indices(9)
+        for _ in range(20):
+            kinds = [fat_profile(3), (2, 1), (4, 2, 1), (), (1,)]
+            profiles = [rng.choice(kinds) for _ in range(rng.randrange(1, 12))]
+            profiles[-3:] = [fat_profile(3), (2, 1), fat_profile(3)]
+            points = [(rng.randrange(1, p), rng.randrange(p)) for _ in profiles]
+            checked(points, profiles, j, k - j, p)
+        # the line, with a scalar y exponent
+        hf_trace_line(12, (3, 1, 4, 2), fast_oracle)
+        assert (10, 13) in shapes
+
+    def test_points_and_profiles_must_match(self):
+        p = DEFAULT_PRIME
+        columns = (np.arange(4)[:, None], np.arange(3))
+        for points, profiles in [([(3, 5)], [fat_profile(2), (1,)]),
+                                 ([(3, 5), (7, 11)], [fat_profile(2)])]:
+            with pytest.raises(ValueError):
+                conditions_matrix(points, profiles, *columns, p)
+
+    def test_empty_profile_adds_no_rows(self):
+        p = DEFAULT_PRIME
+        columns = (np.arange(5)[:, None], np.arange(4))
+        points = [(3, 5), (7, 11), (13, 17), (19, 23)]
+        profiles = [fat_profile(2), (), fat_profile(2), (3, 1)]
+        M = conditions_matrix(points, profiles, *columns, p)
+        without = conditions_matrix(points[:1] + points[2:], profiles[:1] + profiles[2:],
+                                    *columns, p)
+        assert M.shape == (10, 20)
+        assert np.array_equal(M, without)
+
+    def test_build_peaks_near_the_matrix(self):
+        # the large_cell matrix, 720 x 1681: no temporary as large as the
+        # matrix, or as a sizeable part of it
+        points = sample_support(5, 20, DEFAULT_PRIME)
+        args = ([fat_profile(8)] * 20, np.arange(41)[:, None], np.arange(41), DEFAULT_PRIME)
+        tracemalloc.start()
+        try:
+            M = conditions_matrix(points, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (720, 1681)
+        assert peak <= 1.1 * M.nbytes
 
     def test_reduction_holds_on_a_grid(self, fast_oracle):
         # every corner is a chart point now, with or without on-line points
