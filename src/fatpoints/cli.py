@@ -29,6 +29,7 @@ from .oracle import (
     check_reduction,
     hf_biproj,
     hf_biproj_row,
+    require_uniform_row,
 )
 from .schemes import reduce_to_plane
 
@@ -117,6 +118,7 @@ def cmd_hf(args) -> int:
     hf = hf_uniform(deg, pts)
     if args.mode == "oracle" or (args.mode == "auto" and hf.value is None):
         cfg = _oracle_config(args)
+        require_uniform_row(deg.b, (deg.a,), pts, cfg)  # before the s multiplicities exist
         rank = hf_biproj(deg, (pts.m,) * pts.s, cfg)
         hf = hf_value(rank, deg, pts, source=Source.ORACLE, known=hf.known)
     record = cell_record(deg, pts, hf)
@@ -172,12 +174,14 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _oracle_config(args)
-    mults = (args.m,) * args.s
+    grid = table_region(args.m, args.s, args.amax, args.bmax)
+    pts = UniformFatPoints(args.s, args.m)
     mismatches = []
     checked = 0
-    for b, row in enumerate(table_region(args.m, args.s, args.amax, args.bmax)):
+    for b, row in enumerate(grid):
         closed = {a: hf.value for a, hf in enumerate(row) if hf.value is not None}
-        ranks = hf_biproj_row(b, closed, mults, cfg)
+        require_uniform_row(b, closed, pts, cfg)  # before the s multiplicities exist
+        ranks = hf_biproj_row(b, closed, (pts.m,) * pts.s, cfg)
         for a, formula in closed.items():
             checked += 1
             if formula != ranks[a]:
@@ -209,9 +213,10 @@ def cmd_defects(args) -> int:
 def cmd_reduce(args) -> int:
     deg = BiDegree(args.a, args.b)
     pts = UniformFatPoints(args.s, args.m)
-    scheme, d = reduce_to_plane(deg, pts)
-    # the oracle runs first, so a refused input prints nothing on stdout
+    # the oracle runs first, so a refused input prints nothing on stdout and
+    # builds no plane scheme
     agree = check_reduction(deg, pts, _oracle_config(args))
+    scheme, d = reduce_to_plane(deg, pts)
     mults = ",".join(str(m) for m in scheme.general)
     print(f"plane scheme: {scheme.corner_a}Q1 + {scheme.corner_b}Q2 + points [{mults}]")
     print(f"plane degree: {d}")

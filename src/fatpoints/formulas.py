@@ -23,7 +23,7 @@ from .core import (
     binom,
     hf_value,
 )
-from .oracle import OracleConfig, hf_biproj_row, require_memory
+from .oracle import OracleConfig, hf_biproj_row, require_memory, require_uniform_row
 
 # peak bytes per cell of filling a table and printing it: by tracemalloc on
 # 30000 to 40000 cells, the grid of HFValues alone peaks at 175 bytes a cell
@@ -138,6 +138,7 @@ def table_region(
         row = [hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]
         unknown = [a for a, cell in enumerate(row) if cell.value is None]
         if oracle is not None and unknown:
+            require_uniform_row(b, unknown, pts, oracle)  # before the s multiplicities exist
             ranks = hf_biproj_row(b, unknown, (m,) * s, oracle)
             for a in unknown:
                 row[a] = hf_value(ranks[a], BiDegree(a, b), pts,

@@ -31,14 +31,18 @@ would not fit in physical memory is refused with a ValueError before it is
 allocated.
 
 rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^18
-entries is eliminated by the scalar int64 loop alone, as one panel. A
-larger one goes in panels of 64 columns, each factored by that same loop;
-the rows below a panel's pivots then take their Schur complement in the
-columns to the right as float64 BLAS matmuls, in chunks of 128 columns.
-The matmuls stay exact: one factor is split into 16-bit limbs, so every
-partial sum is below k (p-1) (2^16-1) < 2^53 for the panel width k, which
-is 64 for p <= 2147516417 and 63 at the largest prime OracleConfig accepts.
-The pivots are those of the single panel, bit for bit.
+entries is eliminated by the scalar int64 loop alone, as one panel. The
+loop keeps each multiplier in the entry it clears and each pivot where it
+is, so it leaves the lower factor L of P A = L U in place. A larger matrix
+goes in panels of 64 columns, each factored by that same loop; the rows
+below a panel's pivots then take their Schur complement in the columns to
+the right as float64 BLAS matmuls, in chunks of 128 columns, with the
+multipliers L21 L11^-1 read off the panel's L and one more run of the loop
+for L11^-1. The matmuls stay exact: one factor is split into 16-bit limbs,
+so every partial sum is below k (p-1) (2^16-1) < 2^53 for the panel width
+k, which is 64 for p <= 2147516417 and 63 at the largest prime
+OracleConfig accepts. The pivots are those of the single panel, bit for
+bit.
 """
 
 import hashlib
@@ -51,7 +55,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .core import BiDegree, binom
+from .core import BiDegree, UniformFatPoints, binom
 from .schemes import PlaneScheme, fat_profile, reduce_to_plane
 
 DEFAULT_PRIME = (1 << 31) - 1  # Mersenne; exponents in scope stay far below it
@@ -179,19 +183,21 @@ def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
 
 
 # A matrix of at most this many entries is a single panel, the scalar loop
-# alone. On one BLAS thread, single panel against blocked: the plane matrices
-# of reduce cells ran faster on the single panel up to 464x780 (2^18.5
-# entries; 390x630: 30 vs 34 ms) and faster blocked from 471x780 up
-# (540x861: 83 vs 128 ms), while dense random matrices, with no zero for the
-# loop to skip, cross near 210x294 (2^15.9; 294x961: 29 vs 163 ms). The
-# cutoff sits between, so the golden table (75x494), verify (210x42) and the
-# Horace chains (125x120) keep the single panel and the plane reductions
-# (540x861, 571x990) go blocked.
+# alone. On one BLAS thread, single panel against blocked, when the blocked
+# path inverted the whole panel: the plane matrices of reduce cells ran
+# faster on the single panel up to 464x780 (2^18.5 entries) and faster
+# blocked from 471x780 up, while dense random matrices, with no zero for the
+# loop to skip, crossed near 210x294 (2^15.9). The cutoff sits between, so
+# the golden table (75x494), verify (210x42) and the Horace chains (125x120)
+# keep the single panel and the plane reductions (540x861, 571x990) go
+# blocked. Inverting only L11 moved both crossovers down (399x666, 2^18.0:
+# 41 ms blocked vs 48; dense 210x294: 20 vs 26 ms), while 75x494 still runs
+# faster as one panel (3.4 vs 4.0 ms).
 _SINGLE_PANEL_ENTRIES = 1 << 18
 # columns per chunk of the trailing update: 64 to 512 timed alike at 540x861,
 # 571x990 and 720x1681, and the update's float64 buffer holds rows x
-# _CHUNK_COLS entries, so a narrow chunk keeps the peak down (2.40 times the
-# matrix at 571x990, against 2.53 at 256)
+# _CHUNK_COLS entries, so a narrow chunk keeps the peak down (2.35 times the
+# matrix at 571x990, against 2.47 at 256)
 _CHUNK_COLS = 128
 
 
@@ -204,21 +210,27 @@ def _panel_width(p: int) -> int:
     return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
 
 
-def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, swaps: list) -> int:
-    """Gaussian elimination over Z/p of columns c0..c1-1 of M from row `rank`.
+def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list) -> int:
+    """Gaussian elimination over Z/p of columns c0..c1-1 of M from row
+    `rank`, leaving the lower factor in place.
 
     The one elimination loop: all of a single-panel matrix, each panel of a
-    larger one, and the two runs of _inverse_mod_p. Each pivot is the first
-    nonzero entry at or below row `rank`; its whole row is swapped up and
-    the swap recorded, and the pivot row is scaled to 1 and cleared below
-    the pivot within columns c0..c1-1 only. Appends the pivot columns and
-    returns the new rank.
+    larger one, and [L11 | I] to [L11 | L11^-1] after each such panel. Each
+    pivot is the first nonzero entry at or below row `rank`, and its whole
+    row is swapped up. The pivot keeps its value and the rest of its row, up
+    to c1, is scaled by the pivot's inverse. Each row below keeps its entry
+    in the pivot column, the multiplier, and takes that multiple of the
+    scaled row off columns col+1..c1-1. With P the swaps, the panel's rows
+    from `rank` on then hold P A = L U: L on and below the pivots of the
+    pivot columns, U unit upper triangular above them and to their right.
+    Appends the pivot columns and returns the new rank.
     """
     rows = M.shape[0]
     for col in range(c0, c1):
         if rank == rows:
             break
-        nz = M[rank:, col].nonzero()[0]
+        column = M[rank:, col]
+        nz = column.nonzero()[0]
         if nz.size == 0:
             continue
         pivot = rank + int(nz[0])
@@ -226,18 +238,19 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, swaps
             row = M[pivot].copy()
             M[pivot] = M[rank]
             M[rank] = row
-            swaps.append((rank, pivot))
-        top = M[rank, col:c1]
-        top *= pow(int(top[0]), -1, p)
+        top = M[rank, col + 1 : c1]
+        top *= pow(int(column[0]), -1, p)
         top %= p
         # the rows to clear: the row swapped down holds a zero in col
-        hit = nz[1:] + rank
-        if hit.size:
-            block = M[hit, col:c1]
-            block -= block[:, :1] * top
+        below = nz[1:]
+        if below.size:
+            hit = below + rank
+            block = M[hit, col + 1 : c1]
+            # one gather, then a view: column[below, None] indexes slower
+            block -= column[below][:, None] * top
             # entries lie in (-(p-1)^2, p): floor division leaves [0, p)
             block -= block // p * p
-            M[hit, col:c1] = block
+            M[hit, col + 1 : c1] = block
         pivots.append(col)
         rank += 1
     return rank
@@ -265,21 +278,6 @@ def _sub_mul_mod_p(C, A, B, p: int):
         np.remainder(c, p, out=c)
 
 
-def _inverse_mod_p(A, p: int) -> np.ndarray:
-    """Inverse over Z/p of an invertible k x k matrix, by two panel runs.
-
-    The first takes [A | I] to [U | E] with E A = U unit upper triangular.
-    Reversing rows and columns makes U unit lower triangular, so the second
-    takes [J U J | J E] to [I | J U^-1 E] without a swap, and U^-1 E = A^-1.
-    """
-    k = len(A)
-    ue = np.concatenate([A, np.eye(k, dtype=np.int64)], axis=1)
-    _eliminate_panel(ue, p, 0, 0, 2 * k, [], [])
-    je = np.concatenate([ue[::-1, k - 1 :: -1], ue[::-1, k:]], axis=1)
-    _eliminate_panel(je, p, 0, 0, 2 * k, [], [])
-    return je[::-1, k:]
-
-
 def rank_profile_mod_p(matrix, p: int) -> list[int]:
     """Column rank profile over Z/p: the pivot columns of a left-to-right
     Gaussian elimination, in increasing order.
@@ -290,11 +288,13 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     A matrix of at most _SINGLE_PANEL_ENTRIES entries is one panel. A larger
     one is eliminated in panels of _panel_width(p) columns. After a panel
     with k pivots, the rows below them take the Schur complement
-    A22 - A21 A11^-1 A12 in the columns to its right, by BLAS: A11 and A21
-    are the pivot and lower rows of the panel's pivot columns, read from a
-    copy taken before the panel was eliminated and permuted by its swaps,
-    and A12 is the pivot rows to the right. Those are exactly the values a
-    single panel leaves in those rows, so every later pivot is the same.
+    A22 - A21 A11^-1 A12 in the columns to its right, by BLAS, where A11 and
+    A21 are the pivot and lower rows of the panel's pivot columns, after its
+    swaps, and A12 is the pivot rows to the right. The panel left L11 U11
+    and L21 U11 there, so A21 A11^-1 = L21 L11^-1, and one swap-free run of
+    the loop on [L11 | I] gives L11^-1. The complement holds exactly the
+    values a single panel leaves in those rows, so every later pivot is the
+    same.
     """
     M = np.asarray(matrix, dtype=np.int64)
     if M.ndim != 2:
@@ -308,21 +308,20 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     rank = 0
     for c0 in range(0, cols, width):
         c1 = min(c0 + width, cols)
-        panel = M[rank:, c0:c1].copy() if c1 < cols else None
-        top, swaps = rank, []
-        rank = _eliminate_panel(M, p, top, c0, c1, pivots, swaps)
-        if rank == rows:
+        top = rank
+        rank = _eliminate_panel(M, p, top, c0, c1, pivots)
+        if rank == rows or c1 == cols:
             break
-        if rank == top or panel is None:
+        if rank == top:
             continue
-        for i, j in swaps:
-            panel[[i - top, j - top]] = panel[[j - top, i - top]]
         k = rank - top
-        q = np.array(pivots[-k:]) - c0
-        # 0 - A21 (-A11^-1) = A21 A11^-1
-        neg_inv = -_inverse_mod_p(panel[:k, q], p) % p
+        q = pivots[-k:]
+        # L11 has a nonzero diagonal, so the loop takes its rows in order
+        inverse = np.concatenate([np.tril(M[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
+        _eliminate_panel(inverse, p, 0, 0, 2 * k, [])
+        # 0 - L21 (-L11^-1) = L21 L11^-1
         mult = np.zeros((rows - rank, k), dtype=np.int64)
-        _sub_mul_mod_p(mult, panel[k:, q], neg_inv, p)
+        _sub_mul_mod_p(mult, M[rank:, q], -inverse[:, k:] % p, p)
         _sub_mul_mod_p(M[rank:, c1:], mult, M[top:rank, c1:], p)
     return pivots
 
@@ -334,8 +333,8 @@ def rank_mod_p(matrix, p: int) -> int:
 
 # peak bytes of build plus elimination per matrix entry: by tracemalloc, the
 # int64 matrix, its reduced copy and the update temporaries came to 3.0 and
-# 3.8 times the matrix on the single panel (75x494, 240x169) and 2.4, 2.5
-# and 2.2 times on the blocked path (571x990, 540x861, 720x1681), so five
+# 3.8 times the matrix on the single panel (75x494, 240x169) and 2.35, 2.40
+# and 2.20 times on the blocked path (571x990, 540x861, 720x1681), so five
 # matrices cover both. The build alone peaks at 1.03 to 1.7 times the
 # matrix, the most on the smallest, where numpy's fixed iteration buffers
 # (about 0.2 MB) weigh most.
@@ -460,6 +459,28 @@ def _max_ranks(tags, draw, cuts, cfg: OracleConfig) -> dict[int, int]:
     return best
 
 
+def _bi_row_degree(b: int, cells: tuple, top: int, rows: int, cfg: OracleConfig) -> BiDegree:
+    """(max(cells), b), the widest bidegree of a row of `rows` conditions at
+    multiplicities up to `top`. Raises a ValueError unless the cells are
+    nonnegative, the prime exceeds the degree and `top`, and the matrix fits
+    in physical memory."""
+    if not cells or min(cells) < 0:
+        raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
+    deg = BiDegree(max(cells), b)
+    cfg.require_degree(deg.a + b)
+    cfg.require_degree(top)
+    _require_fits(rows, deg.cells)
+    return deg
+
+
+def require_uniform_row(b: int, cells, pts: UniformFatPoints, cfg: OracleConfig):
+    """Raise what hf_biproj_row(b, cells, (pts.m,) * pts.s, cfg) raises
+    before its first trial, from (s, m) alone: a caller checks the row
+    first and builds the s multiplicities only for a row that passes."""
+    top = pts.m if pts.s else 0  # hf_biproj_row takes max(mults, default=0)
+    _bi_row_degree(b, tuple(cells), top, pts.degree, cfg)
+
+
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
@@ -470,12 +491,8 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     trials up; the support does not depend on them.
     """
     mults, cells = tuple(mults), tuple(cells)
-    if not cells or min(cells) < 0:
-        raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
-    deg = BiDegree(max(cells), b)
-    cfg.require_degree(deg.a + b)
-    cfg.require_degree(max(mults, default=0))
-    _require_fits(sum(binom(m + 1, 2) for m in mults), deg.cells)  # before the row exists
+    deg = _bi_row_degree(b, cells, max(mults, default=0),
+                         sum(binom(m + 1, 2) for m in mults), cfg)  # before the row exists
 
     def draw(seed):
         points = sample_support(seed, len(mults), cfg.prime)
@@ -548,7 +565,9 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
-    """Both sides of the plane-model translation, compared by oracle."""
+    """Both sides of the plane-model translation, compared by oracle; a
+    bidegree side too large is refused before the s multiplicities exist."""
+    require_uniform_row(deg.b, (deg.a,), pts, cfg)
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

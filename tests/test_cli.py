@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,35 @@ class TestReduceAndHorace:
         code = main(["horace", "--a", "3", "--b", "3", "--s", "2"])
         assert code == 2
         capsys.readouterr()
+
+
+class TestOversizedPointCount:
+    # 10^7 points of multiplicity 5 are 1.5 * 10^8 rows: the first row's
+    # matrix is refused from (s, m), before the 80 MB tuple of multiplicities
+    @pytest.mark.parametrize("argv, cols", [
+        (["hf", "--a", "8", "--b", "7", "--m", "5", "--mode", "oracle"], 72),
+        (["verify", "--m", "5", "--amax", "8", "--bmax", "7"], 9),
+        (["reduce", "--a", "8", "--b", "7", "--m", "5"], 72),
+        (["table", "--m", "5", "--amax", "8", "--bmax", "7", "--oracle-unknown"], 63),
+    ], ids=["hf", "verify", "reduce", "table"])
+    def test_refused_before_the_multiplicities(self, capsys, monkeypatch, argv, cols):
+        # the 1 GiB of physical memory the byte-identity corpus pins
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--s", "10000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        need = 40 * 150000000 * cols / 2**30
+        assert captured.err == (f"error: a 150000000 x {cols} conditions matrix needs about "
+                                f"{need:.1f} GiB to eliminate, more than the 1.0 GiB of "
+                                "physical memory\n")
 
 
 def crlf(text):

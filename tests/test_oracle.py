@@ -249,6 +249,26 @@ class TestReferenceElimination:
             assert rank_profile_mod_p(M, p) == reference_profile(M, p), M.shape
 
 
+class TestLowerFactor:
+    """The single-panel loop leaves P A = L U in place: L on and below the
+    diagonal, U unit upper triangular above it. On a square matrix that
+    takes no swap, P is the identity."""
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, LARGEST_PRIME])
+    def test_tril_times_unit_triu_is_the_input(self, p):
+        n = 12
+        dense = np.random.default_rng(p).integers(1, p, (n, n))
+        # -(J + I): every entry p-1 or p-2, leading minors (-1)^k (k+1)
+        ends = np.full((n, n), p - 1, dtype=np.int64) - np.eye(n, dtype=np.int64)
+        for A in (dense, ends):
+            M, pivots = A.copy(), []
+            assert oracle_module._eliminate_panel(M, p, 0, 0, n, pivots) == n
+            assert pivots == list(range(n))
+            L = np.tril(M).astype(object)
+            U = (np.triu(M, 1) + np.eye(n, dtype=np.int64)).astype(object)
+            assert ((L @ U - A.astype(object)) % p == 0).all()
+
+
 class TestBlockedElimination:
     """The blocked path against the single panel, forced by patching the
     private cutoff (and, for matrices under 64 columns, the panel width)."""
@@ -326,20 +346,24 @@ class TestBlockedElimination:
             assert rows * cols > oracle_module._SINGLE_PANEL_ENTRIES
 
     def test_reduce_cell_pivots_match_the_single_panel(self, monkeypatch):
-        # the plane matrix of reduce --a 25 --b 18 --m 5 --s 5, as hf_plane
-        # draws it on its first trial
-        scheme, d = reduce_to_plane(BiDegree(25, 18), UniformFatPoints(5, 5))
+        # the plane matrices of reduce --a 25 --b 18 --m 5 --s 5 and
+        # reduce --a 20 --b 20 --m 5 --s 8, as hf_plane draws them on its
+        # first trial
         seen = []
         monkeypatch.setattr("fatpoints.oracle.rank_profile_mod_p",
                             lambda M, p: seen.append(M) or rank_profile_mod_p(M, p))
-        hf_plane(d, scheme, OracleConfig(trials=1))
-        (M,) = seen
-        assert M.shape == (571, 990) and M.size > oracle_module._SINGLE_PANEL_ENTRIES
+        for a, b, s in [(25, 18, 5), (20, 20, 8)]:
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
+            hf_plane(d, scheme, OracleConfig(trials=1))
+        assert [M.shape for M in seen] == [(571, 990), (540, 861)]
         p = DEFAULT_PRIME
-        pivots = rank_profile_mod_p(M, p)
-        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", M.size)
-        assert pivots == rank_profile_mod_p(M, p)
-        assert len(pivots) == 571
+        for M in seen:
+            assert M.size > oracle_module._SINGLE_PANEL_ENTRIES
+            pivots = rank_profile_mod_p(M, p)
+            with monkeypatch.context() as single:
+                single.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", M.size)
+                assert pivots == rank_profile_mod_p(M, p)
+            assert len(pivots) == len(M)
 
     def test_large_row_reads_every_prefix(self, oracle):
         # 20 points of multiplicity 8 at (40, 40): a 720 x 1681 matrix
