@@ -27,9 +27,7 @@ from .oracle import (
     OracleConfig,
     OracleConfigError,
     check_reduction,
-    hf_biproj,
-    hf_biproj_row,
-    require_uniform_row,
+    hf_uniform_cells,
 )
 from .schemes import reduce_to_plane
 
@@ -117,9 +115,7 @@ def cmd_hf(args) -> int:
     pts = UniformFatPoints(args.s, args.m)
     hf = hf_uniform(deg, pts)
     if args.mode == "oracle" or (args.mode == "auto" and hf.value is None):
-        cfg = _oracle_config(args)
-        require_uniform_row(deg.b, (deg.a,), pts, cfg)  # before the s multiplicities exist
-        rank = hf_biproj(deg, (pts.m,) * pts.s, cfg)
+        rank = hf_uniform_cells([(deg.a, deg.b)], pts, _oracle_config(args))[deg.a, deg.b]
         hf = hf_value(rank, deg, pts, source=Source.ORACLE, known=hf.known)
     record = cell_record(deg, pts, hf)
     text = "\n".join(f"{key} = {_text_value(value)}" for key, value in record.items())
@@ -176,16 +172,12 @@ def cmd_verify(args) -> int:
     cfg = _oracle_config(args)
     grid = table_region(args.m, args.s, args.amax, args.bmax)
     pts = UniformFatPoints(args.s, args.m)
-    mismatches = []
-    checked = 0
-    for b, row in enumerate(grid):
-        closed = {a: hf.value for a, hf in enumerate(row) if hf.value is not None}
-        require_uniform_row(b, closed, pts, cfg)  # before the s multiplicities exist
-        ranks = hf_biproj_row(b, closed, (pts.m,) * pts.s, cfg)
-        for a, formula in closed.items():
-            checked += 1
-            if formula != ranks[a]:
-                mismatches.append((a, b, formula, ranks[a]))
+    closed = {(a, b): hf.value for b, row in enumerate(grid)
+              for a, hf in enumerate(row) if hf.value is not None}
+    ranks = hf_uniform_cells(closed, pts, cfg)
+    mismatches = [(a, b, formula, ranks[a, b]) for (a, b), formula in closed.items()
+                  if formula != ranks[a, b]]
+    checked = len(closed)
     if mismatches:
         for a, b, formula, oracle in mismatches:
             print(f"MISMATCH a={a} b={b}: formula {formula} != oracle {oracle}")

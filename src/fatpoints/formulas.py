@@ -23,7 +23,7 @@ from .core import (
     binom,
     hf_value,
 )
-from .oracle import OracleConfig, hf_biproj_row, require_memory, require_uniform_row
+from .oracle import OracleConfig, hf_uniform_cells, require_memory
 
 # peak bytes per cell of filling a table and printing it: by tracemalloc on
 # 30000 to 40000 cells, the grid of HFValues alone peaks at 175 bytes a cell
@@ -121,27 +121,24 @@ def table_region(
     """Grid of values, rows indexed by b from 0, columns by a from 0.
 
     Unknown cells are resolved by the rank oracle when a configuration is
-    given (tagged source=ORACLE), one oracle row per table row, and left
-    value-less otherwise. The oracle row is asked for exactly the unknown
-    cells of the table row, so its trials stop once those cells reach their
-    bounds; the values are the ones all trials would give. A table whose
-    cells would not fit in physical memory is refused with a ValueError
-    before its first row.
+    given (tagged source=ORACLE), and left value-less otherwise. The oracle
+    is asked for exactly the unknown cells, each read off the row of
+    min(a, b), so a cell and its transpose share that row's trials, which
+    stop once its cells reach their bounds; the values are the ones all
+    trials would give. A table whose cells would not fit in physical memory
+    is refused with a ValueError before its first row, and an oracle row
+    that would not fit before the first elimination.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")
     pts = UniformFatPoints(s, m)
     cells = (a_max + 1) * (b_max + 1)
     require_memory(cells * _TABLE_BYTES_PER_CELL, f"a table of {cells} cells", "to fill")
-    grid = []
-    for b in range(b_max + 1):
-        row = [hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]
-        unknown = [a for a, cell in enumerate(row) if cell.value is None]
-        if oracle is not None and unknown:
-            require_uniform_row(b, unknown, pts, oracle)  # before the s multiplicities exist
-            ranks = hf_biproj_row(b, unknown, (m,) * s, oracle)
-            for a in unknown:
-                row[a] = hf_value(ranks[a], BiDegree(a, b), pts,
-                                  source=Source.ORACLE, known=False)
-        grid.append(row)
+    grid = [[hf_uniform(BiDegree(a, b), pts) for a in range(a_max + 1)]
+            for b in range(b_max + 1)]
+    if oracle is not None:
+        unknown = [(a, b) for b, row in enumerate(grid)
+                   for a, cell in enumerate(row) if cell.value is None]
+        for (a, b), rank in hf_uniform_cells(unknown, pts, oracle).items():
+            grid[b][a] = hf_value(rank, BiDegree(a, b), pts, source=Source.ORACLE, known=False)
     return grid

@@ -14,7 +14,7 @@ scheme so the rank oracle can confirm the dimension bookkeeping.
 from dataclasses import dataclass
 
 from .core import BiDegree, binom, critical_counts
-from .oracle import DEFAULT_CONFIG, OracleConfig, hf_plane, hf_trace_line
+from .oracle import DEFAULT_CONFIG, OracleConfig, hf_plane, hf_trace_line, require_plane_fits
 from .schemes import PlaneScheme, SliceProfile
 
 
@@ -277,16 +277,22 @@ def verify_chain(a: int, b: int, s: int,
     Checks dim at a+b of the general-position scheme against the first
     residual at a+b-2 and the second at a+b-4. Rounds whose slices are all
     bottom rows are plain removals, so the specialized scheme is also
-    required to match there.
+    required to match there. The general-position matrix, the largest, is
+    refused from (a, b, s) before any scheme exists. When step 2 moves no
+    point its scheme is step 1's residual, in the same degree, so the
+    oracle's value for it is the one already taken.
     """
+    _step_params(a, b)  # an input outside the regime is refused first
+    d = a + b
+    require_plane_fits(d, ((a, 1), (b, 1), (3, s)))
     step1 = specialize_triple_step1(a, b, s)
     step2 = specialize_triple_step2(step1)
-    d = a + b
     generic = hf_plane(d, PlaneScheme(a, b, (3,) * s), oracle)
     res1 = hf_plane(d - 2, step1.residual, oracle)
     res2 = hf_plane(d - 4, step2.residual, oracle)
     spec1 = hf_plane(d, step1.scheme, oracle)
-    spec2 = hf_plane(d - 2, step2.scheme, oracle)
+    spec2 = (res1 if step2.scheme == step1.residual
+             else hf_plane(d - 2, step2.scheme, oracle))
     ok = generic == res1 == res2
     if list(step1.slices) == trace_line(step1.scheme):
         ok = ok and spec1 == res1

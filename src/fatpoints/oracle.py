@@ -14,8 +14,11 @@ Everything is deterministic: support is derived from (master seed, instance,
 trial index), so identical inputs give identical outputs in any call order.
 For the bidegree model the instance is (b, multiplicities), without a: one
 elimination per trial of the widest (a, b) matrix of a row gives the rank at
-every smaller a through its column rank profile, so a table or verify row
-costs one elimination per trial, and a single cell reads the same support.
+every smaller a through its column rank profile. Swapping the two factors
+keeps general points general, so HF(a, b) = HF(b, a), and every cell is read
+off the row of min(a, b): hf_uniform_cells groups the cells of a table, a
+verify rectangle or a single cell by that row, so a cell and its transpose
+share one elimination per trial and one support in every command.
 
 All three models share one builder, conditions_matrix: derivative conditions
 at chart points against a set of exponent columns, a box for bidegree
@@ -50,6 +53,7 @@ import math
 import os
 import random
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -434,9 +438,18 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) ->
     # partials of order above d vanish on degree-d forms
     profiles = [fat_profile(min(m, d + 1)) for m in mults]
     profiles += [pr.widths for pr in scheme.on_line]
-    _require_fits(sum(map(sum, profiles)), binom(d + 2, 2))  # before the columns exist
     j, k = np.triu_indices(d + 1)
     return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
+
+
+def require_plane_fits(d: int, points, line_rows: int = 0):
+    """Refuse with a ValueError a degree-d plane conditions matrix that would
+    not fit in physical memory, from its fat points as (multiplicity, count)
+    pairs and the rows of its on-line points, before any scheme or support
+    exists."""
+    # partials of order above d vanish on degree-d forms, as in the builder
+    rows = line_rows + sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
+    _require_fits(rows, binom(d + 2, 2))
 
 
 def _max_ranks(tags, draw, cuts, cfg: OracleConfig) -> dict[int, int]:
@@ -473,10 +486,10 @@ def _bi_row_degree(b: int, cells: tuple, top: int, rows: int, cfg: OracleConfig)
     return deg
 
 
-def require_uniform_row(b: int, cells, pts: UniformFatPoints, cfg: OracleConfig):
+def _require_uniform_row(b: int, cells, pts: UniformFatPoints, cfg: OracleConfig):
     """Raise what hf_biproj_row(b, cells, (pts.m,) * pts.s, cfg) raises
-    before its first trial, from (s, m) alone: a caller checks the row
-    first and builds the s multiplicities only for a row that passes."""
+    before its first trial, from (s, m) alone, so that the s multiplicities
+    are built only once every row has passed."""
     top = pts.m if pts.s else 0  # hf_biproj_row takes max(mults, default=0)
     _bi_row_degree(b, tuple(cells), top, pts.degree, cfg)
 
@@ -502,14 +515,39 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     return {a: ranks[(a + 1) * (b + 1)] for a in cells}
 
 
+def hf_uniform_cells(cells, pts: UniformFatPoints,
+                     cfg: OracleConfig = DEFAULT_CONFIG) -> dict[tuple[int, int], int]:
+    """Generic Hilbert-function values of s general m-fold points at each
+    bidegree (a, b) in cells, keyed by (a, b).
+
+    HF(a, b) = HF(b, a), so each cell is read off the row of min(a, b) at
+    max(a, b): one hf_biproj_row call per row, asked for the cells of both
+    orientations at once. Every row is checked from (s, m) before the s
+    multiplicities exist and before the first elimination.
+    """
+    normal = {(a, b): BiDegree(a, b).normalized for a, b in cells}
+    rows = {}
+    for deg in normal.values():
+        rows.setdefault(deg.b, set()).add(deg.a)
+    rows = {b: sorted(rows[b]) for b in sorted(rows)}
+    for b, row in rows.items():
+        _require_uniform_row(b, row, pts, cfg)
+    if not rows:
+        return {}
+    mults = (pts.m,) * pts.s
+    ranks = {b: hf_biproj_row(b, row, mults, cfg) for b, row in rows.items()}
+    return {cell: ranks[deg.b][deg.a] for cell, deg in normal.items()}
+
+
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Generic Hilbert-function value at `deg` for the given multiplicities.
 
     Max over trials of the conditions-matrix rank; the value plus the ideal
-    piece's dimension is (a+1)(b+1). Read off the row of `deg.b` with this
-    one cell, on the row's support, so a single cell and a table row agree
+    piece's dimension is (a+1)(b+1). Read off the row of min(a, b) with this
+    one cell, on the row's support, so (a, b), (b, a) and a table row agree
     bit for bit.
     """
+    deg = deg.normalized
     return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
 
 
@@ -520,6 +558,8 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
     n_gen, n_line = len(scheme.general), len(scheme.on_line)
+    require_plane_fits(d, Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items(),
+                       sum(pr.degree for pr in scheme.on_line))  # before the first draw
 
     def draw(seed):
         rng = random.Random(seed)
@@ -567,7 +607,8 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
     """Both sides of the plane-model translation, compared by oracle; a
     bidegree side too large is refused before the s multiplicities exist."""
-    require_uniform_row(deg.b, (deg.a,), pts, cfg)
+    row = deg.normalized
+    _require_uniform_row(row.b, (row.a,), pts, cfg)
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

@@ -83,7 +83,7 @@ class TestHf:
         def disagree(*args):
             raise ArithmeticError("univariate rank disagrees with the count")
 
-        monkeypatch.setattr("fatpoints.cli.hf_biproj", disagree)
+        monkeypatch.setattr("fatpoints.cli.hf_uniform_cells", disagree)
         code = main(["hf", "--a", "3", "--b", "2", "--m", "2", "--s", "2", "--mode", "oracle"])
         assert code == 1
         captured = capsys.readouterr()
@@ -230,7 +230,7 @@ class TestVerify:
                 ranks[next(iter(ranks))] += 1
             return ranks
 
-        monkeypatch.setattr("fatpoints.cli.hf_biproj_row", one_off)
+        monkeypatch.setattr("fatpoints.oracle.hf_biproj_row", one_off)
         code, out = run(capsys, "verify", "--m", "3", "--s", "2", "--amax", "4",
                         "--bmax", "4", "--trials", "1")
         assert code == 1
@@ -242,6 +242,64 @@ class TestVerify:
                         "--bmax", "5")
         assert code == 0
         assert "102/102 cells confirmed" in out
+
+
+def row_off_by_one(row):
+    """hf_biproj_row with every rank of row `row` one too low."""
+    def patched(b, cells, mults, cfg):
+        return {a: rank - (b == row) for a, rank in hf_biproj_row(b, cells, mults, cfg).items()}
+    return patched
+
+
+class TestTransposedCells:
+    """Every command reads (a, b) and (b, a) off the row of min(a, b), so they
+    get the same value on every seed."""
+
+    SEEDS = ["0", "1", "2", "3"]
+
+    @staticmethod
+    def table(capsys, *oracle):
+        code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", "11", "--bmax",
+                        "11", "--oracle-unknown", "--format", "csv", *oracle)
+        assert code == 0
+        return {(int(a), int(b)): int(value)
+                for a, b, value, _ in list(csv.reader(io.StringIO(out)))[1:]}
+
+    @staticmethod
+    def hf(capsys, a, b, *oracle):
+        code, out = run(capsys, "hf", "--a", str(a), "--b", str(b), "--m", "5", "--s", "5",
+                        "--mode", "oracle", "--format", "json", *oracle)
+        assert code == 0
+        return json.loads(out)["value"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hf_and_table(self, capsys, seed):
+        oracle = ["--trials", "1", "--seed", seed]
+        table = self.table(capsys, *oracle)
+        assert all(table[a, b] == table[b, a] for a, b in table)
+        for a, b in [(6, 9), (9, 6), (7, 8), (8, 7), (11, 6)]:
+            assert self.hf(capsys, a, b, *oracle) == table[a, b]
+
+    def test_hf_and_table_read_the_row_of_the_smaller_degree(self, capsys, monkeypatch):
+        table = self.table(capsys, "--trials", "1")
+        monkeypatch.setattr("fatpoints.oracle.hf_biproj_row", row_off_by_one(6))
+        off = self.table(capsys, "--trials", "1")
+        assert {cell for cell in table if off[cell] != table[cell]} == {
+            (a, b) for a in range(6, 12) for b in range(6, 12) if min(a, b) == 6}
+        for a, b in [(9, 6), (6, 9)]:
+            assert self.hf(capsys, a, b, "--trials", "1") == table[a, b] - 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_verify(self, capsys, monkeypatch, seed):
+        # every cell read off row 2 disagrees, in both orientations
+        monkeypatch.setattr("fatpoints.oracle.hf_biproj_row", row_off_by_one(2))
+        code, out = run(capsys, "verify", "--m", "3", "--s", "2", "--amax", "4", "--bmax",
+                        "4", "--trials", "1", "--seed", seed)
+        assert code == 1
+        mismatched = {tuple(int(word[2:].rstrip(":")) for word in line.split()[1:3])
+                      for line in out.splitlines() if line.startswith("MISMATCH")}
+        assert mismatched == {(2, 2), (3, 2), (4, 2), (2, 3), (2, 4)}
+        assert out.endswith("\n20/25 cells confirmed, 5 mismatches\n")
 
 
 class TestDefects:
@@ -351,6 +409,25 @@ class TestOversizedPointCount:
         assert captured.err == (f"error: a 150000000 x {cols} conditions matrix needs about "
                                 f"{need:.1f} GiB to eliminate, more than the 1.0 GiB of "
                                 "physical memory\n")
+
+    def test_horace_refused_before_any_scheme(self, capsys, monkeypatch):
+        # the general-position plane matrix: 6 rows a triple point and the
+        # corners' 36 and 28, against the C(17, 2) forms of degree 15; the s
+        # points of the schemes and their support are never made
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            code = main(["horace", "--a", "8", "--b", "7", "--s", "100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a 600064 x 136 conditions matrix needs about 3.0 GiB "
+                                "to eliminate, more than the 1.0 GiB of physical memory\n")
 
 
 def crlf(text):

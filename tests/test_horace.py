@@ -16,6 +16,7 @@ from fatpoints.horace import (
     trace_line,
     verify_chain,
 )
+from fatpoints.oracle import hf_plane
 from fatpoints.schemes import PlaneScheme, SliceProfile
 
 
@@ -255,6 +256,29 @@ class TestChain:
         # the first round takes a higher slice there, so the honestly
         # specialized scheme sits strictly above the carried dimension
         assert report.specialized1_dim > report.residual1_dim
+
+    def test_step2_reuses_the_residual_only_when_it_moves_no_point(self, fast_oracle,
+                                                                   monkeypatch):
+        # step 2 moves one more point when a+b = 1, 3 or 4 mod 5; otherwise its
+        # scheme is step 1's residual in the same degree, and its value is
+        # the one already taken
+        calls = []
+
+        def counted(d, scheme, cfg):
+            calls.append((d, scheme))
+            return hf_plane(d, scheme, cfg)
+
+        monkeypatch.setattr("fatpoints.horace.hf_plane", counted)
+        for total in range(10, 15):
+            a, b = total - 4, 4
+            calls.clear()
+            report = verify_chain(a, b, (a + 1) * (b + 1) // 6, fast_oracle)
+            moved = total % 5 in (1, 3, 4)
+            assert (report.step2.scheme != report.step1.residual) == moved
+            assert len(calls) == 4 + moved
+            assert len(set(calls)) == len(calls)
+            assert report.specialized2_dim == hf_plane(total - 2, report.step2.scheme,
+                                                       fast_oracle)
 
     def test_empty_side(self, fast_oracle):
         report = verify_chain(6, 4, 7, fast_oracle)

@@ -515,6 +515,21 @@ class TestSizeGuard:
                 tracemalloc.stop()
             assert peak < 2**20
 
+    def test_plane_refused_before_its_support(self, monkeypatch):
+        # the 1 GiB the byte-identity corpus pins refuses 10^5 triple points
+        # in degree 15 before a coordinate of them is drawn
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        scheme = PlaneScheme(8, 7, (3,) * 100000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^a 600064 x 136 conditions matrix"):
+                hf_plane(15, scheme, OracleConfig(trials=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_compares_with_physical_memory(self, monkeypatch):
         p = 2**31 - 1
         columns = (np.arange(4)[:, None], np.arange(4))
@@ -686,16 +701,44 @@ class TestEarlyStop:
 
     def test_golden_table_rows(self, oracle, eliminations):
         grid = table_region(5, 5, 25, 18, oracle)
-        # 7 of the 13 oracle rows certify every unknown cell on trial 1
-        assert len(eliminations) == 7 + 6 * oracle.trials
+        # cell (a, b) is read off row min(a, b): 11 of the 13 oracle rows
+        # certify every cell of both orientations on trial 1, and rows 6 and
+        # 7 hold the defective cells (9, 6), (10, 6), (11, 6), (8, 7), (9, 7)
+        assert len(eliminations) == 11 + 2 * oracle.trials
+        rows = {r: all_trials_row(25, r, [5] * 5, oracle) for r in range(6, 19)}
         resolved = 0
         for b, cells in enumerate(grid):
-            expected = all_trials_row(25, b, [5] * 5, oracle)
             for a, hf in enumerate(cells):
                 if hf.source is Source.ORACLE:
-                    assert hf.value == expected[a], (a, b)
+                    assert hf.value == rows[min(a, b)][max(a, b)], (a, b)
                     resolved += 1
         assert resolved == 13 * 20
+
+    def test_transposed_cell_eliminates_the_same_matrices(self, oracle, monkeypatch):
+        drawn = []
+        kernel = oracle_module.rank_profile_mod_p
+
+        def kept(M, p):
+            drawn.append(M.copy())
+            return kernel(M, p)
+
+        monkeypatch.setattr(oracle_module, "rank_profile_mod_p", kept)
+        # a defective cell, so every trial runs
+        assert hf_biproj(BiDegree(6, 9), [5] * 5, oracle) == 69
+        first, drawn[:] = drawn[:], []
+        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        assert len(first) == len(drawn) == oracle.trials
+        assert all(np.array_equal(M, N) for M, N in zip(first, drawn))
+
+    def test_every_row_is_checked_before_the_first_elimination(self, oracle, eliminations,
+                                                                monkeypatch):
+        # 1 MiB of physical memory holds the table and the 75-row matrices up
+        # to row 12, 75 x 26 * 13; row 13 is refused before row 6 runs
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="^a 75 x 364 conditions matrix needs"):
+            table_region(5, 5, 25, 18, oracle)
+        assert eliminations == []
 
     def test_criterion_6_chain(self, oracle):
         a, b, s = 6, 4, 6
