@@ -1,0 +1,58 @@
+"""Pivot corpus: every rank_profile_mod_p call that three commands make at
+seed 0, recorded in tests/data/kernel_pivots.json in call order with its
+shape, its rank and the SHA-256 of its pivot list.
+
+The commands are the golden table, two plane reductions whose matrices take
+the blocked path, and the 720 x 1681 large cell. A change to the kernel that
+is meant to leave every pivot alone must pass this unchanged; a change that
+moves a pivot changes the program's answers. `PYTHONPATH=src python
+tests/test_kernel_pivots.py` prints the record, to write the file from.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
+
+from fatpoints import oracle
+from test_corpus import replay
+
+PIVOTS = Path(__file__).parent / "data" / "kernel_pivots.json"
+COMMANDS = [
+    ["table", "--m", "5", "--s", "5", "--amax", "25", "--bmax", "18",
+     "--oracle-unknown", "--seed", "0"],
+    ["reduce", "--a", "25", "--b", "18", "--m", "5", "--s", "5", "--seed", "0"],
+    ["reduce", "--a", "20", "--b", "20", "--m", "5", "--s", "8", "--seed", "0"],
+    ["hf", "--a", "40", "--b", "40", "--m", "8", "--s", "20", "--seed", "0"],
+]
+
+
+def record_calls(argv) -> list[dict]:
+    """Run one command in process and describe each of its eliminations."""
+    calls = []
+    kernel = oracle.rank_profile_mod_p
+
+    def recording(matrix, p):
+        pivots = kernel(matrix, p)
+        calls.append({"shape": list(matrix.shape), "rank": len(pivots),
+                      "sha256": hashlib.sha256(json.dumps(pivots).encode()).hexdigest()})
+        return pivots
+
+    with mock.patch("fatpoints.oracle.rank_profile_mod_p", recording):
+        assert replay(argv)["exit"] == 0, argv
+    return calls
+
+
+def record() -> list[dict]:
+    return [{"argv": argv, "calls": record_calls(argv)} for argv in COMMANDS]
+
+
+def test_every_pivot_list_is_unchanged():
+    expected = json.loads(PIVOTS.read_text())
+    assert [entry["argv"] for entry in expected] == COMMANDS
+    for entry in expected:
+        assert record_calls(entry["argv"]) == entry["calls"], entry["argv"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(record(), indent=1))
