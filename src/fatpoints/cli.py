@@ -94,10 +94,15 @@ def _print_csv(header: list[str], rows):
 def _emit(fmt: str, records, text: str = "", single: bool = False):
     """Print the cell records as a JSON list (one object if `single`) or as
     CSV rows under CSV_HEADER, or print `text`; records are only consumed
-    by the format that prints them."""
-    if fmt == "json":
-        records = list(records)
-        print(json.dumps(records[0] if single else records))
+    by the format that prints them, one at a time."""
+    if fmt == "json" and single:
+        print(json.dumps(next(iter(records))))
+    elif fmt == "json":
+        # the bytes of json.dumps(list(records)), without the list
+        sys.stdout.write("[")
+        for i, record in enumerate(records):
+            sys.stdout.write((", " if i else "") + json.dumps(record))
+        print("]")
     elif fmt == "csv":
         _print_csv(CSV_HEADER, ([record[key] for key in CSV_HEADER] for record in records))
     else:

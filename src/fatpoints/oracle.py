@@ -33,19 +33,23 @@ general points to them; no dimension changes. A matrix whose elimination
 would not fit in physical memory is refused with a ValueError before it is
 allocated.
 
-rank_profile_mod_p is the one elimination kernel. A matrix of at most 2^18
-entries is eliminated by the scalar int64 loop alone, as one panel. The
-loop keeps each multiplier in the entry it clears and each pivot where it
-is, so it leaves the lower factor L of P A = L U in place. A larger matrix
-goes in panels of 64 columns, each factored by that same loop; the rows
-below a panel's pivots then take their Schur complement in the columns to
-the right as float64 BLAS matmuls, in chunks of 128 columns, with the
-multipliers L21 L11^-1 read off the panel's L and one more run of the loop
-for L11^-1. The matmuls stay exact: one factor is split into 16-bit limbs,
-so every partial sum is below k (p-1) (2^16-1) < 2^53 for the panel width
-k, which is 64 for p <= 2147516417 and 63 at the largest prime
-OracleConfig accepts. The pivots are those of the single panel, bit for
-bit.
+rank_profile_mod_p is the one elimination kernel, and it is left-looking:
+a column is updated only once the elimination reaches it, and the
+elimination stops when the rank reaches the rows. Its one loop, on scalar
+int64 rows, keeps each multiplier in the entry it clears and each pivot
+where it is, so it leaves the lower factor L of P A = L U in place. A matrix
+of at most 2^18 entries starts with that loop over rows + 64 columns, which
+hold every column of verify's and the Horace chains' matrices and every
+pivot of the golden table's; a larger matrix starts with 64 columns. Either
+goes on in panels of 64. After a panel, the rows below its pivots keep the
+multipliers L21 L11^-1 in its pivot columns, with L11^-1 from one more run
+of the loop, and each later panel is caught up from every earlier one by
+float64 BLAS matmuls, in the rows whose multiplier row is nonzero only. The
+matmuls stay exact: one factor is split into 16-bit limbs, so every partial
+sum is below k (p-1) (2^16-1) < 2^53 for an inner dimension k of at most
+the panel width, which is 64 for p <= 2147516417 and 63 at the largest
+prime OracleConfig accepts. The pivots are those of one pass of the loop
+over every column, bit for bit.
 """
 
 import hashlib
@@ -186,23 +190,19 @@ def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
     return out
 
 
-# A matrix of at most this many entries is a single panel, the scalar loop
-# alone. On one BLAS thread, single panel against blocked, when the blocked
-# path inverted the whole panel: the plane matrices of reduce cells ran
-# faster on the single panel up to 464x780 (2^18.5 entries) and faster
-# blocked from 471x780 up, while dense random matrices, with no zero for the
-# loop to skip, crossed near 210x294 (2^15.9). The cutoff sits between, so
-# the golden table (75x494), verify (210x42) and the Horace chains (125x120)
-# keep the single panel and the plane reductions (540x861, 571x990) go
-# blocked. Inverting only L11 moved both crossovers down (399x666, 2^18.0:
-# 41 ms blocked vs 48; dense 210x294: 20 vs 26 ms), while 75x494 still runs
-# faster as one panel (3.4 vs 4.0 ms).
+# A matrix of at most this many entries starts with a first panel of
+# rows + _panel_width(p) columns, a larger one with _panel_width(p). On one
+# BLAS thread, left-looking, that first panel against panels of 64 from the
+# start: the golden table's 75x494 (2^15.2 entries) takes 2.2 against 3.8 ms
+# and the widest Horace chain matrix, 125x120, 4.0 against 5.8 ms, while
+# panels win on the plane matrices of reduce cells, 399x666 (2^18.0) in 29
+# against 31 ms and 571x990 in 50 against 56 ms, and on a dense random
+# 210x294 (2^15.9), 17 against 24 ms. So the plane crossover lies near 2^18
+# and the dense one below 2^15.9. No workload matrix lies between 2^15.2 and
+# 2^18.8 entries, so any cutoff there routes them alike: the golden table,
+# verify (at most 210x42) and the Horace chains take the first panel, the
+# plane reductions (540x861, 571x990) and the large cell go in panels.
 _SINGLE_PANEL_ENTRIES = 1 << 18
-# columns per chunk of the trailing update: 64 to 512 timed alike at 540x861,
-# 571x990 and 720x1681, and the update's float64 buffer holds rows x
-# _CHUNK_COLS entries, so a narrow chunk keeps the peak down (2.35 times the
-# matrix at 571x990, against 2.47 at 256)
-_CHUNK_COLS = 128
 
 
 def _panel_width(p: int) -> int:
@@ -218,8 +218,8 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list) -> in
     """Gaussian elimination over Z/p of columns c0..c1-1 of M from row
     `rank`, leaving the lower factor in place.
 
-    The one elimination loop: all of a single-panel matrix, each panel of a
-    larger one, and [L11 | I] to [L11 | L11^-1] after each such panel. Each
+    The one elimination loop: every panel of rank_profile_mod_p, and
+    [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers. Each
     pivot is the first nonzero entry at or below row `rank`, and its whole
     row is swapped up. The pivot keeps its value and the rest of its row, up
     to c1, is scaled by the pivot's inverse. Each row below keeps its entry
@@ -261,25 +261,29 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list) -> in
 
 
 def _sub_mul_mod_p(C, A, B, p: int):
-    """C = (C - A @ B) mod p in place, _CHUNK_COLS columns at a time.
+    """C = (C - A @ B) mod p in place.
 
-    C, A and B hold residues in [0, p) and the inner dimension of A @ B is
-    at most _panel_width(p). With B = 2^16 B1 + B0 split into 16-bit limbs,
-    A @ B is congruent to A @ B0 + (2^16 A mod p) @ B1. Both float64 matmuls
-    are exact; one float64 buffer takes each in turn, and C, subtracted from
-    as int64, stays above -2^54 until the remainder.
+    C, A and B hold residues in [0, p). With B = 2^16 B1 + B0 split into
+    16-bit limbs, A @ B is congruent to A @ B0 + (2^16 A mod p) @ B1. Both
+    float64 matmuls are exact over an inner dimension of at most
+    _panel_width(p), so a wider one goes in slices of that width. One float64
+    buffer takes each product in turn, and C, subtracted from as int64, loses
+    less than 2^54 a slice before the remainder: exact for up to 511 slices.
+    rank_profile_mod_p needs at most 8: a first panel that leaves columns to
+    later ones lies in a matrix of at most 2^18 entries and more than
+    rows + 63 columns, so it has at most 480 rows and as many pivots.
     """
+    k = _panel_width(p)
     lo = A.astype(np.float64)
     hi = ((A << 16) % p).astype(np.float64)
-    product = np.empty((len(A), min(_CHUNK_COLS, C.shape[1])))
-    for j0 in range(0, C.shape[1], _CHUNK_COLS):
-        b, c = B[:, j0 : j0 + _CHUNK_COLS], C[:, j0 : j0 + _CHUNK_COLS]
-        out = product[:, : c.shape[1]]
-        np.matmul(lo, (b & 0xFFFF).astype(np.float64), out=out)
-        np.subtract(c, out, out=c, dtype=np.int64, casting="unsafe")
-        np.matmul(hi, (b >> 16).astype(np.float64), out=out)
-        np.subtract(c, out, out=c, dtype=np.int64, casting="unsafe")
-        np.remainder(c, p, out=c)
+    out = np.empty(C.shape)
+    for i in range(0, len(B), k):
+        b = B[i : i + k]
+        np.matmul(lo[:, i : i + k], (b & 0xFFFF).astype(np.float64), out=out)
+        np.subtract(C, out, out=C, dtype=np.int64, casting="unsafe")
+        np.matmul(hi[:, i : i + k], (b >> 16).astype(np.float64), out=out)
+        np.subtract(C, out, out=C, dtype=np.int64, casting="unsafe")
+    np.remainder(C, p, out=C)
 
 
 def rank_profile_mod_p(matrix, p: int) -> list[int]:
@@ -289,44 +293,61 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     They are the lexicographically first independent columns, so the rank
     of the first k columns is the number of pivots below k.
 
-    A matrix of at most _SINGLE_PANEL_ENTRIES entries is one panel. A larger
-    one is eliminated in panels of _panel_width(p) columns. After a panel
-    with k pivots, the rows below them take the Schur complement
-    A22 - A21 A11^-1 A12 in the columns to its right, by BLAS, where A11 and
-    A21 are the pivot and lower rows of the panel's pivot columns, after its
-    swaps, and A12 is the pivot rows to the right. The panel left L11 U11
-    and L21 U11 there, so A21 A11^-1 = L21 L11^-1, and one swap-free run of
-    the loop on [L11 | I] gives L11^-1. The complement holds exactly the
-    values a single panel leaves in those rows, so every later pivot is the
-    same.
+    The elimination is left-looking: a column is touched only once the
+    elimination reaches it, and it stops at rank == rows. A matrix of at most
+    _SINGLE_PANEL_ENTRIES entries takes the loop over a first panel of
+    rows + _panel_width(p) columns, enough for rank == rows unless more than
+    _panel_width(p) of them are dependent; a larger one starts with a panel
+    of _panel_width(p) columns. Either goes on in panels of _panel_width(p)
+    columns. After a panel with pivot columns q and pivot rows top..rank-1,
+    the rows below hold L21 in q, and A21 A11^-1 = L21 L11^-1, with L11^-1
+    from one swap-free run of the loop on [L11 | I]; that multiplier
+    replaces L21 in place, so later whole-row swaps carry it. Each new
+    panel's columns are caught up from every earlier panel, oldest first, to
+    A22 - A21 A11^-1 A12 by BLAS, A12 being the earlier pivot rows in the
+    panel's columns. Only the rows whose L21 row is nonzero take part, and a
+    panel with none adds no update. The panel then holds exactly the values
+    one pass of the loop over every column leaves there, so every pivot is
+    the same.
     """
-    M = np.asarray(matrix, dtype=np.int64)
+    M = np.array(matrix, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if M.size == 0:
         return []
-    M = M % p
+    if M.view(np.uint64).max() >= p:  # a negative entry reads as 2^63 or more
+        M %= p
     rows, cols = M.shape
+    width = _panel_width(p)
+    c1 = min(cols, rows + width if M.size <= _SINGLE_PANEL_ENTRIES else width)
     pivots = []
-    width = cols if M.size <= _SINGLE_PANEL_ENTRIES else _panel_width(p)
-    rank = 0
-    for c0 in range(0, cols, width):
-        c1 = min(c0 + width, cols)
+    rank = _eliminate_panel(M, p, 0, 0, c1, pivots)
+    top, earlier = 0, []
+    while rank < rows and c1 < cols:
+        q, k = pivots[top:], rank - top
+        L21 = M[rank:, q]
+        live = L21.any(axis=1).nonzero()[0]
+        if live.size:
+            # L11 has a nonzero diagonal, so the loop takes its rows in order
+            inverse = np.concatenate([np.tril(M[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
+            _eliminate_panel(inverse, p, 0, 0, 2 * k, [])
+            # 0 - L21 (-L11^-1) = L21 L11^-1
+            mult = np.zeros((live.size, k), dtype=np.int64)
+            _sub_mul_mod_p(mult, L21[live], -inverse[:, k:] % p, p)
+            L21[live] = mult
+            M[rank:, q] = L21
+            earlier.append((top, rank, q))
+        c0, c1 = c1, min(c1 + width, cols)
+        # oldest first: an earlier panel's pivot rows, its A12, lie below
+        # every panel before it and take their catch-ups first
+        for t, b, q in earlier:
+            mult = M[b:, q]
+            live = mult.any(axis=1).nonzero()[0]
+            block = M[b + live, c0:c1]
+            _sub_mul_mod_p(block, mult[live], M[t:b, c0:c1], p)
+            M[b + live, c0:c1] = block
         top = rank
-        rank = _eliminate_panel(M, p, top, c0, c1, pivots)
-        if rank == rows or c1 == cols:
-            break
-        if rank == top:
-            continue
-        k = rank - top
-        q = pivots[-k:]
-        # L11 has a nonzero diagonal, so the loop takes its rows in order
-        inverse = np.concatenate([np.tril(M[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
-        _eliminate_panel(inverse, p, 0, 0, 2 * k, [])
-        # 0 - L21 (-L11^-1) = L21 L11^-1
-        mult = np.zeros((rows - rank, k), dtype=np.int64)
-        _sub_mul_mod_p(mult, M[rank:, q], -inverse[:, k:] % p, p)
-        _sub_mul_mod_p(M[rank:, c1:], mult, M[top:rank, c1:], p)
+        rank = _eliminate_panel(M, p, rank, c0, c1, pivots)
     return pivots
 
 
@@ -336,12 +357,14 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 # peak bytes of build plus elimination per matrix entry: by tracemalloc, the
-# int64 matrix, its reduced copy and the update temporaries came to 3.0 and
-# 3.8 times the matrix on the single panel (75x494, 240x169) and 2.35, 2.40
-# and 2.20 times on the blocked path (571x990, 540x861, 720x1681), so five
-# matrices cover both. The build alone peaks at 1.03 to 1.7 times the
-# matrix, the most on the smallest, where numpy's fixed iteration buffers
-# (about 0.2 MB) weigh most.
+# int64 matrix, the kernel's copy and the loop's temporaries come to 3.8
+# times the matrix at 240x169, whose first panel is every column, and 2.3
+# at 75x494, whose first panel is 139 of them; with panels, the copy and a
+# panel's catch-up buffers come to 2.2 to 2.3 times (720x1681, 571x990,
+# 540x861, 399x666, 300x961). Five matrices cover both, and leave room for
+# the build alone, which peaks at 1.03 to 1.7 times the matrix, the most
+# on the smallest, where numpy's fixed iteration buffers (about 0.2 MB)
+# weigh most.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 

@@ -163,6 +163,30 @@ class TestTable:
         cell = next(r for r in records if (r["a"], r["b"]) == (5, 4))
         assert cell["value"] == 29 and cell["defective"]
         assert list(cell.keys()) == JSON_KEYS
+        assert out == json.dumps(records) + "\n"
+
+    def test_json_with_no_record_is_an_empty_list(self, capsys):
+        code, out = run(capsys, "defects", "--m", "1", "--s", "1", "--amax", "3",
+                        "--bmax", "3", "--format", "json")
+        assert code == 0
+        assert out == "[]\n"
+
+    def test_json_is_printed_one_record_at_a_time(self, monkeypatch):
+        # 30000 cells at closed forms: the grid of HFValues peaks at about
+        # 175 bytes a cell, and a list of every record's dict with its JSON
+        # text would take the peak to about 980
+        argv = ["table", "--m", "2", "--s", "4", "--amax", "199", "--bmax", "149",
+                "--format", "json"]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            assert main(argv) == 0  # warm up imports and caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 400 * 30000
 
     def test_oracle_unknown_marks_cells(self, capsys):
         code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", "8",

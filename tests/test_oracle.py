@@ -234,19 +234,67 @@ def extreme_matrices(p):
     return [full, worst, dense] + ends
 
 
-class TestReferenceElimination:
-    """The kernel against plain Python-int elimination, on the single panel
-    and on the blocked path forced with cutoff 0 and panel width 3."""
+def continued_matrices(p):
+    """Wide matrices whose first rows + 3 columns leave the rank short of the
+    rows after more than 3 pivots, at the ends of [0, p) and random, one
+    with zero rows."""
+    rng = np.random.default_rng(p)
+    short = np.concatenate([low_rank(rng, 10, 13, 7, p), rng.integers(0, p, (10, 20))], axis=1)
+    ends = (rng.random((9, 30)) < 0.5) * (p - 1)
+    ends[:, 4:12] = ends[:, [0, 1, 2, 3, 3, 2, 1, 0]]  # at most 4 pivots in 0..11
+    ends[:, 12:16] = 0
+    holes = short.copy()
+    holes[[0, 4, 5]] = 0
+    return [short, ends, holes]
 
-    @pytest.mark.parametrize("path", ["single_panel", "blocked"])
+
+def unreduced_matrices(p):
+    """Matrices with negative entries and entries of p or more, of rank 7
+    and 30; the second is wider than a panel."""
+    rng = np.random.default_rng(p)
+    small = rng.integers(-3 * p, 3 * p, (8, 11))
+    small[0, :3] = [-1, p, -p]
+    small[1] = small[2] - 5 * p  # congruent rows: the rank stays below 8
+    wide = low_rank(rng, 40, 200, 30, p) + p * rng.integers(-2, 3, (40, 200))
+    wide[:, 100:150] = -wide[:, :50]
+    return [small, wide]
+
+
+class TestReferenceElimination:
+    """The kernel against plain Python-int elimination, on the single panel,
+    on the blocked path forced with cutoff 0 and panel width 3, and on the
+    single panel going on in panels, forced with panel width 3: a first panel
+    of rows + 3 columns, whose pivots outnumber the panel width in the
+    matrices of continued_matrices."""
+
+    @pytest.mark.parametrize("path", ["single_panel", "blocked", "continued"])
     @pytest.mark.parametrize("p", [DEFAULT_PRIME, ALT_PRIME, LARGEST_PRIME])
     def test_matches_python_int_elimination(self, p, path, monkeypatch):
         matrices = structured_matrices(random.Random(p), p) + extreme_matrices(p)
+        inner = []
         if path == "blocked":
             monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", 0)
+        if path != "single_panel":
             monkeypatch.setattr("fatpoints.oracle._panel_width", lambda p: 3)
+            monkeypatch.setattr("fatpoints.oracle._sub_mul_mod_p",
+                                lambda C, A, B, p: inner.append(len(B)) or _sub_mul_mod_p(C, A, B, p))
+            matrices += continued_matrices(p)
         for M in matrices:
             assert rank_profile_mod_p(M, p) == reference_profile(M, p), M.shape
+        if path == "continued":
+            assert max(inner) > 3  # a first panel's multiplier and catch-ups in slices
+
+    @pytest.mark.parametrize("cutoff", [None, 0], ids=["single_panel", "blocked"])
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, LARGEST_PRIME])
+    def test_reduces_entries_outside_the_field(self, p, cutoff, monkeypatch):
+        if cutoff is not None:
+            monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", cutoff)
+        for M, rank in zip(unreduced_matrices(p), (7, 30)):
+            before = M.copy()
+            pivots = rank_profile_mod_p(M, p)
+            assert (M == before).all()
+            assert pivots == reference_profile(M, p), M.shape
+            assert len(pivots) == rank
 
 
 class TestLowerFactor:
@@ -278,11 +326,13 @@ class TestBlockedElimination:
         k = _panel_width(p)
         assert k == (64 if p == DEFAULT_PRIME else 63)
         # from C = 0 both limb products take C to its least value before the
-        # remainder; 300 columns make three chunks
-        worst = np.full((5, k), p - 1, dtype=np.int64)
-        C = np.zeros((5, 300), dtype=np.int64)
-        _sub_mul_mod_p(C, worst, np.full((k, 300), p - 1, dtype=np.int64), p)
-        assert (C == -k * (p - 1) ** 2 % p).all()
+        # remainder; an inner dimension of 2k + 1 goes in three slices, each
+        # taking C lower still
+        for inner in (k, 2 * k + 1):
+            worst = np.full((5, inner), p - 1, dtype=np.int64)
+            C = np.zeros((5, 300), dtype=np.int64)
+            _sub_mul_mod_p(C, worst, np.full((inner, 300), p - 1, dtype=np.int64), p)
+            assert (C == -inner * (p - 1) ** 2 % p).all()
         rng = np.random.default_rng(p)
         A, B = rng.integers(0, p, (9, k)), rng.integers(0, p, (k, 300))
         C = rng.integers(0, p, (9, 300))
@@ -372,6 +422,89 @@ class TestBlockedElimination:
         pts = UniformFatPoints(20, 8)
         for a in range(9):  # min(a, b) <= m has a closed form
             assert row[a] == hf_uniform(BiDegree(a, 40), pts).value, a
+
+
+def first_column(view) -> int:
+    """The column of its base matrix at which a two-dimensional view starts."""
+    base = view.base
+    return (view.ctypes.data - base.ctypes.data) // base.itemsize % base.shape[1]
+
+
+class TestLeftLooking:
+    """The elimination updates a column only when it reaches it, and only
+    the rows whose multiplier row is nonzero."""
+
+    @staticmethod
+    def record_updates(monkeypatch) -> list:
+        """Patch _sub_mul_mod_p to record, for each call that catches a panel
+        up, the columns of the kernel's matrix it writes: those of A12, a view
+        of that matrix. A multiplier's call, whose B is L11^-1, records None."""
+        calls = []
+
+        def recording(C, A, B, p):
+            if B.base is None:
+                calls.append(None)
+            else:
+                start = first_column(B)
+                calls.append(range(start, start + B.shape[1]))
+            _sub_mul_mod_p(C, A, B, p)
+
+        monkeypatch.setattr("fatpoints.oracle._sub_mul_mod_p", recording)
+        return calls
+
+    def test_no_column_past_the_last_pivot_panel(self, monkeypatch):
+        p = DEFAULT_PRIME
+        mults = (8,) * 20
+        points = sample_support(derive_seed(0, "bi", 40, mults, 0), 20, p)
+        M = bi_conditions_matrix(BiDegree(40, 40), mults, points, p)
+        assert M.shape == (720, 1681)
+        calls = self.record_updates(monkeypatch)
+        pivots = rank_profile_mod_p(M, p)
+        assert pivots == list(range(720))  # the multipliers live in these columns
+        written = [cols for cols in calls if cols is not None]
+        assert written and max(cols.stop for cols in written) == 768
+        # twelve panels: each caught up from every earlier one
+        assert len(written) == 11 * 12 // 2
+
+    def test_golden_row_makes_no_update(self, monkeypatch):
+        p = DEFAULT_PRIME
+        mults = (5,) * 5
+        points = sample_support(derive_seed(0, "bi", 18, mults, 0), 5, p)
+        M = bi_conditions_matrix(BiDegree(25, 18), mults, points, p)
+        assert M.shape == (75, 494)
+        calls = self.record_updates(monkeypatch)
+        assert len(rank_profile_mod_p(M, p)) == 75
+        assert calls == []
+
+    def test_panels_with_no_live_row_make_no_update(self, monkeypatch):
+        # block upper triangular with dense 64 x 64 diagonal blocks: below
+        # each panel's pivots every L21 row is zero
+        p = DEFAULT_PRIME
+        rng = np.random.default_rng(5)
+        M = np.triu(rng.integers(0, p, (320, 320)))
+        for i in range(0, 320, 64):
+            M[i : i + 64, i : i + 64] = rng.integers(0, p, (64, 64))
+        M = np.concatenate([M, rng.integers(0, p, (320, 50))], axis=1)
+        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", 0)
+        calls = self.record_updates(monkeypatch)
+        assert rank_profile_mod_p(M, p) == list(range(320))
+        assert calls == []
+
+    def test_only_live_rows_take_the_update(self, monkeypatch):
+        # after the first panel, rows 64 on have nonzero L21 in every fourth
+        # row only; the catch-up gathers exactly those
+        p = DEFAULT_PRIME
+        rng = np.random.default_rng(6)
+        M = rng.integers(0, p, (200, 400))
+        M[64:, :64] = 0
+        M[64::4, :64] = rng.integers(1, p, (34, 64))
+        expected = rank_profile_mod_p(M, p)
+        gathered = []
+        monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", 0)
+        monkeypatch.setattr("fatpoints.oracle._sub_mul_mod_p",
+                            lambda C, A, B, p: gathered.append(len(C)) or _sub_mul_mod_p(C, A, B, p))
+        assert rank_profile_mod_p(M, p) == expected
+        assert gathered[:2] == [34, 34]  # the first multiplier, then the first catch-up
 
 
 class TestConditionsMatrix:
