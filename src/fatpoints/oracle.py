@@ -6,13 +6,17 @@ number of independent conditions. A nonzero minor of the generic matrix is an
 integer polynomial of degree far below p in the coordinates, so each trial
 returns the generic rank except with probability bounded by degree/p; taking
 the maximum over trials only sharpens this. Both the bidegree and the plane
-model run their trials through _max_ranks, which stops them once no later
-trial could raise the maximum, so cfg.trials is an upper bound. Agreement
-under a second prime and under distinct seeds is part of the test suite.
+model run their trials through _max_ranks, which draws each trial's support
+and stops the trials once no later one could raise the maximum, so
+cfg.trials is an upper bound. Agreement under a second prime and under
+distinct seeds is part of the test suite.
 
-Everything is deterministic: support is derived from (master seed, instance,
-trial index), so identical inputs give identical outputs in any call order.
-For the bidegree model the instance is (b, multiplicities), without a: one
+Everything is deterministic, and every model draws its support the same way:
+sample_support(derive_seed(master seed, *tags, trial index), count, p), with
+tags naming the model and its instance; the line model makes one draw, from
+its tags alone. So identical inputs give identical outputs in any call order,
+and how the support is drawn is stated in one function. For the bidegree
+model the tags are ("bi", b, multiplicities), without a: one
 elimination per trial of the widest (a, b) matrix of a row gives the rank at
 every smaller a through its column rank profile. Swapping the two factors
 keeps general points general, so HF(a, b) = HF(b, a), and every cell is read
@@ -27,9 +31,11 @@ computes the derivative tables of all points together and writes the rows
 of each run of points with equal width profile one level at a time, each
 level one block multiplied and reduced in place. The bidegree model is one
 run and the plane model a few, so the builder's Python-level work does not
-grow with the number of points. The plane corners Q1 and Q2 are drawn as two
-more random chart points off the line y = 0, since PGL(3) takes any two
-general points to them; no dimension changes. A matrix whose elimination
+grow with the number of points. The plane model takes one point per profile
+in scheme order: the general points, then the corners Q1 and Q2, drawn as
+two more random chart points off the line y = 0 since PGL(3) takes any two
+general points to them (no dimension changes), then the points on the line,
+which keep their x and move to (x, 0). A matrix whose elimination
 would not fit in physical memory is refused with a ValueError before it is
 allocated.
 
@@ -449,20 +455,21 @@ def bi_conditions_matrix(deg: BiDegree, mults, points, p: int) -> np.ndarray:
                              np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
 
 
-def plane_conditions_matrix(d: int, scheme: PlaneScheme, chart, line, p: int) -> np.ndarray:
+def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
     """Conditions of a plane scheme on degree-d forms, in the chart x0 = 1.
 
-    chart holds the chart points (x, y), y != 0, of the general points
-    followed by the two corners; line holds the x coordinates t of the
-    profiled points (t, 0) on the distinguished line. A monomial of degree
-    d is the column x^j y^k with j + k <= d.
+    points holds one chart point per profile, in scheme order: the general
+    points and the two corners, each (x, y) with y != 0, then one per
+    profiled point on the distinguished line, which keeps its x and moves
+    to (x, 0). A monomial of degree d is the column x^j y^k with j + k <= d.
     """
     mults = scheme.general + (scheme.corner_a, scheme.corner_b)
     # partials of order above d vanish on degree-d forms
     profiles = [fat_profile(min(m, d + 1)) for m in mults]
     profiles += [pr.widths for pr in scheme.on_line]
+    points = list(points[: len(mults)]) + [(x, 0) for x, _ in points[len(mults) :]]
     j, k = np.triu_indices(d + 1)
-    return conditions_matrix(list(chart) + [(t, 0) for t in line], profiles, j, k - j, p)
+    return conditions_matrix(points, profiles, j, k - j, p)
 
 
 def require_plane_fits(d: int, points, line_rows: int = 0):
@@ -475,19 +482,19 @@ def require_plane_fits(d: int, points, line_rows: int = 0):
     _require_fits(rows, binom(d + 2, 2))
 
 
-def _max_ranks(tags, draw, cuts, cfg: OracleConfig) -> dict[int, int]:
+def _max_ranks(tags, count, build, cuts, cfg: OracleConfig) -> dict[int, int]:
     """For each cut c, the max over trials of the rank of the first c columns.
 
-    Trial t eliminates draw(derive_seed(cfg.seed, *tags, t)), a conditions
-    matrix on support drawn from that seed, and the rank of its first c
-    columns is the number of pivots before column c. Specialization can only
-    lower a rank, so no trial passes min(rows, c), read off the drawn matrix:
-    once every value reaches it, the trials stop, and each value is the one
-    all cfg.trials would give.
+    Trial t draws count points, sample_support(derive_seed(cfg.seed, *tags,
+    t), count, cfg.prime), and eliminates build(points), the conditions
+    matrix on them; the rank of its first c columns is the number of pivots
+    before column c. Specialization can only lower a rank, so no trial
+    passes min(rows, c), read off the built matrix: once every value reaches
+    it, the trials stop, and each value is the one all cfg.trials would give.
     """
     best = dict.fromkeys(cuts, 0)
     for trial in range(cfg.trials):
-        M = draw(derive_seed(cfg.seed, *tags, trial))
+        M = build(sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime))
         pivots = rank_profile_mod_p(M, cfg.prime)
         best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
         if all(r == min(len(M), c) for c, r in best.items()):
@@ -529,12 +536,9 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     mults, cells = tuple(mults), tuple(cells)
     deg = _bi_row_degree(b, cells, max(mults, default=0),
                          sum(binom(m + 1, 2) for m in mults), cfg)  # before the row exists
-
-    def draw(seed):
-        points = sample_support(seed, len(mults), cfg.prime)
-        return bi_conditions_matrix(deg, mults, points, cfg.prime)
-
-    ranks = _max_ranks(("bi", b, mults), draw, [(a + 1) * (b + 1) for a in cells], cfg)
+    ranks = _max_ranks(("bi", b, mults), len(mults),
+                       lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
+                       [(a + 1) * (b + 1) for a in cells], cfg)
     return {a: ranks[(a + 1) * (b + 1)] for a in cells}
 
 
@@ -580,23 +584,14 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
-    n_gen, n_line = len(scheme.general), len(scheme.on_line)
     require_plane_fits(d, Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items(),
                        sum(pr.degree for pr in scheme.on_line))  # before the first draw
-
-    def draw(seed):
-        rng = random.Random(seed)
-        # distinct x's over every point, distinct nonzero y's off the line
-        xs = _distinct(rng, n_gen + n_line + 2, cfg.prime)
-        ys = _distinct(rng, n_gen + 2, cfg.prime)
-        chart = list(zip(xs[:n_gen] + xs[-2:], ys))
-        line = xs[n_gen : n_gen + n_line]
-        return plane_conditions_matrix(d, scheme, chart, line, cfg.prime)
-
     tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general,
             tuple(pr.widths for pr in scheme.on_line))
     cols = binom(d + 2, 2)
-    return cols - _max_ranks(tags, draw, (cols,), cfg)[cols]
+    return cols - _max_ranks(tags, len(scheme.general) + 2 + len(scheme.on_line),
+                             lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
+                             (cols,), cfg)[cols]
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -615,9 +610,8 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     expected = max(0, d + 1 - sum(lengths))
     _require_fits(sum(lengths), d + 1)  # before the columns exist
     p = cfg.prime
-    rng = random.Random(derive_seed(cfg.seed, "line", d, lengths))
-    ts = _distinct(rng, len(lengths), p)
-    M = conditions_matrix([(t, 0) for t in ts], [(l,) for l in lengths],
+    support = sample_support(derive_seed(cfg.seed, "line", d, lengths), len(lengths), p)
+    M = conditions_matrix([(x, 0) for x, _ in support], [(l,) for l in lengths],
                           np.arange(d + 1), 0, p)
     got = d + 1 - rank_mod_p(M, p)
     if got != expected:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -13,6 +14,7 @@ from fatpoints.horace import specialize_triple_step1, specialize_triple_step2, v
 from fatpoints.oracle import (
     ALT_PRIME,
     DEFAULT_PRIME,
+    DEFAULT_TRIALS,
     OracleConfig,
     OracleConfigError,
     bi_conditions_matrix,
@@ -30,7 +32,6 @@ from fatpoints.oracle import (
     rank_mod_p,
     rank_profile_mod_p,
     sample_support,
-    _distinct,
     _panel_width,
     _sub_mul_mod_p,
 )
@@ -780,20 +781,19 @@ def all_trials_row(a_max, b, mults, cfg):
     return best
 
 
+def plane_tags(d, scheme):
+    return ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general,
+            tuple(pr.widths for pr in scheme.on_line))
+
+
 def all_trials_plane(d, scheme, cfg):
     """hf_plane's draw and ranks, every trial run, max kept."""
     p = cfg.prime
-    n_gen, n_line = len(scheme.general), len(scheme.on_line)
+    count = len(scheme.general) + 2 + len(scheme.on_line)
     best = 0
     for trial in range(cfg.trials):
-        rng = random.Random(derive_seed(
-            cfg.seed, "plane", d, scheme.corner_a, scheme.corner_b,
-            scheme.general, tuple(pr.widths for pr in scheme.on_line), trial,
-        ))
-        xs = _distinct(rng, n_gen + n_line + 2, p)
-        ys = _distinct(rng, n_gen + 2, p)
-        chart = list(zip(xs[:n_gen] + xs[-2:], ys))
-        M = plane_conditions_matrix(d, scheme, chart, xs[n_gen : n_gen + n_line], p)
+        points = sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), trial), count, p)
+        M = plane_conditions_matrix(d, scheme, points, p)
         best = max(best, len(rank_profile_mod_p(M, p)))
     return binom(d + 2, 2) - best
 
@@ -939,6 +939,67 @@ class TestEarlyStop:
         for cells in ((), [], (3, -1), (-1,)):
             with pytest.raises(ValueError, match="cells"):
                 hf_biproj_row(2, cells, [2], oracle)
+
+
+def record_points(monkeypatch, name, index):
+    """Patch the oracle's builder `name` to keep, call by call, the points it
+    receives as its argument at `index`."""
+    calls = []
+    builder = getattr(oracle_module, name)
+
+    def kept(*args):
+        calls.append(list(args[index]))
+        return builder(*args)
+
+    monkeypatch.setattr(oracle_module, name, kept)
+    return calls
+
+
+class TestDraw:
+    """Every model's support is sample_support(derive_seed(seed, *tags, t),
+    count, p), trial t of the trial loop; the line model draws once."""
+
+    def test_bidegree_row(self, oracle, monkeypatch):
+        calls = record_points(monkeypatch, "bi_conditions_matrix", 2)
+        mults = (5,) * 5
+        # defective cells, so every trial runs
+        assert hf_biproj_row(6, (9, 10), mults, oracle) == {9: 69, 10: 72}
+        assert calls == [list(sample_support(derive_seed(oracle.seed, "bi", 6, mults, t),
+                                             5, oracle.prime)) for t in range(oracle.trials)]
+
+    @pytest.mark.parametrize("d, scheme, trials", [
+        # conics through four collinear points and two general ones: never
+        # certified, so every trial runs
+        (2, PlaneScheme(1, 0, (1,), (SliceProfile((1,)),) * 4), DEFAULT_TRIALS),
+        (10, specialize_triple_step1(6, 4, 6).scheme, 1),
+    ])
+    def test_plane_scheme_with_points_on_the_line(self, d, scheme, trials, monkeypatch):
+        cfg = OracleConfig(seed=3)
+        drawn = record_points(monkeypatch, "plane_conditions_matrix", 2)
+        built = record_points(monkeypatch, "conditions_matrix", 0)
+        hf_plane(d, scheme, cfg)
+        count = len(scheme.general) + 2 + len(scheme.on_line)
+        supports = [list(sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), t),
+                                        count, cfg.prime)) for t in range(trials)]
+        assert drawn == supports
+        # general points and corners in scheme order, then the line's points
+        # with their x kept and y = 0
+        off = len(scheme.general) + 2
+        assert built == [pts[:off] + [(x, 0) for x, _ in pts[off:]] for pts in supports]
+
+    def test_trace_line(self, oracle, monkeypatch):
+        calls = record_points(monkeypatch, "conditions_matrix", 0)
+        assert hf_trace_line(9, (3, 2, 2), oracle) == 3
+        support = sample_support(derive_seed(oracle.seed, "line", 9, (3, 2, 2)), 3, oracle.prime)
+        assert calls == [[(x, 0) for x, _ in support]]
+
+    def test_reduce_support_is_unchanged(self, monkeypatch):
+        # trial 0 of the plane call of reduce --a 25 --b 18 --m 5 --s 5 at
+        # seed 0: a scheme without points on the line keeps its support
+        calls = record_points(monkeypatch, "plane_conditions_matrix", 2)
+        assert check_reduction(BiDegree(25, 18), UniformFatPoints(5, 5), OracleConfig(seed=0))
+        digest = hashlib.sha256(repr(tuple(calls[0])).encode()).hexdigest()
+        assert digest == "f36c6e1027d90d22eb6674e908456fbea72f3f38877d2196c1bb3a1a68445479"
 
 
 class TestTraceLine:

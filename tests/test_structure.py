@@ -1,6 +1,7 @@
 """Structure checks on the package source: no module-level function or class,
-and no method or property of a class, that nothing in src/ calls, and no
-command-line option that README.md does not name."""
+and no method or property of a class, that nothing in src/ calls, no random
+generator outside oracle.sample_support, and no command-line option that
+README.md does not name."""
 
 import argparse
 import ast
@@ -49,6 +50,41 @@ def unreferenced_definitions(src: Path = SRC) -> set[str]:
 def test_every_definition_has_a_caller():
     # an exemption that gains a caller in src/ is dropped from ENTRY_POINTS
     assert unreferenced_definitions() == ENTRY_POINTS
+
+
+# constructors of a random generator, and the helper that draws from one
+SAMPLERS = {"Random", "SystemRandom", "RandomState", "default_rng", "_distinct"}
+
+
+def sampler_calls(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module:function, callee) for every call in src/*.py of a name in
+    SAMPLERS, as a bare name or an attribute, by the function around it,
+    dotted through nested ones ("module:" outside any function)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in SAMPLERS:
+                    found.add((f"{path.stem}:{'.'.join(scope)}", name))
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def test_one_sampler():
+    # every model draws its support through sample_support; a second
+    # generator would put a second draw, and a second genericity
+    # assumption, into the oracle
+    assert sampler_calls() == {("oracle:sample_support", "Random"),
+                               ("oracle:sample_support", "_distinct")}
 
 
 def long_options(parser: argparse.ArgumentParser) -> set[str]:
