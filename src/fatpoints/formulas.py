@@ -25,10 +25,12 @@ from .core import (
 )
 from .oracle import OracleConfig, hf_uniform_cells, require_memory
 
-# peak bytes per cell of filling a table and printing it: by tracemalloc on
-# 30000 to 40000 cells, the grid of HFValues alone peaks at 175 bytes a cell
-# and `table --format json`, the most of any command that fills one, at 980
-# (text 200 to 250, csv 250, defects 180 to 240)
+# peak bytes per cell of filling a table and printing it, by tracemalloc on
+# the second call, stdout to /dev/null, on 200 x 200 rectangles: the grid of
+# HFValues alone near 175, `table` 177 as json, 181 as csv and 244 as text
+# with --mark-defective, `defects` json 178. `verify` peaks highest, 609
+# (m 1, s 9), 673 (m 2, s 4) and 1249 (m 3, s 8), because it also holds an
+# oracle row, whose matrix of s m (m + 1) / 2 rows the oracle checks alone
 _TABLE_BYTES_PER_CELL = 1024
 
 

@@ -27,15 +27,16 @@ share one elimination per trial and one support in every command.
 All three models share one builder, conditions_matrix: derivative conditions
 at chart points against a set of exponent columns, a box for bidegree
 (a, b), a triangle for plane degree d and a segment for the line. It
-computes the derivative tables of all points together and writes the rows
-of each run of points with equal width profile one level at a time, each
-level one block multiplied and reduced in place. The bidegree model is one
-run and the plane model a few, so the builder's Python-level work does not
-grow with the number of points. The plane model takes one point per profile
-in scheme order: the general points, then the corners Q1 and Q2, drawn as
-two more random chart points off the line y = 0 since PGL(3) takes any two
-general points to them (no dimension changes), then the points on the line,
-which keep their x and move to (x, 0). A matrix whose elimination
+fills one derivative table for all points together, row 0 by the powers
+t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1), and writes the
+rows of each run of points with equal width profile one level at a time,
+each level one block multiplied and reduced in place. The bidegree model is
+one run and the plane model a few, so the builder's Python-level work does
+not grow with the number of points. The plane model takes one point per
+profile in scheme order: the general points, then the corners Q1 and Q2,
+drawn as two more random chart points off the line y = 0 since PGL(3) takes
+any two general points to them (no dimension changes), then the points on
+the line, which keep their x and move to (x, 0). A matrix whose elimination
 would not fit in physical memory is refused with a ValueError before it is
 allocated.
 
@@ -167,33 +168,20 @@ def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]
     return tuple(zip(xs, ys))
 
 
-def _falling_table(max_exp: int, max_order: int, p: int) -> np.ndarray:
-    """fall[c, j] = j (j-1) ... (j-c+1) mod p, zero when j < c."""
-    fall = np.zeros((max_order + 1, max_exp + 1), dtype=np.int64)
-    fall[0, :] = 1
-    for c in range(1, max_order + 1):
-        fall[c, c:] = fall[c - 1, c:] * np.arange(1, max_exp - c + 2) % p
-    return fall
-
-
 def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
-    """D[..., c, j] = d^c/dt^c t^j = fall[c, j] t^(j-c) mod p at each t of
-    coords, for c < orders and j <= max_exp.
-
-    The powers t^j come from the recurrence t^j = t^(j-1) t mod p, one step
-    per exponent for every t at once.
+    """D[..., c, j] = d^c/dt^c t^j mod p at each t of coords, for c < orders
+    and j <= max_exp, one table filled for every t at once by two
+    recurrences: row 0 holds the powers, t^j = t^(j-1) t, and row c holds
+    d^c t^j = j d^(c-1) t^(j-1) for j >= c and zero below.
     """
     coords = np.asarray(coords, dtype=np.int64) % p
-    powers = np.empty(coords.shape + (max_exp + 1,), dtype=np.int64)
-    powers[..., 0] = 1
+    D = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
+    D[..., 0, 0] = 1
     for j in range(1, max_exp + 1):
-        np.multiply(powers[..., j - 1], coords, out=powers[..., j])
-        powers[..., j] %= p
-    fall = _falling_table(max_exp, orders - 1, p)
-    out = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
-    for c in range(min(orders, max_exp + 1)):
-        out[..., c, c:] = fall[c, c:] * powers[..., : max_exp + 1 - c] % p
-    return out
+        D[..., 0, j] = D[..., 0, j - 1] * coords % p
+    for c in range(1, orders):
+        D[..., c, c:] = D[..., c - 1, c - 1 : max_exp] * np.arange(c, max_exp + 1) % p
+    return D
 
 
 # A matrix of at most this many entries starts with a first panel of
@@ -407,9 +395,11 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
     takes its SliceProfile widths. Rows run point by point, then by level,
     then by c.
 
-    The derivative tables DX and DY of all points are computed together.
-    Points come in runs of equal profile (the bidegree model is one run, the
-    plane model a few), and each level of a run is one block of rows of the
+    The derivative tables DX and DY of all points are one table, filled
+    together by two recurrences: t^j = t^(j-1) t for the powers in row 0,
+    and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. Points
+    come in runs of equal profile (the bidegree model is one run, the plane
+    model a few), and each level of a run is one block of rows of the
     preallocated matrix, written in place by one multiply and one remainder.
     The only temporaries are the two gathered factors of a block, the x one
     no larger than the block and the y one no larger than a row per point.

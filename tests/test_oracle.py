@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -569,6 +570,12 @@ class TestConditionsMatrix:
         # the line, with a scalar y exponent
         hf_trace_line(12, (3, 1, 4, 2), fast_oracle)
         assert (10, 13) in shapes
+        # derivative orders above the degree, whose rows of the tables stay
+        # zero: multiplicity 6 at bidegree (2, 1), 6 orders against 3
+        # exponents, and a line profile longer than d + 1
+        bi_conditions_matrix(BiDegree(2, 1), (6,) * 3, sample_support(7, 3, p), p)
+        hf_trace_line(2, (5,), fast_oracle)
+        assert {(63, 6), (5, 3)} <= set(shapes)
 
     def test_points_and_profiles_must_match(self):
         p = DEFAULT_PRIME
@@ -590,18 +597,26 @@ class TestConditionsMatrix:
         assert np.array_equal(M, without)
 
     def test_build_peaks_near_the_matrix(self):
-        # the large_cell matrix, 720 x 1681: no temporary as large as the
-        # matrix, or as a sizeable part of it
-        points = sample_support(5, 20, DEFAULT_PRIME)
-        args = ([fat_profile(8)] * 20, np.arange(41)[:, None], np.arange(41), DEFAULT_PRIME)
-        tracemalloc.start()
-        try:
-            M = conditions_matrix(points, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert M.shape == (720, 1681)
-        assert peak <= 1.1 * M.nbytes
+        # no temporary as large as the matrix, or as a sizeable part of it:
+        # the large_cell matrix, 720 x 1681, is one run of equal profiles,
+        # and the plane matrices of the reduce cells (25, 18, 5, 5) and
+        # (20, 20, 5, 8), 571 x 990 and 540 x 861, are a few
+        p = DEFAULT_PRIME
+        builds = [(partial(conditions_matrix, sample_support(5, 20, p), [fat_profile(8)] * 20,
+                           np.arange(41)[:, None], np.arange(41), p), (720, 1681), 1.1)]
+        for a, b, m, s, shape in [(25, 18, 5, 5, (571, 990)), (20, 20, 5, 8, (540, 861))]:
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, m))
+            points = sample_support(5, len(scheme.general) + 2 + len(scheme.on_line), p)
+            builds.append((partial(plane_conditions_matrix, d, scheme, points, p), shape, 1.3))
+        for build, shape, bound in builds:
+            tracemalloc.start()
+            try:
+                M = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert M.shape == shape
+            assert peak <= bound * M.nbytes, (shape, peak / M.nbytes)
 
     def test_reduction_holds_on_a_grid(self, fast_oracle):
         # every corner is a chart point now, with or without on-line points

@@ -1,11 +1,13 @@
 """Structure checks on the package source: no module-level function or class,
 and no method or property of a class, that nothing in src/ calls, no random
-generator outside oracle.sample_support, and no command-line option that
+generator outside oracle.sample_support, no import beyond the standard
+library and numpy, numpy only in oracle.py, and no command-line option that
 README.md does not name."""
 
 import argparse
 import ast
 import re
+import sys
 from pathlib import Path
 
 from fatpoints.cli import build_parser
@@ -85,6 +87,28 @@ def test_one_sampler():
     # assumption, into the oracle
     assert sampler_calls() == {("oracle:sample_support", "Random"),
                                ("oracle:sample_support", "_distinct")}
+
+
+def imported_modules(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, top-level name) for every import in src/*.py, at module level
+    or inside a function; a relative import names the package itself."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found.update((path.stem, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                found.add((path.stem, src.name if node.level else node.module.split(".")[0]))
+    return found
+
+
+def test_numpy_is_the_one_dependency():
+    # numpy is the only runtime dependency, and the oracle its only user
+    imports = imported_modules()
+    foreign = {(module, name) for module, name in imports
+               if name not in sys.stdlib_module_names | {"numpy", SRC.name}}
+    assert foreign == set()
+    assert {module for module, name in imports if name == "numpy"} == {"oracle"}
 
 
 def long_options(parser: argparse.ArgumentParser) -> set[str]:
