@@ -57,6 +57,12 @@ sum is below k (p-1) (2^16-1) < 2^53 for an inner dimension k of at most
 the panel width, which is 64 for p <= 2147516417 and 63 at the largest
 prime OracleConfig accepts. The pivots are those of one pass of the loop
 over every column, bit for bit.
+
+The kernel eliminates an int64 copy of its argument, so a caller's matrix is
+left as it was, except in the trial loop: _max_ranks passes overwrite=True,
+so the kernel eliminates the matrix just built in place, and the loop drops
+it before the next trial builds its own. There, one trial's matrix is alive
+at a time and no copy is made.
 """
 
 import hashlib
@@ -280,12 +286,18 @@ def _sub_mul_mod_p(C, A, B, p: int):
     np.remainder(C, p, out=C)
 
 
-def rank_profile_mod_p(matrix, p: int) -> list[int]:
+def rank_profile_mod_p(matrix, p: int, *, overwrite: bool = False) -> list[int]:
     """Column rank profile over Z/p: the pivot columns of a left-to-right
     Gaussian elimination, in increasing order.
 
     They are the lexicographically first independent columns, so the rank
     of the first k columns is the number of pivots below k.
+
+    The elimination runs on an int64 copy of matrix, so the argument is left
+    as it was. With overwrite=True, an int64 ndarray argument is eliminated
+    in place instead (any other argument is still copied): its entries are
+    then reduced mod p and left in the elimination's state, so only a
+    caller that never reads the matrix again may pass it.
 
     The elimination is left-looking: a column is touched only once the
     elimination reaches it, and it stops at rank == rows. A matrix of at most
@@ -304,7 +316,7 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     one pass of the loop over every column leaves there, so every pivot is
     the same.
     """
-    M = np.array(matrix, dtype=np.int64)
+    M = np.asarray(matrix, dtype=np.int64) if overwrite else np.array(matrix, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     if M.size == 0:
@@ -350,15 +362,16 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(rank_profile_mod_p(matrix, p))
 
 
-# peak bytes of build plus elimination per matrix entry: by tracemalloc, the
-# int64 matrix, the kernel's copy and the loop's temporaries come to 3.8
-# times the matrix at 240x169, whose first panel is every column, and 2.3
-# at 75x494, whose first panel is 139 of them; with panels, the copy and a
-# panel's catch-up buffers come to 2.2 to 2.3 times (720x1681, 571x990,
-# 540x861, 399x666, 300x961). Five matrices cover both, and leave room for
-# the build alone, which peaks at 1.03 to 1.7 times the matrix, the most
-# on the smallest, where numpy's fixed iteration buffers (about 0.2 MB)
-# weigh most.
+# peak bytes of build plus elimination per matrix entry, by tracemalloc. The
+# trial loop eliminates the matrix it built in place: with panels, the
+# matrix and a panel's catch-up buffers come to 1.2 to 1.4 times it
+# (720x1681, 571x990, 540x861, 300x961); on a first panel of every column
+# the loop's temporaries of the block below each pivot take it to 1.7 at
+# 75x494, 2.4 at 210x42, 2.8 at 240x169 and 3.3 at 120x120, where numpy's
+# fixed iteration buffers (about 0.2 MB) weigh most. A call that keeps the
+# copy adds one matrix: 2.2 to 2.4 times in panels, up to 4.3 on the
+# smallest. Five matrices cover every case, and the build alone, which
+# peaks at 1.03 to 1.7 times the matrix.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
@@ -485,9 +498,13 @@ def _max_ranks(tags, count, build, cuts, cfg: OracleConfig) -> dict[int, int]:
     best = dict.fromkeys(cuts, 0)
     for trial in range(cfg.trials):
         M = build(sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime))
-        pivots = rank_profile_mod_p(M, cfg.prime)
+        rows = len(M)
+        # no one else holds the matrix: eliminate it in place, and free it
+        # before the next trial builds its own
+        pivots = rank_profile_mod_p(M, cfg.prime, overwrite=True)
+        del M
         best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
-        if all(r == min(len(M), c) for c, r in best.items()):
+        if all(r == min(rows, c) for c, r in best.items()):
             break
     return best
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fatpoints.cli import CSV_HEADER, JSON_KEYS, main
+from fatpoints.formulas import _TABLE_BYTES_PER_CELL
 from fatpoints.horace import verify_chain
 from fatpoints.oracle import hf_biproj_row
 
@@ -266,6 +267,22 @@ class TestVerify:
                         "--bmax", "5")
         assert code == 0
         assert "102/102 cells confirmed" in out
+
+    def test_peaks_within_the_table_guard(self, monkeypatch):
+        # verify holds the grid and its widest oracle row at once; at m 3,
+        # s 8 on 100 x 100 cells that peaked at 1240 bytes a cell while the
+        # trial loop's kernel copied its matrix, and reads about 860 without
+        argv = ["verify", "--m", "3", "--s", "8", "--amax", "99", "--bmax", "99"]
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr("sys.stdout", sink)
+            assert main(argv) == 0  # warm up imports and caches
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < _TABLE_BYTES_PER_CELL * 100 * 100, peak / 10000
 
 
 def row_off_by_one(row):

@@ -1,4 +1,4 @@
-"""Pivot corpus: every rank_profile_mod_p call that three commands make at
+"""Pivot corpus: every rank_profile_mod_p call that four commands make at
 seed 0, recorded in tests/data/kernel_pivots.json in call order with its
 shape, its rank and the SHA-256 of its pivot list.
 
@@ -32,8 +32,8 @@ def record_calls(argv) -> list[dict]:
     calls = []
     kernel = oracle.rank_profile_mod_p
 
-    def recording(matrix, p):
-        pivots = kernel(matrix, p)
+    def recording(matrix, p, **kw):
+        pivots = kernel(matrix, p, **kw)
         calls.append({"shape": list(matrix.shape), "rank": len(pivots),
                       "sha256": hashlib.sha256(json.dumps(pivots).encode()).hexdigest()})
         return pivots

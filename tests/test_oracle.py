@@ -400,10 +400,12 @@ class TestBlockedElimination:
     def test_reduce_cell_pivots_match_the_single_panel(self, monkeypatch):
         # the plane matrices of reduce --a 25 --b 18 --m 5 --s 5 and
         # reduce --a 20 --b 20 --m 5 --s 8, as hf_plane draws them on its
-        # first trial
+        # first trial; the trial loop's call overwrites its matrix, so a
+        # copy is kept to eliminate again
         seen = []
         monkeypatch.setattr("fatpoints.oracle.rank_profile_mod_p",
-                            lambda M, p: seen.append(M) or rank_profile_mod_p(M, p))
+                            lambda M, p, **kw: seen.append(M.copy())
+                            or rank_profile_mod_p(M, p, **kw))
         for a, b, s in [(25, 18, 5), (20, 20, 8)]:
             scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
             hf_plane(d, scheme, OracleConfig(trials=1))
@@ -507,6 +509,66 @@ class TestLeftLooking:
                             lambda C, A, B, p: gathered.append(len(C)) or _sub_mul_mod_p(C, A, B, p))
         assert rank_profile_mod_p(M, p) == expected
         assert gathered[:2] == [34, 34]  # the first multiplier, then the first catch-up
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+LARGE_CELL_BYTES = 720 * 1681 * 8  # the large cell's int64 matrix
+
+
+class TestOwnership:
+    """The trial loop gives the kernel the matrix it has just built, with
+    overwrite=True: eliminated in place, with no copy, and dropped before
+    the next trial builds its own. Every other caller keeps the copy."""
+
+    @pytest.mark.parametrize("cutoff", [None, 0], ids=["single_panel", "blocked"])
+    def test_overwrite_gives_the_same_pivots(self, cutoff, monkeypatch):
+        p = DEFAULT_PRIME
+        if cutoff is not None:
+            monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", cutoff)
+        matrices = (structured_matrices(random.Random(13), p) + blocked_cases(p)
+                    + unreduced_matrices(p))
+        for M in matrices:
+            expected = rank_profile_mod_p(M, p)
+            owned = M.copy()
+            assert rank_profile_mod_p(owned, p, overwrite=True) == expected, M.shape
+            # every matrix but the zero one is written into
+            assert np.array_equal(owned, M) == (not M.any()), M.shape
+
+    def test_large_cell_peaks_near_its_matrix(self):
+        # build and elimination of the 720 x 1681 matrix, which certifies on
+        # its first trial; with a copy in the kernel the peak reads 2.2
+        ranks, peak = traced_peak(lambda: hf_biproj_row(40, (40,), (8,) * 20))
+        assert ranks == {40: 720}
+        assert peak <= 1.3 * LARGE_CELL_BYTES, peak / LARGE_CELL_BYTES
+
+    def test_no_trial_matrix_outlives_its_elimination(self, eliminations):
+        # the large cell's build with its last row a copy of its first: the
+        # rank stays below the rows, so every trial runs, and the peak stays
+        # near one matrix only if each is freed before the next is built
+        # (2.0 if it is not)
+        p, mults, deg = DEFAULT_PRIME, (8,) * 20, BiDegree(40, 40)
+
+        def build(points):
+            M = bi_conditions_matrix(deg, mults, points, p)
+            M[-1] = M[0]
+            return M
+
+        cfg = OracleConfig()
+        ranks, peak = traced_peak(
+            lambda: oracle_module._max_ranks(("bi", 40, mults), 20, build, (deg.cells,), cfg))
+        assert ranks == {deg.cells: 719}
+        assert eliminations == [(720, 1681)] * cfg.trials
+        assert peak <= 1.3 * LARGE_CELL_BYTES, peak / LARGE_CELL_BYTES
 
 
 class TestConditionsMatrix:
@@ -819,9 +881,9 @@ def eliminations(monkeypatch):
     calls = []
     kernel = oracle_module.rank_profile_mod_p
 
-    def counted(M, p):
+    def counted(M, p, **kw):
         calls.append(M.shape)
-        return kernel(M, p)
+        return kernel(M, p, **kw)
 
     monkeypatch.setattr(oracle_module, "rank_profile_mod_p", counted)
     return calls
@@ -866,9 +928,9 @@ class TestEarlyStop:
         drawn = []
         kernel = oracle_module.rank_profile_mod_p
 
-        def kept(M, p):
+        def kept(M, p, **kw):
             drawn.append(M.copy())
-            return kernel(M, p)
+            return kernel(M, p, **kw)
 
         monkeypatch.setattr(oracle_module, "rank_profile_mod_p", kept)
         # a defective cell, so every trial runs

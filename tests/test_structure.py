@@ -1,8 +1,9 @@
 """Structure checks on the package source: no module-level function or class,
 and no method or property of a class, that nothing in src/ calls, no random
-generator outside oracle.sample_support, no import beyond the standard
-library and numpy, numpy only in oracle.py, and no command-line option that
-README.md does not name."""
+generator outside oracle.sample_support, no kernel call with overwrite=
+outside the trial loop, no import beyond the standard library and numpy,
+numpy only in oracle.py, and no command-line option that README.md does not
+name."""
 
 import argparse
 import ast
@@ -58,11 +59,11 @@ def test_every_definition_has_a_caller():
 SAMPLERS = {"Random", "SystemRandom", "RandomState", "default_rng", "_distinct"}
 
 
-def sampler_calls(src: Path = SRC) -> set[tuple[str, str]]:
-    """(module:function, callee) for every call in src/*.py of a name in
-    SAMPLERS, as a bare name or an attribute, by the function around it,
-    dotted through nested ones ("module:" outside any function)."""
-    found = set()
+def scoped_calls(src: Path = SRC) -> list[tuple[str, str, ast.Call]]:
+    """(module:function, callee, call) for every call in src/*.py: the
+    function around it dotted through nested ones ("module:" outside any
+    function), and the callee's name, bare or as an attribute."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -72,13 +73,18 @@ def sampler_calls(src: Path = SRC) -> set[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in SAMPLERS:
-                    found.add((f"{path.stem}:{'.'.join(scope)}", name))
+                found.append((f"{path.stem}:{'.'.join(scope)}", name, child))
             visit(child, scope)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), ())
     return found
+
+
+def sampler_calls(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module:function, callee) for every call in src/*.py of a name in
+    SAMPLERS."""
+    return {(scope, name) for scope, name, _ in scoped_calls(src) if name in SAMPLERS}
 
 
 def test_one_sampler():
@@ -87,6 +93,20 @@ def test_one_sampler():
     # assumption, into the oracle
     assert sampler_calls() == {("oracle:sample_support", "Random"),
                                ("oracle:sample_support", "_distinct")}
+
+
+def overwriting_calls(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module:function, callee) for every call in src/*.py that passes
+    overwrite= by keyword."""
+    return {(scope, name) for scope, name, call in scoped_calls(src)
+            if any(kw.arg == "overwrite" for kw in call.keywords)}
+
+
+def test_only_the_trial_loop_hands_over_its_matrix():
+    # the kernel eliminates an overwrite=True argument in place; only the
+    # trial loop's matrix, just built and never read again, may go that way,
+    # since any other caller might still read its matrix or a view of it
+    assert overwriting_calls() == {("oracle:_max_ranks", "rank_profile_mod_p")}
 
 
 def imported_modules(src: Path = SRC) -> set[tuple[str, str]]:
