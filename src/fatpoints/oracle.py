@@ -7,9 +7,14 @@ integer polynomial of degree far below p in the coordinates, so each trial
 returns the generic rank except with probability bounded by degree/p; taking
 the maximum over trials only sharpens this. Both the bidegree and the plane
 model run their trials through _max_ranks, which draws each trial's support
-and stops the trials once no later one could raise the maximum, so
-cfg.trials is an upper bound. Agreement under a second prime and under
-distinct seeds is part of the test suite.
+and stops the trials once every rank reaches its model's bound, so
+cfg.trials is an upper bound. The bound counts the rows that can be nonzero
+on the cut's columns on any support, capped by the cut: for bidegree (a, b)
+the conditions (c, e) with c <= a and e <= b, for the plane every row of
+the fat points and, at each level e, at most d-e+1 rows of the points on
+the line, whose level-e rows meet only the columns x^j y^e. No trial passes
+it, so no later trial could raise the maximum. Agreement under a second
+prime and under distinct seeds is part of the test suite.
 
 Everything is deterministic, and every model draws its support the same way:
 sample_support(derive_seed(master seed, *tags, trial index), count, p), with
@@ -72,7 +77,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -480,31 +485,36 @@ def require_plane_fits(d: int, points, line_rows: int = 0):
     not fit in physical memory, from its fat points as (multiplicity, count)
     pairs and the rows of its on-line points, before any scheme or support
     exists."""
+    _require_fits(line_rows + _chart_rows(d, points), binom(d + 2, 2))
+
+
+def _chart_rows(d: int, points) -> int:
+    """Rows of fat points, as (multiplicity, count) pairs, on degree-d forms."""
     # partials of order above d vanish on degree-d forms, as in the builder
-    rows = line_rows + sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
-    _require_fits(rows, binom(d + 2, 2))
+    return sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
 
 
-def _max_ranks(tags, count, build, cuts, cfg: OracleConfig) -> dict[int, int]:
-    """For each cut c, the max over trials of the rank of the first c columns.
+def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
+    """For each cut c in bounds, the max over trials of the rank of the first
+    c columns.
 
     Trial t draws count points, sample_support(derive_seed(cfg.seed, *tags,
     t), count, cfg.prime), and eliminates build(points), the conditions
     matrix on them; the rank of its first c columns is the number of pivots
-    before column c. Specialization can only lower a rank, so no trial
-    passes min(rows, c), read off the built matrix: once every value reaches
-    it, the trials stop, and each value is the one all cfg.trials would give.
+    before column c. bounds[c] is the model's upper bound on that rank on
+    any support, at most the rows: no trial passes it, so once every value
+    reaches its bound the trials stop, and each value is the one all
+    cfg.trials would give.
     """
-    best = dict.fromkeys(cuts, 0)
+    best = dict.fromkeys(bounds, 0)
     for trial in range(cfg.trials):
         M = build(sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime))
-        rows = len(M)
         # no one else holds the matrix: eliminate it in place, and free it
         # before the next trial builds its own
         pivots = rank_profile_mod_p(M, cfg.prime, overwrite=True)
         del M
         best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
-        if all(r == min(rows, c) for c, r in best.items()):
+        if best == bounds:
             break
     return best
 
@@ -531,6 +541,22 @@ def _require_uniform_row(b: int, cells, pts: UniformFatPoints, cfg: OracleConfig
     _bi_row_degree(b, tuple(cells), top, pts.degree, cfg)
 
 
+def _bi_rank_bound(a: int, b: int, counts: Counter) -> int:
+    """min(N(a, b), (a+1)(b+1)), an upper bound on the rank of the (a, b)
+    conditions of points with counts[m] of multiplicity m, on any support.
+
+    The row of condition (c, e) at a point holds d^c/dx^c d^e/dy^e x^j y^l,
+    which is zero on every column j <= a, l <= b when c > a or e > b,
+    whatever the support, and c! e! at x^c y^e otherwise. So exactly
+    N(a, b) = sum over points of sum_{e <= min(m-1, b)} min(a+1, m-e) rows
+    are nonzero there. Its cost grows with the distinct multiplicities,
+    not with the points.
+    """
+    rows = sum(n * sum(min(a + 1, m - e) for e in range(min(m, b + 1)))
+               for m, n in counts.items())
+    return min(rows, (a + 1) * (b + 1))
+
+
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
@@ -538,14 +564,16 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     the first (a+1)(b+1) columns of the (max(cells), b) matrix on the same
     support, and one elimination per trial gives every cell. Exactly the
     cells asked for are returned, keyed by a, and only they can hold the
-    trials up; the support does not depend on them.
+    trials up: the trials stop once each has reached _bi_rank_bound(a, b).
+    The support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
     deg = _bi_row_degree(b, cells, max(mults, default=0),
                          sum(binom(m + 1, 2) for m in mults), cfg)  # before the row exists
+    counts = Counter(mults)
     ranks = _max_ranks(("bi", b, mults), len(mults),
                        lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
-                       [(a + 1) * (b + 1) for a in cells], cfg)
+                       {(a + 1) * (b + 1): _bi_rank_bound(a, b, counts) for a in cells}, cfg)
     return {a: ranks[(a + 1) * (b + 1)] for a in cells}
 
 
@@ -585,9 +613,27 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
 
 
+def _plane_rank_bound(d: int, scheme: PlaneScheme) -> int:
+    """An upper bound on the rank of the scheme's degree-d conditions, on any
+    support: every row of its fat points, and at most d-e+1 of the rows of
+    its points on the line at each level e, capped by the columns.
+
+    A level-e row at (x, 0) holds d^c/dx^c d^e/dy^e x^j y^k at y = 0, which
+    is zero unless k = e, and only the d-e+1 columns x^j y^e have k = e
+    (none when e > d). This is the trace count on the line: the level-e rows
+    are conditions on the restriction of d^e f/dy^e to the line, a form of
+    degree d-e, so together they impose at most d-e+1.
+    """
+    fat = Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items()
+    levels = map(sum, zip_longest(*(pr.widths for pr in scheme.on_line), fillvalue=0))
+    line = sum(min(w, max(0, d - e + 1)) for e, w in enumerate(levels))
+    return min(_chart_rows(d, fat) + line, binom(d + 2, 2))
+
+
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Dimension of the degree-d piece of the plane scheme's ideal: the
-    complement of the max over trials of the conditions-matrix rank."""
+    complement of the max over trials of the conditions-matrix rank. The
+    trials stop once the rank reaches _plane_rank_bound(d, scheme)."""
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
@@ -598,7 +644,7 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     cols = binom(d + 2, 2)
     return cols - _max_ranks(tags, len(scheme.general) + 2 + len(scheme.on_line),
                              lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
-                             (cols,), cfg)[cols]
+                             {cols: _plane_rank_bound(d, scheme)}, cfg)[cols]
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

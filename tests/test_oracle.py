@@ -2,11 +2,14 @@ import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints import oracle as oracle_module
 from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
@@ -565,7 +568,7 @@ class TestOwnership:
 
         cfg = OracleConfig()
         ranks, peak = traced_peak(
-            lambda: oracle_module._max_ranks(("bi", 40, mults), 20, build, (deg.cells,), cfg))
+            lambda: oracle_module._max_ranks(("bi", 40, mults), 20, build, {deg.cells: 720}, cfg))
         assert ranks == {deg.cells: 719}
         assert eliminations == [(720, 1681)] * cfg.trials
         assert peak <= 1.3 * LARGE_CELL_BYTES, peak / LARGE_CELL_BYTES
@@ -890,7 +893,8 @@ def eliminations(monkeypatch):
 
 
 class TestEarlyStop:
-    """Trials stop once every requested rank reaches min(rows, cols); the
+    """Trials stop once every requested rank reaches its model's bound: the
+    rows that can be nonzero on the cut's columns, capped by the cut. The
     values must equal the max over every trial."""
 
     def test_criterion_2_and_3_grids(self, oracle, eliminations):
@@ -960,10 +964,33 @@ class TestEarlyStop:
         for degree, scheme in calls:
             assert hf_plane(degree, scheme, oracle) == all_trials_plane(degree, scheme, oracle)
 
-    def test_criterion_6_chain_stops_early(self, oracle, eliminations):
-        # the same chain: at least one of its five plane calls certifies
-        verify_chain(6, 4, 6, oracle)
-        assert len(eliminations) < 5 * oracle.trials
+    def test_criterion_6_chains_take_one_elimination_per_plane_call(self, oracle, eliminations,
+                                                                    monkeypatch):
+        # the chains of the plane_chain benchmark: a+b in 10..14, 4 <= b <= a
+        # and s next to (a+1)(b+1)/6. The points moved onto the line carry
+        # more conditions there than the forms can meet, and the plane bound
+        # counts only what they can, so every plane call certifies at once
+        chains = [(a, b, s) for a in range(4, 11) for b in range(4, a + 1) if 10 <= a + b <= 14
+                  for s in {(a + 1) * (b + 1) // 6, -(-(a + 1) * (b + 1) // 6)}]
+        assert len(chains) == 23
+        calls = []
+        monkeypatch.setattr("fatpoints.horace.hf_plane",
+                            lambda d, scheme, cfg: calls.append(d) or hf_plane(d, scheme, cfg))
+        for a, b, s in chains:
+            assert verify_chain(a, b, s, oracle).ok, (a, b, s)
+        assert len(eliminations) == len(calls)
+
+    def test_certified_only_under_the_model_bound(self, oracle, eliminations):
+        # two 6-fold points give 42 rows against the 63 columns of (20, 2),
+        # but only their rows (c, e) with e <= 2 meet those columns: 6 + 5 + 4
+        # a point. min(rows, cols) = 42 would run every trial
+        assert hf_biproj_row(2, (20,), (6, 6), oracle) == {20: 30}
+        assert eliminations == [(42, 63)]
+        # conics double at two points of the line are the line doubled: 6
+        # rows, but the 4 at level 0 meet only the 3 columns 1, x, x^2
+        scheme = PlaneScheme(0, 0, (), (SliceProfile.fat_point(2),) * 2)
+        assert hf_plane(2, scheme, oracle) == 1
+        assert eliminations == [(42, 63), (6, 6)]
 
     def test_certified_cell_takes_one_elimination(self, oracle, eliminations):
         # 5 points of multiplicity 5 give 75 rows, and the rank reaches them
@@ -985,10 +1012,12 @@ class TestEarlyStop:
         # one 6-fold corner imposes its 21 conditions on degree-10 forms
         assert hf_plane(10, PlaneScheme(6, 0), oracle) == binom(12, 2) - binom(7, 2)
         assert len(eliminations) == 1
-        # four collinear points impose only three conditions on conics
+        # four collinear points impose only three conditions on conics, and
+        # the bound counts only three: their rows at (x, 0) are zero off the
+        # three columns 1, x, x^2, so the rank certifies on its first trial
         scheme = PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)
         assert hf_plane(2, scheme, oracle) == 3
-        assert len(eliminations) == 1 + oracle.trials
+        assert len(eliminations) == 2
 
     def test_row_reads_only_its_cells(self, oracle, eliminations):
         # m = 4, s = 9: the closed defective-family cell (14, 5) sits among
@@ -1004,7 +1033,7 @@ class TestEarlyStop:
         row = hf_biproj_row(5, (20, 6), [4] * 9, oracle)
         assert row == {20: expected[20], 6: expected[6]}
 
-    def test_bound_is_read_off_the_matrix(self, oracle, eliminations):
+    def test_bound_is_capped_by_the_cut(self, oracle, eliminations):
         # more rows than the cut: five double points give 15 conditions, and
         # each rank reaches its cut on the first trial
         assert hf_plane(3, PlaneScheme(0, 0, (2,) * 5), oracle) == 0
@@ -1016,6 +1045,58 @@ class TestEarlyStop:
         for cells in ((), [], (3, -1), (-1,)):
             with pytest.raises(ValueError, match="cells"):
                 hf_biproj_row(2, cells, [2], oracle)
+
+
+line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
+
+
+class TestRankBound:
+    """Each model's bound on the rank: no trial on any support passes it."""
+
+    def test_bidegree_by_hand(self):
+        bound = oracle_module._bi_rank_bound
+        # a 6-fold point meets the columns of (20, 2) in its rows e <= 2
+        assert bound(20, 2, Counter({6: 2})) == 2 * (6 + 5 + 4)
+        # at a = 1 a triple point keeps min(2, 3) + min(2, 2) + min(2, 1) of
+        # its 6 rows, and a simple point its one
+        assert bound(1, 5, Counter({3: 2, 1: 1})) == 2 * 5 + 1
+        assert bound(5, 5, Counter({3: 4})) == 4 * 6  # every row
+        assert bound(0, 0, Counter({2: 5})) == 1  # the cut
+        assert bound(3, 3, Counter({0: 7})) == 0
+
+    def test_plane_by_hand(self):
+        bound = oracle_module._plane_rank_bound
+        # four simple points on the line meet the 3 columns 1, x, x^2 of conics
+        assert bound(2, PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)) == 3
+        # off the line every row counts: double corners on conics, 3 + 3
+        assert bound(2, PlaneScheme(2, 2)) == 6
+        # level e meets the 5 - e columns x^j y^e of quartics: 5 + 4 + 3 of
+        # the levels' 6 + 6 + 4 rows, plus a simple corner
+        assert bound(4, PlaneScheme(1, 0, (), (SliceProfile((3, 3, 2)),) * 2)) == 13
+        # levels above d meet no column; a 9-fold corner counts its 10 rows
+        # of order at most 3
+        assert bound(2, PlaneScheme(0, 0, (), (SliceProfile((1, 1, 1, 1)),))) == 3
+        assert bound(3, PlaneScheme(9, 0)) == 10
+
+    @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_bidegree_bound_holds(self, a_max, b, mults):
+        cfg = OracleConfig()
+        ranks = all_trials_row(a_max, b, mults, cfg)
+        for a, rank in enumerate(ranks):
+            assert oracle_module._bi_rank_bound(a, b, Counter(mults)) >= rank, a
+        assert hf_biproj_row(b, range(a_max + 1), mults, cfg) == dict(enumerate(ranks))
+
+    @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3),
+           st.lists(st.integers(0, 3), max_size=3), st.lists(line_profiles, max_size=4))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_plane_bound_holds(self, d, corner_a, corner_b, general, on_line):
+        cfg = OracleConfig()
+        scheme = PlaneScheme(corner_a, corner_b, tuple(general), tuple(on_line))
+        value = all_trials_plane(d, scheme, cfg)
+        assert oracle_module._plane_rank_bound(d, scheme) >= binom(d + 2, 2) - value
+        assert hf_plane(d, scheme, cfg) == value
 
 
 def record_points(monkeypatch, name, index):
@@ -1045,9 +1126,12 @@ class TestDraw:
                                              5, oracle.prime)) for t in range(oracle.trials)]
 
     @pytest.mark.parametrize("d, scheme, trials", [
-        # conics through four collinear points and two general ones: never
-        # certified, so every trial runs
-        (2, PlaneScheme(1, 0, (1,), (SliceProfile((1,)),) * 4), DEFAULT_TRIALS),
+        # true defects, never certified, so every trial runs: conics double
+        # at both corners are the corner line doubled, and quartics double
+        # at five points, one of them on the line, the conic through them
+        # doubled
+        (2, PlaneScheme(2, 2), DEFAULT_TRIALS),
+        (4, PlaneScheme(2, 2, (2, 2), (SliceProfile.fat_point(2),)), DEFAULT_TRIALS),
         (10, specialize_triple_step1(6, 4, 6).scheme, 1),
     ])
     def test_plane_scheme_with_points_on_the_line(self, d, scheme, trials, monkeypatch):
