@@ -31,12 +31,13 @@ from .oracle import (
 )
 from .schemes import reduce_to_plane
 
-CSV_HEADER = ["a", "b", "m", "s", "value", "source", "known", "defective", "defect"]
-JSON_KEYS = CSV_HEADER + ["virtual_dim", "expected_dim"]
+RECORD_KEYS = ["a", "b", "m", "s", "value", "source", "known", "defective", "defect",
+               "virtual_dim", "expected_dim"]
 
 
 def cell_record(deg: BiDegree, pts: UniformFatPoints, hf: HFValue) -> dict:
-    """A cell as its JSON object, keys in JSON_KEYS order."""
+    """A cell as the record every machine format prints, keys in RECORD_KEYS
+    order."""
     return {
         "a": deg.a, "b": deg.b, "m": pts.m, "s": pts.s,
         "value": hf.value, "source": hf.source.value, "known": hf.known,
@@ -65,7 +66,7 @@ def _env_int(name: str, fallback: int) -> int:
 def _oracle_args(parser: argparse.ArgumentParser):
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, metavar="N",
                         help="at most N rank trials per instance; stops once the rank "
-                             "reaches min(rows, cols)")
+                             "reaches the model's bound")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: FATPOINTS_SEED or 0)")
     parser.add_argument("--prime", type=int, default=None,
@@ -85,16 +86,17 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(prime=prime, trials=args.trials, seed=seed)
 
 
-def _print_csv(header: list[str], rows):
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(["" if value is None else value for value in row] for row in rows)
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "unknown" if value is None else str(value)
 
 
 def _emit(fmt: str, records, text: str = "", single: bool = False):
     """Print the cell records as a JSON list (one object if `single`) or as
-    CSV rows under CSV_HEADER, or print `text`; records are only consumed
-    by the format that prints them, one at a time."""
+    CSV rows under a RECORD_KEYS header, booleans spelled as in JSON and an
+    unknown value as an empty field, or print `text`; records are only
+    consumed by the format that prints them, one at a time."""
     if fmt == "json" and single:
         print(json.dumps(next(iter(records))))
     elif fmt == "json":
@@ -104,15 +106,12 @@ def _emit(fmt: str, records, text: str = "", single: bool = False):
             sys.stdout.write((", " if i else "") + json.dumps(record))
         print("]")
     elif fmt == "csv":
-        _print_csv(CSV_HEADER, ([record[key] for key in CSV_HEADER] for record in records))
+        writer = csv.writer(sys.stdout)
+        writer.writerow(RECORD_KEYS)
+        writer.writerows(["" if value is None else _text_value(value)
+                          for value in record.values()] for record in records)
     else:
         print(text)
-
-
-def _text_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return "unknown" if value is None else str(value)
 
 
 def cmd_hf(args) -> int:
@@ -155,21 +154,13 @@ def render_table(grid, mark_defective: bool) -> str:
 def cmd_table(args) -> int:
     oracle = _oracle_config(args) if args.oracle_unknown else None
     grid = table_region(args.m, args.s, args.amax, args.bmax, oracle)
-    if args.format == "text":
-        print(render_table(grid, args.mark_defective))
-    elif args.format == "csv":
-        _print_csv(["a", "b", "value", "flags"], (
-            [a, b, hf.value, _cell_marks(hf, mark_defective=True)]
-            for b, row in enumerate(grid)
-            for a, hf in enumerate(row)
-        ))
-    else:
-        pts = UniformFatPoints(args.s, args.m)
-        _emit("json", (
-            cell_record(BiDegree(a, b), pts, hf)
-            for b, row in enumerate(grid)
-            for a, hf in enumerate(row)
-        ))
+    text = render_table(grid, args.mark_defective) if args.format == "text" else ""
+    pts = UniformFatPoints(args.s, args.m)
+    _emit(args.format, (
+        cell_record(BiDegree(a, b), pts, hf)
+        for b, row in enumerate(grid)
+        for a, hf in enumerate(row)
+    ), text)
     return 0
 
 

@@ -27,7 +27,7 @@ from .oracle import OracleConfig, hf_uniform_cells, require_memory
 
 # peak bytes per cell of filling a table and printing it, by tracemalloc on
 # the second call, stdout to /dev/null, on 200 x 200 rectangles: the grid of
-# HFValues alone near 175, `table` 177 as json, 181 as csv and 244 as text
+# HFValues alone near 175, `table` 177 as json, 180 as csv and 244 as text
 # with --mark-defective, `defects` json 178. `verify` peaks highest, 542
 # (m 1, s 9), 580 (m 2, s 4), 697 (m 2, s 9), 724 (m 3, s 5) and 865 (m 3,
 # s 8), because it also holds an oracle row, whose matrix of s m (m + 1) / 2

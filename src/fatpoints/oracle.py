@@ -519,26 +519,20 @@ def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
     return best
 
 
-def _bi_row_degree(b: int, cells: tuple, top: int, rows: int, cfg: OracleConfig) -> BiDegree:
-    """(max(cells), b), the widest bidegree of a row of `rows` conditions at
-    multiplicities up to `top`. Raises a ValueError unless the cells are
-    nonnegative, the prime exceeds the degree and `top`, and the matrix fits
-    in physical memory."""
+def _bi_row_degree(b: int, cells, counts, cfg: OracleConfig) -> BiDegree:
+    """(max(cells), b), the widest bidegree of a row of points with counts[m]
+    of multiplicity m. Raises a ValueError unless the cells are nonnegative,
+    the prime exceeds the degree and the top multiplicity, and the matrix
+    fits in physical memory; from the counts alone, so a caller can check a
+    row before its multiplicities exist."""
+    cells = tuple(cells)
     if not cells or min(cells) < 0:
         raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
     deg = BiDegree(max(cells), b)
     cfg.require_degree(deg.a + b)
-    cfg.require_degree(top)
-    _require_fits(rows, deg.cells)
+    cfg.require_degree(max((m for m, n in counts.items() if n), default=0))
+    _require_fits(sum(n * binom(m + 1, 2) for m, n in counts.items()), deg.cells)
     return deg
-
-
-def _require_uniform_row(b: int, cells, pts: UniformFatPoints, cfg: OracleConfig):
-    """Raise what hf_biproj_row(b, cells, (pts.m,) * pts.s, cfg) raises
-    before its first trial, from (s, m) alone, so that the s multiplicities
-    are built only once every row has passed."""
-    top = pts.m if pts.s else 0  # hf_biproj_row takes max(mults, default=0)
-    _bi_row_degree(b, tuple(cells), top, pts.degree, cfg)
 
 
 def _bi_rank_bound(a: int, b: int, counts: Counter) -> int:
@@ -568,9 +562,8 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     The support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
-    deg = _bi_row_degree(b, cells, max(mults, default=0),
-                         sum(binom(m + 1, 2) for m in mults), cfg)  # before the row exists
     counts = Counter(mults)
+    deg = _bi_row_degree(b, cells, counts, cfg)  # before the row exists
     ranks = _max_ranks(("bi", b, mults), len(mults),
                        lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
                        {(a + 1) * (b + 1): _bi_rank_bound(a, b, counts) for a in cells}, cfg)
@@ -593,7 +586,7 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
         rows.setdefault(deg.b, set()).add(deg.a)
     rows = {b: sorted(rows[b]) for b in sorted(rows)}
     for b, row in rows.items():
-        _require_uniform_row(b, row, pts, cfg)
+        _bi_row_degree(b, row, {pts.m: pts.s}, cfg)
     if not rows:
         return {}
     mults = (pts.m,) * pts.s
@@ -678,7 +671,7 @@ def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> b
     """Both sides of the plane-model translation, compared by oracle; a
     bidegree side too large is refused before the s multiplicities exist."""
     row = deg.normalized
-    _require_uniform_row(row.b, (row.a,), pts, cfg)
+    _bi_row_degree(row.b, (row.a,), {pts.m: pts.s}, cfg)
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

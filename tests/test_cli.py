@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fatpoints.cli import CSV_HEADER, JSON_KEYS, main
+from fatpoints.cli import RECORD_KEYS, main
 from fatpoints.formulas import _TABLE_BYTES_PER_CELL
 from fatpoints.horace import verify_chain
 from fatpoints.oracle import hf_biproj_row
@@ -55,14 +55,14 @@ class TestHf:
         code, out = run(capsys, "hf", "--a", "1", "--b", "1", "--m", "1", "--s", "1",
                         "--format", "json")
         assert code == 0
-        assert list(json.loads(out).keys()) == JSON_KEYS
+        assert list(json.loads(out).keys()) == RECORD_KEYS
 
     def test_csv_header(self, capsys):
         code, out = run(capsys, "hf", "--a", "1", "--b", "1", "--m", "1", "--s", "1",
                         "--format", "csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == CSV_HEADER
+        assert rows[0] == RECORD_KEYS
 
     def test_invalid_inputs_exit_2(self, capsys):
         assert main(["hf", "--a", "1", "--b", "1", "--m", "0", "--s", "1"]) == 2
@@ -145,15 +145,18 @@ class TestTable:
         assert out.strip().split("\n")[9].split()[9] == "-"
 
     def test_csv_format(self, capsys):
-        code, out = run(capsys, "table", "--m", "3", "--s", "5", "--amax", "5",
-                        "--bmax", "4", "--format", "csv")
+        argv = ["table", "--m", "3", "--s", "5", "--amax", "5", "--bmax", "4",
+                "--format", "csv"]
+        code, out = run(capsys, *argv)
         assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["a", "b", "value", "flags"]
-        lookup = {(int(r[0]), int(r[1])): r for r in rows[1:]}
-        assert lookup[(5, 4)][2] == "29"
-        assert lookup[(5, 4)][3] == "*"
-        assert lookup[(0, 0)][3] == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert list(rows[0]) == RECORD_KEYS
+        lookup = {(int(r["a"]), int(r["b"])): r for r in rows}
+        assert lookup[(5, 4)]["value"] == "29"
+        assert lookup[(5, 4)]["defective"] == "true"
+        assert lookup[(0, 0)]["defective"] == "false"
+        # --mark-defective marks only the text table
+        assert run(capsys, *argv, "--mark-defective") == (0, out)
 
     def test_json_format_records(self, capsys):
         code, out = run(capsys, "table", "--m", "3", "--s", "5", "--amax", "5",
@@ -163,7 +166,7 @@ class TestTable:
         assert len(records) == 6 * 5
         cell = next(r for r in records if (r["a"], r["b"]) == (5, 4))
         assert cell["value"] == 29 and cell["defective"]
-        assert list(cell.keys()) == JSON_KEYS
+        assert list(cell.keys()) == RECORD_KEYS
         assert out == json.dumps(records) + "\n"
 
     def test_json_with_no_record_is_an_empty_list(self, capsys):
@@ -303,8 +306,8 @@ class TestTransposedCells:
         code, out = run(capsys, "table", "--m", "5", "--s", "5", "--amax", "11", "--bmax",
                         "11", "--oracle-unknown", "--format", "csv", *oracle)
         assert code == 0
-        return {(int(a), int(b)): int(value)
-                for a, b, value, _ in list(csv.reader(io.StringIO(out)))[1:]}
+        return {(int(r["a"]), int(r["b"])): int(r["value"])
+                for r in csv.DictReader(io.StringIO(out))}
 
     @staticmethod
     def hf(capsys, a, b, *oracle):
@@ -475,40 +478,10 @@ def crlf(text):
     return text.replace("\n", "\r\n")
 
 
-CSV_HEADER_LINE = "a,b,m,s,value,source,known,defective,defect\n"
-TABLE_M4_S3 = (
-    "a,b,value,flags\n"
-    "0,0,1,\n1,0,2,\n2,0,3,\n3,0,4,\n4,0,5,\n5,0,6,\n"
-    "0,1,2,\n1,1,4,\n2,1,6,\n3,1,8,\n4,1,10,\n5,1,12,\n"
-    "0,2,3,\n1,2,6,\n2,2,9,\n3,2,12,\n4,2,15,\n5,2,18,\n"
-    "0,3,4,\n1,3,8,\n2,3,12,\n3,3,16,\n4,3,20,\n5,3,24,\n"
-    "0,4,5,\n1,4,10,\n2,4,15,\n3,4,20,\n4,4,24,*\n5,4,27,*\n"
-    "0,5,6,\n1,5,12,\n2,5,18,\n3,5,24,\n4,5,27,*\n5,5,29,*?\n"
-)
-
-
-CSV_CASES = [
-    ("hf --a 5 --b 4 --m 3 --s 5",
-     CSV_HEADER_LINE + "5,4,3,5,29,formula,True,True,1\n"),
-    ("hf --a 8 --b 7 --m 5 --s 5 --mode formula",
-     CSV_HEADER_LINE + "8,7,5,5,,formula,False,False,0\n"),
-    ("hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1",
-     CSV_HEADER_LINE + "8,7,5,5,71,oracle,False,True,1\n"),
-    ("table --m 4 --s 3 --amax 5 --bmax 5 --oracle-unknown --trials 1",
-     TABLE_M4_S3),
-    ("defects --m 3 --s 5 --amax 10 --bmax 4",
-     CSV_HEADER_LINE + "9,2,3,5,29,formula,True,True,1\n"
-     "6,3,3,5,27,formula,True,True,1\n7,3,3,5,29,formula,True,True,1\n"
-     "5,4,3,5,29,formula,True,True,1\n"),
-    ("defects --m 2 --s 2 --amax 6 --bmax 2", CSV_HEADER_LINE),
-]
-
-
-KEYS = ("a", "b", "m", "s", "value", "source", "known", "defective", "defect",
-        "virtual_dim", "expected_dim")
 JSON_CELL = ('{{"a": {}, "b": {}, "m": {}, "s": {}, "value": {}, "source": "{}", '
              '"known": {}, "defective": {}, "defect": {}, "virtual_dim": {}, '
              '"expected_dim": {}}}')
+CSV_HEADER_LINE = "a,b,m,s,value,source,known,defective,defect,virtual_dim,expected_dim\n"
 
 
 def json_cell(row):
@@ -521,7 +494,15 @@ def json_cells(*rows):
 
 
 def text_cell(row):
-    return "".join(f"{key} = {value}\n" for key, value in zip(KEYS, row.split()))
+    return "".join(f"{key} = {value}\n" for key, value in zip(RECORD_KEYS, row.split()))
+
+
+def csv_cells(*rows):
+    """The CSV header and one row per record, each given as its JSON values
+    in key order; null is an empty field."""
+    return CSV_HEADER_LINE + "".join(
+        ",".join("" if value == "null" else value for value in row.split()) + "\n"
+        for row in rows)
 
 
 # below b = 4 every cell of the degree-30 scheme has its full size as value
@@ -547,6 +528,19 @@ DEFECTS_M3_S5_CELLS = [
     "6 3 3 5 27 formula true true 1 -2 0",
     "7 3 3 5 29 formula true true 1 2 2",
     "5 4 3 5 29 formula true true 1 0 0",
+]
+
+# CSV cases get --format csv appended
+CSV_CASES = [
+    ("hf --a 5 --b 4 --m 3 --s 5", csv_cells("5 4 3 5 29 formula true true 1 0 0")),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode formula",
+     csv_cells("8 7 5 5 null formula false false 0 -3 0")),
+    ("hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1",
+     csv_cells("8 7 5 5 71 oracle false true 1 -3 0")),
+    ("table --m 4 --s 3 --amax 5 --bmax 5 --oracle-unknown --trials 1",
+     csv_cells(*TABLE_M4_S3_CELLS)),
+    ("defects --m 3 --s 5 --amax 10 --bmax 4", csv_cells(*DEFECTS_M3_S5_CELLS)),
+    ("defects --m 2 --s 2 --amax 6 --bmax 2", csv_cells()),
 ]
 
 # JSON and text cases carry their own --format
@@ -586,6 +580,39 @@ class TestCsvBytes:
     def test_exact_bytes(self, capsysbinary, argv, expected):
         assert main(argv.split()) == 0
         assert capsysbinary.readouterr().out == expected.encode()
+
+
+def csv_value(text):
+    """A CSV field read back as the JSON value it stands for."""
+    if text in ("true", "false"):
+        return text == "true"
+    if text == "":
+        return None
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+class TestRecordContract:
+    """A CSV row is its command's JSON object: the same keys in the same order,
+    with the same values."""
+
+    @pytest.mark.parametrize("argv", [
+        "hf --a 5 --b 4 --m 3 --s 5",
+        "hf --a 8 --b 7 --m 5 --s 5 --mode oracle --trials 1",
+        "hf --a 8 --b 7 --m 5 --s 5 --mode formula",
+        "table --m 5 --s 5 --amax 9 --bmax 8 --mark-defective",
+        "table --m 5 --s 5 --amax 9 --bmax 8 --oracle-unknown --trials 1",
+        "defects --m 3 --s 5 --amax 10 --bmax 4",
+    ])
+    def test_csv_rows_are_the_json_records(self, capsys, argv):
+        code, out = run(capsys, *argv.split(), "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        got = [list(zip(header, map(csv_value, row))) for row in rows]
+        code, out = run(capsys, *argv.split(), "--format", "json")
+        assert code == 0
+        records = json.loads(out)
+        records = [records] if isinstance(records, dict) else records
+        assert got and got == [list(record.items()) for record in records]
 
 
 class TestEnvironment:
