@@ -134,6 +134,9 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
         tuple(SliceProfile.fat_point(m) for m, _ in line_points)), traces)
     general_scheme = PlaneScheme(ambient.corner_a, ambient.corner_b,
                                  ambient.general + tuple(m for m, _ in line_points))
+    # the conclusion's matrix is the largest: refuse it before any elimination
+    require_plane_fits(d, [(m, 1) for m in general_scheme.general
+                           + (ambient.corner_a, ambient.corner_b)])
 
     res_dim = hf_plane(d - 1, res_scheme, oracle) if d >= 1 else 0
     res_expected = max(0, binom(d + 1, 2) - res_scheme.degree)

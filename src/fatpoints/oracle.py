@@ -8,13 +8,10 @@ returns the generic rank except with probability bounded by degree/p; taking
 the maximum over trials only sharpens this. Both the bidegree and the plane
 model run their trials through _max_ranks, which draws each trial's support
 and stops the trials once every rank reaches its model's bound, so
-cfg.trials is an upper bound. The bound counts the rows that can be nonzero
-on the cut's columns on any support, capped by the cut: for bidegree (a, b)
-the conditions (c, e) with c <= a and e <= b, for the plane every row of
-the fat points and, at each level e, at most d-e+1 rows of the points on
-the line, whose level-e rows meet only the columns x^j y^e. No trial passes
-it, so no later trial could raise the maximum. Agreement under a second
-prime and under distinct seeds is part of the test suite.
+cfg.trials is an upper bound. The bound, _rank_bound, counts the rows that
+can be nonzero on the cut's columns on any support, capped by the cut; no
+trial passes it, so no later trial could raise the maximum. Agreement under
+a second prime and under distinct seeds is part of the test suite.
 
 Everything is deterministic, and every model draws its support the same way:
 sample_support(derive_seed(master seed, *tags, trial index), count, p), with
@@ -485,13 +482,9 @@ def require_plane_fits(d: int, points, line_rows: int = 0):
     not fit in physical memory, from its fat points as (multiplicity, count)
     pairs and the rows of its on-line points, before any scheme or support
     exists."""
-    _require_fits(line_rows + _chart_rows(d, points), binom(d + 2, 2))
-
-
-def _chart_rows(d: int, points) -> int:
-    """Rows of fat points, as (multiplicity, count) pairs, on degree-d forms."""
     # partials of order above d vanish on degree-d forms, as in the builder
-    return sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
+    rows = sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
+    _require_fits(line_rows + rows, binom(d + 2, 2))
 
 
 def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
@@ -535,20 +528,25 @@ def _bi_row_degree(b: int, cells, counts, cfg: OracleConfig) -> BiDegree:
     return deg
 
 
-def _bi_rank_bound(a: int, b: int, counts: Counter) -> int:
-    """min(N(a, b), (a+1)(b+1)), an upper bound on the rank of the (a, b)
-    conditions of points with counts[m] of multiplicity m, on any support.
+def _rank_bound(levels, chart, line) -> int:
+    """An upper bound, on any support, on the rank of derivative conditions
+    against the columns x^j y^e with j < levels[e], where levels does not
+    grow with e: (a+1,) * (b+1) for the bidegree (a, b) box, (d+1, d, ..., 1)
+    for the degree-d triangle.
 
-    The row of condition (c, e) at a point holds d^c/dx^c d^e/dy^e x^j y^l,
-    which is zero on every column j <= a, l <= b when c > a or e > b,
-    whatever the support, and c! e! at x^c y^e otherwise. So exactly
-    N(a, b) = sum over points of sum_{e <= min(m-1, b)} min(a+1, m-e) rows
-    are nonzero there. Its cost grows with the distinct multiplicities,
-    not with the points.
+    The row d^c/dx^c d^e/dy^e at a point is c! e! at x^c y^e and zero on
+    every column x^j y^k with j < c or k < e, so, levels not growing, it
+    can be nonzero on the columns exactly when c < levels[e]. A chart
+    point, given with its count as a (widths, count) pair in chart, has
+    min(w_e, levels[e]) such rows of level e. At a point on the line y = 0,
+    given by its widths in line, a level-e row is also zero unless k = e:
+    the level-e rows of all of them lie in the levels[e] columns x^j y^e,
+    so together they count at most levels[e]. This is the trace count on
+    the line. The sum is capped by the columns.
     """
-    rows = sum(n * sum(min(a + 1, m - e) for e in range(min(m, b + 1)))
-               for m, n in counts.items())
-    return min(rows, (a + 1) * (b + 1))
+    rows = sum(n * sum(map(min, widths, levels)) for widths, n in chart)
+    rows += sum(map(min, map(sum, zip_longest(*line, fillvalue=0)), levels))
+    return min(rows, sum(levels))
 
 
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
@@ -558,15 +556,17 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     the first (a+1)(b+1) columns of the (max(cells), b) matrix on the same
     support, and one elimination per trial gives every cell. Exactly the
     cells asked for are returned, keyed by a, and only they can hold the
-    trials up: the trials stop once each has reached _bi_rank_bound(a, b).
-    The support does not depend on the cells.
+    trials up: the trials stop once each has reached the _rank_bound of its
+    box. The support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
     counts = Counter(mults)
     deg = _bi_row_degree(b, cells, counts, cfg)  # before the row exists
+    chart = [(fat_profile(m), n) for m, n in counts.items()]
+    bounds = {(a + 1) * (b + 1): _rank_bound((a + 1,) * (b + 1), chart, ()) for a in cells}
     ranks = _max_ranks(("bi", b, mults), len(mults),
                        lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
-                       {(a + 1) * (b + 1): _bi_rank_bound(a, b, counts) for a in cells}, cfg)
+                       bounds, cfg)
     return {a: ranks[(a + 1) * (b + 1)] for a in cells}
 
 
@@ -606,38 +606,23 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
 
 
-def _plane_rank_bound(d: int, scheme: PlaneScheme) -> int:
-    """An upper bound on the rank of the scheme's degree-d conditions, on any
-    support: every row of its fat points, and at most d-e+1 of the rows of
-    its points on the line at each level e, capped by the columns.
-
-    A level-e row at (x, 0) holds d^c/dx^c d^e/dy^e x^j y^k at y = 0, which
-    is zero unless k = e, and only the d-e+1 columns x^j y^e have k = e
-    (none when e > d). This is the trace count on the line: the level-e rows
-    are conditions on the restriction of d^e f/dy^e to the line, a form of
-    degree d-e, so together they impose at most d-e+1.
-    """
-    fat = Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items()
-    levels = map(sum, zip_longest(*(pr.widths for pr in scheme.on_line), fillvalue=0))
-    line = sum(min(w, max(0, d - e + 1)) for e, w in enumerate(levels))
-    return min(_chart_rows(d, fat) + line, binom(d + 2, 2))
-
-
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Dimension of the degree-d piece of the plane scheme's ideal: the
     complement of the max over trials of the conditions-matrix rank. The
-    trials stop once the rank reaches _plane_rank_bound(d, scheme)."""
+    trials stop once the rank reaches the _rank_bound of the triangle."""
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
-    require_plane_fits(d, Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items(),
-                       sum(pr.degree for pr in scheme.on_line))  # before the first draw
-    tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general,
-            tuple(pr.widths for pr in scheme.on_line))
+    fat = Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items()
+    line = tuple(pr.widths for pr in scheme.on_line)
+    require_plane_fits(d, fat, sum(map(sum, line)))  # before the first draw
+    tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general, line)
     cols = binom(d + 2, 2)
+    # clamped as in the builder, so a corner far above d makes no long profile
+    chart = [(fat_profile(min(m, d + 1)), n) for m, n in fat]
     return cols - _max_ranks(tags, len(scheme.general) + 2 + len(scheme.on_line),
                              lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
-                             {cols: _plane_rank_bound(d, scheme)}, cfg)[cols]
+                             {cols: _rank_bound(range(d + 1, 0, -1), chart, line)}, cfg)[cols]
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
@@ -668,10 +653,11 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
-    """Both sides of the plane-model translation, compared by oracle; a
-    bidegree side too large is refused before the s multiplicities exist."""
+    """Both sides of the plane-model translation, compared by oracle; either
+    side too large is refused before the s multiplicities exist."""
     row = deg.normalized
     _bi_row_degree(row.b, (row.a,), {pts.m: pts.s}, cfg)
+    require_plane_fits(deg.a + deg.b, ((deg.a, 1), (deg.b, 1), (pts.m, pts.s)))
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

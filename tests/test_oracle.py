@@ -2,9 +2,9 @@ import hashlib
 import random
 import tracemalloc
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from fatpoints import oracle as oracle_module
 from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
 from fatpoints.formulas import hf_uniform, table_region
-from fatpoints.horace import specialize_triple_step1, specialize_triple_step2, verify_chain
+from fatpoints.horace import (
+    horace_verify,
+    specialize_triple_step1,
+    specialize_triple_step2,
+    verify_chain,
+)
 from fatpoints.oracle import (
     ALT_PRIME,
     DEFAULT_PRIME,
@@ -744,6 +749,24 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_reduce_refuses_its_plane_side_first(self, monkeypatch, eliminations):
+        # at the corpus's 1 GiB the 720 x 14641 bidegree side fits and the
+        # plane side does not: neither is eliminated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="^a 15240 x 29161 conditions matrix"):
+            check_reduction(BiDegree(120, 120), UniformFatPoints(20, 8), OracleConfig())
+        assert eliminations == []
+
+    def test_horace_verify_refuses_its_conclusion_first(self, monkeypatch, eliminations):
+        # at 16 MiB the 1800 x 210 residue and the 20 x 21 trace fit and the
+        # conclusion does not: none of the three is eliminated
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 12}
+        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="^a 1820 x 231 conditions matrix"):
+            horace_verify(((1, 0),) * 20, PlaneScheme(0, 0, (2,) * 600), 20, OracleConfig())
+        assert eliminations == []
+
     def test_compares_with_physical_memory(self, monkeypatch):
         p = 2**31 - 1
         columns = (np.arange(4)[:, None], np.arange(4))
@@ -1051,42 +1074,70 @@ line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
 
 
-class TestRankBound:
-    """Each model's bound on the rank: no trial on any support passes it."""
+def handed(call, *args):
+    """call(*args) and the bounds it hands the trial loop, by cut."""
+    bounds = {}
+    loop = oracle_module._max_ranks
 
-    def test_bidegree_by_hand(self):
-        bound = oracle_module._bi_rank_bound
+    def kept(tags, count, build, cut_bounds, cfg):
+        bounds.update(cut_bounds)
+        return loop(tags, count, build, cut_bounds, cfg)
+
+    with mock.patch.object(oracle_module, "_max_ranks", kept):
+        return call(*args), bounds
+
+
+def box_reference(a, b, mults):
+    """min(N(a, b), (a+1)(b+1)): the conditions (c, e) with c <= a and e <= b
+    are the rows nonzero on the (a, b) columns, capped by the columns."""
+    rows = sum(min(a + 1, m - e) for m in mults for e in range(min(m, b + 1)))
+    return min(rows, (a + 1) * (b + 1))
+
+
+def rows_on_cut(M, cut):
+    """The rows of M nonzero on its first cut columns, capped by the cut."""
+    return min(int(M[:, :cut].any(axis=1).sum()), cut)
+
+
+class TestRankBound:
+    """The one bound on the rank, over per-level columns: no trial on any
+    support passes it, and each model hands the trial loop its own."""
+
+    def test_box_by_hand(self):
+        bound = oracle_module._rank_bound
         # a 6-fold point meets the columns of (20, 2) in its rows e <= 2
-        assert bound(20, 2, Counter({6: 2})) == 2 * (6 + 5 + 4)
+        assert bound((21,) * 3, [(fat_profile(6), 2)], ()) == 2 * (6 + 5 + 4)
         # at a = 1 a triple point keeps min(2, 3) + min(2, 2) + min(2, 1) of
         # its 6 rows, and a simple point its one
-        assert bound(1, 5, Counter({3: 2, 1: 1})) == 2 * 5 + 1
-        assert bound(5, 5, Counter({3: 4})) == 4 * 6  # every row
-        assert bound(0, 0, Counter({2: 5})) == 1  # the cut
-        assert bound(3, 3, Counter({0: 7})) == 0
+        assert bound((2,) * 6, [(fat_profile(3), 2), (fat_profile(1), 1)], ()) == 2 * 5 + 1
+        assert bound((6,) * 6, [(fat_profile(3), 4)], ()) == 4 * 6  # every row
+        assert bound((1,), [(fat_profile(2), 5)], ()) == 1  # the cut
+        assert bound((4,) * 4, [(fat_profile(0), 7)], ()) == 0
 
-    def test_plane_by_hand(self):
-        bound = oracle_module._plane_rank_bound
+    def test_triangle_by_hand(self):
+        bound = oracle_module._rank_bound
+        conics, cubics, quartics = range(3, 0, -1), range(4, 0, -1), range(5, 0, -1)
         # four simple points on the line meet the 3 columns 1, x, x^2 of conics
-        assert bound(2, PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)) == 3
+        assert bound(conics, [], [(1,)] * 4) == 3
         # off the line every row counts: double corners on conics, 3 + 3
-        assert bound(2, PlaneScheme(2, 2)) == 6
+        assert bound(conics, [(fat_profile(2), 2)], ()) == 6
         # level e meets the 5 - e columns x^j y^e of quartics: 5 + 4 + 3 of
         # the levels' 6 + 6 + 4 rows, plus a simple corner
-        assert bound(4, PlaneScheme(1, 0, (), (SliceProfile((3, 3, 2)),) * 2)) == 13
+        assert bound(quartics, [(fat_profile(1), 1)], [(3, 3, 2)] * 2) == 13
         # levels above d meet no column; a 9-fold corner counts its 10 rows
         # of order at most 3
-        assert bound(2, PlaneScheme(0, 0, (), (SliceProfile((1, 1, 1, 1)),))) == 3
-        assert bound(3, PlaneScheme(9, 0)) == 10
+        assert bound(conics, [], [(1, 1, 1, 1)]) == 3
+        assert bound(cubics, [(fat_profile(9), 1)], ()) == 10
 
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_bidegree_bound_holds(self, a_max, b, mults):
         cfg = OracleConfig()
         ranks = all_trials_row(a_max, b, mults, cfg)
+        row, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
         for a, rank in enumerate(ranks):
-            assert oracle_module._bi_rank_bound(a, b, Counter(mults)) >= rank, a
-        assert hf_biproj_row(b, range(a_max + 1), mults, cfg) == dict(enumerate(ranks))
+            assert bounds[(a + 1) * (b + 1)] == box_reference(a, b, mults) >= rank, a
+        assert row == dict(enumerate(ranks))
 
     @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3),
            st.lists(st.integers(0, 3), max_size=3), st.lists(line_profiles, max_size=4))
@@ -1095,8 +1146,29 @@ class TestRankBound:
         cfg = OracleConfig()
         scheme = PlaneScheme(corner_a, corner_b, tuple(general), tuple(on_line))
         value = all_trials_plane(d, scheme, cfg)
-        assert oracle_module._plane_rank_bound(d, scheme) >= binom(d + 2, 2) - value
-        assert hf_plane(d, scheme, cfg) == value
+        got, bounds = handed(hf_plane, d, scheme, cfg)
+        assert bounds[binom(d + 2, 2)] >= binom(d + 2, 2) - value
+        assert got == value
+
+    @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4),
+           st.integers(0, 7), st.integers(0, 8), st.integers(0, 8),
+           st.lists(st.integers(0, 9), max_size=3))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_equals_the_rows_nonzero_on_the_cut(self, a_max, b, mults, d, corner_a,
+                                                corner_b, general):
+        # off the line every counted row holds c! e! at x^c y^e, so the
+        # bound is the count itself: each row of a box cut, and the triangle
+        # of a scheme with no points on the line
+        cfg = OracleConfig(trials=1)
+        p = cfg.prime
+        _, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
+        M = bi_conditions_matrix(BiDegree(a_max, b), mults,
+                                 sample_support(1, len(mults), p), p)
+        assert bounds == {cut: rows_on_cut(M, cut) for cut in bounds}
+        scheme = PlaneScheme(corner_a, corner_b, tuple(general))
+        _, bounds = handed(hf_plane, d, scheme, cfg)
+        M = plane_conditions_matrix(d, scheme, sample_support(1, len(general) + 2, p), p)
+        assert bounds == {binom(d + 2, 2): rows_on_cut(M, binom(d + 2, 2))}
 
 
 def record_points(monkeypatch, name, index):
