@@ -9,9 +9,10 @@ the maximum over trials only sharpens this. Both the bidegree and the plane
 model run their trials through _max_ranks, which draws each trial's support
 and stops the trials once every rank reaches its model's bound, so
 cfg.trials is an upper bound. The bound, _rank_bound, counts the rows that
-can be nonzero on the cut's columns on any support, capped by the cut; no
-trial passes it, so no later trial could raise the maximum. Agreement under
-a second prime and under distinct seeds is part of the test suite.
+can be nonzero on the cut's columns on any support, those of each level on
+a line at most the trace count there, capped by the cut; no trial passes
+it, so no later trial could raise the maximum. Agreement under a second
+prime and under distinct seeds is part of the test suite.
 
 Everything is deterministic, and every model draws its support the same way:
 sample_support(derive_seed(master seed, *tags, trial index), count, p), with
@@ -28,19 +29,34 @@ share one elimination per trial and one support in every command.
 
 All three models share one builder, conditions_matrix: derivative conditions
 at chart points against a set of exponent columns, a box for bidegree
-(a, b), a triangle for plane degree d and a segment for the line. It
-fills one derivative table for all points together, row 0 by the powers
-t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1), and writes the
-rows of each run of points with equal width profile one level at a time,
-each level one block multiplied and reduced in place. The bidegree model is
-one run and the plane model a few, so the builder's Python-level work does
-not grow with the number of points. The plane model takes one point per
-profile in scheme order: the general points, then the corners Q1 and Q2,
-drawn as two more random chart points off the line y = 0 since PGL(3) takes
-any two general points to them (no dimension changes), then the points on
-the line, which keep their x and move to (x, 0). A matrix whose elimination
-would not fit in physical memory is refused with a ValueError before it is
-allocated.
+(a, b), the monomials its corners leave for plane degree d and a segment
+for the line. It fills one derivative table for all points together, row 0
+by the powers t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1), and
+writes the rows of each run of points with equal width profile one level at
+a time, each level one block multiplied and reduced in place. The bidegree
+model is one run and the plane model a few, so the builder's Python-level
+work does not grow with the number of points.
+
+The plane model puts its corners at Q1 = [0:1:0] and Q2 = [0:0:1] and its
+distinguished line at y = x, which avoids both: PGL(3) takes any two points
+and a line through neither there, and no dimension changes. At those points
+a corner condition is the coefficient of one monomial, so the corners give
+no rows, the monomials they kill give no columns, and the value is the
+columns left less the rank of the other points' rows on them. For a
+reduction, d = a + b, those are the (b+1) x (a+1) box of the bidegree
+model, so check_reduction checks the corner bookkeeping; the tests compare
+the plane model with the triangle of every degree-d monomial, with the
+corners as two more random chart points and the line at y = 0. The plane
+model takes one point per profile in scheme order: the general points,
+then the points on the line, which keep their x and move to (x, x), and one
+more, whose x is the slope of the direction v = (1, slope) across the line.
+A point on the line gives the rows d_u^c d_v^e, u = (1, 1) along the line,
+each a sum of c + e + 1 products of the same tables. The direction v points
+at neither corner, as d/dy would at Q2: the scheme of a profile that does
+not fall strictly, such as (3, 3, 2), depends on it.
+
+A matrix whose elimination would not fit in physical memory is refused with
+a ValueError before it is allocated.
 
 rank_profile_mod_p is the one elimination kernel, and it is left-looking:
 a column is updated only once the elimination reaches it, and the
@@ -196,14 +212,16 @@ def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
 # rows + _panel_width(p) columns, a larger one with _panel_width(p). On one
 # BLAS thread, left-looking, that first panel against panels of 64 from the
 # start: the golden table's 75x494 (2^15.2 entries) takes 2.2 against 3.8 ms
-# and the widest Horace chain matrix, 125x120, 4.0 against 5.8 ms, while
-# panels win on the plane matrices of reduce cells, 399x666 (2^18.0) in 29
-# against 31 ms and 571x990 in 50 against 56 ms, and on a dense random
-# 210x294 (2^15.9), 17 against 24 ms. So the plane crossover lies near 2^18
-# and the dense one below 2^15.9. No workload matrix lies between 2^15.2 and
-# 2^18.8 entries, so any cutoff there routes them alike: the golden table,
-# verify (at most 210x42) and the Horace chains take the first panel, the
-# plane reductions (540x861, 571x990) and the large cell go in panels.
+# and a 125x120 Horace chain matrix 4.0 against 5.8 ms, while panels win on
+# the triangle-shaped plane matrices that reduce cells had with their
+# corners drawn as chart points, 399x666 (2^18.0) in 29 against 31 ms and
+# 571x990 in 50 against 56 ms, and on a dense random 210x294 (2^15.9), 17
+# against 24 ms. So the plane crossover lies near 2^18 and the dense one
+# below 2^15.9. No workload matrix lies between 2^15.2 and 2^20.2 entries,
+# so any cutoff there routes them alike: the golden table, verify (at most
+# 210x42), the Horace chains (at most 66x64) and the plane reductions
+# (75x494, 120x441) take the first panel, and the large cell, 720x1681, is
+# the only workload matrix in panels.
 _SINGLE_PANEL_ENTRIES = 1 << 18
 
 
@@ -399,50 +417,77 @@ def _require_fits(rows: int, cols: int):
                    f"a {rows} x {cols} conditions matrix", "to eliminate")
 
 
-def conditions_matrix(points, profiles, xexp, yexp, p: int) -> np.ndarray:
+def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
+                      on_line: int = 0, slope: int = 0) -> np.ndarray:
     """Derivative conditions at chart points against exponent columns.
 
     The columns are the monomials x^j y^l for (j, l) running over xexp and
     yexp broadcast together, in C order. Point (x, y) with width profile
     (w_0, w_1, ...) gives, for each level e and each c < w_e, the row of
-    d^c/dx^c d^e/dy^e of every column monomial at (x, y). A fat point of
-    multiplicity m is the profile (m, ..., 1); a point on the line y = 0
-    takes its SliceProfile widths. Rows run point by point, then by level,
-    then by c.
+    d^c/dx^c d^e/dy^e of every column monomial at (x, y). The last on_line
+    points are points of the line y = x, and theirs is instead the row of
+    d_u^c d_v^e, with u = (1, 1) along the line and v = (1, slope) across
+    it. A fat point of multiplicity m is the profile (m, ..., 1); a point on
+    the line takes its SliceProfile widths. Rows run point by point, then by
+    level, then by c.
 
     The derivative tables DX and DY of all points are one table, filled
     together by two recurrences: t^j = t^(j-1) t for the powers in row 0,
     and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. Points
     come in runs of equal profile (the bidegree model is one run, the plane
-    model a few), and each level of a run is one block of rows of the
+    model a few), and each level of a chart run is one block of rows of the
     preallocated matrix, written in place by one multiply and one remainder.
     The only temporaries are the two gathered factors of a block, the x one
     no larger than the block and the y one no larger than a row per point.
+    On the line, d_u^c d_v^e = (d_x + d_y)^c (d_x + slope d_y)^e is
+    sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i the coefficient of
+    z^i in (1 + z)^c (1 + slope z)^e, so row (c, e) of a run is summed in
+    place from c + e + 1 products of the same tables, one per i, each a
+    temporary of one row per point.
     """
     profiles = [tuple(widths) for widths in profiles]
     shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
     rows, cols = sum(map(sum, profiles)), math.prod(shape)
     _require_fits(rows, cols)
     out = np.empty((rows, cols), dtype=np.int64)
-    if rows == 0:
+    if out.size == 0:
         return out
     # strict: a point without a profile, or a profile without a point, is an error
     coords = [xy for xy, _ in zip(points, profiles, strict=True)]
     # both exponent arrays get the full number of axes, behind the point and c axes
     xexp, yexp = (np.reshape(e, (1,) * (len(shape) - np.ndim(e)) + np.shape(e))
                   for e in (xexp, yexp))
-    orders = max(max(len(w), *w) for w in profiles if w)
+    # a row d_u^c d_v^e takes derivatives of order up to c + e in x and in y
+    orders = max(w + e for widths in set(profiles) for e, w in enumerate(widths))
     DX, DY = _derivative_tables(np.transpose(coords), orders,
                                 int(max(xexp.max(), yexp.max())), p)
+    # a run's points share one profile, and lie all off the line or all on it
+    lined = [False] * (len(profiles) - on_line) + [True] * on_line
     r = i = 0
-    for widths, run in groupby(profiles):
+    for (widths, on_the_line), run in groupby(zip(profiles, lined)):
         n, size = len(list(run)), sum(widths)
         view = out[r : r + n * size].reshape((n, size) + shape)
+        dx, dy = DX[i : i + n], DY[i : i + n]
         level = 0
         for e, w in enumerate(widths):
-            block = view[:, level : level + w]
-            np.multiply(DX[i : i + n, :w, xexp], DY[i : i + n, e][:, None, yexp], out=block)
-            np.remainder(block, p, out=block)
+            if not on_the_line:
+                block = view[:, level : level + w]
+                np.multiply(dx[:, :w, xexp], dy[:, e][:, None, yexp], out=block)
+                np.remainder(block, p, out=block)
+            else:
+                for c in range(w):
+                    kappa = [1]
+                    for root in (1,) * c + (slope,) * e:  # times (1 + root z)
+                        kappa = [(a + root * b) % p for a, b in zip(kappa + [0], [0] + kappa)]
+                    row = view[:, level + c]
+                    row[...] = 0
+                    for t, k in enumerate(kappa):
+                        term = dx[:, c + e - t, xexp] * dy[:, t, yexp]
+                        term %= p
+                        term *= k
+                        term %= p
+                        row += term  # at most c + e + 1 terms below p
+                    row %= p
             level += w
         r, i = r + n * size, i + n
     return out
@@ -460,21 +505,43 @@ def bi_conditions_matrix(deg: BiDegree, mults, points, p: int) -> np.ndarray:
                              np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
 
 
-def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
-    """Conditions of a plane scheme on degree-d forms, in the chart x0 = 1.
+def _plane_columns(d: int, scheme: PlaneScheme):
+    """The exponents (j, k) of the monomials x^j y^k of degree at most d that
+    the corners leave, j-major: j <= d - alpha and k <= d - beta, with the
+    corner multiplicities alpha and beta clamped to d + 1.
 
-    points holds one chart point per profile, in scheme order: the general
-    points and the two corners, each (x, y) with y != 0, then one per
-    profiled point on the distinguished line, which keeps its x and moves
-    to (x, 0). A monomial of degree d is the column x^j y^k with j + k <= d.
+    In the chart x0 = 1, x^j y^k is x0^(d-j-k) x1^j x2^k, whose order at
+    Q1 = [0:1:0] is d - j and at Q2 = [0:0:1] is d - k. So each corner
+    condition is the coefficient of one monomial, and the corners kill
+    exactly the monomials outside these.
     """
-    mults = scheme.general + (scheme.corner_a, scheme.corner_b)
-    # partials of order above d vanish on degree-d forms
-    profiles = [fat_profile(min(m, d + 1)) for m in mults]
-    profiles += [pr.widths for pr in scheme.on_line]
-    points = list(points[: len(mults)]) + [(x, 0) for x, _ in points[len(mults) :]]
+    alpha, beta = (min(m, d + 1) for m in (scheme.corner_a, scheme.corner_b))
     j, k = np.triu_indices(d + 1)
-    return conditions_matrix(points, profiles, j, k - j, p)
+    k -= j
+    keep = (j <= d - alpha) & (k <= d - beta)
+    return j[keep], k[keep]
+
+
+def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
+    """Conditions of a plane scheme's points other than its corners on the
+    degree-d forms that the corners leave, _plane_columns, in the chart
+    x0 = 1.
+
+    points holds one chart point per profile, in scheme order, and one more:
+    the general points, then one per profiled point on the distinguished
+    line y = x, which keeps its x and moves to (x, x), and last a point whose
+    x is the slope of the direction v = (1, slope) across the line. The line
+    avoids both corners, and v is general: it does not point at Q2, as d/dy
+    does, or at Q1, as d/dx does.
+    """
+    general = len(scheme.general)
+    *points, (slope, _) = points
+    # partials of order above d vanish on degree-d forms
+    profiles = [fat_profile(min(m, d + 1)) for m in scheme.general]
+    profiles += [pr.widths for pr in scheme.on_line]
+    points = points[:general] + [(x, x) for x, _ in points[general:]]
+    return conditions_matrix(points, profiles, *_plane_columns(d, scheme), p,
+                             on_line=len(scheme.on_line), slope=slope)
 
 
 def require_plane_fits(d: int, points, line_rows: int = 0):
@@ -528,24 +595,26 @@ def _bi_row_degree(b: int, cells, counts, cfg: OracleConfig) -> BiDegree:
     return deg
 
 
-def _rank_bound(levels, chart, line) -> int:
+def _rank_bound(levels, chart, line, caps) -> int:
     """An upper bound, on any support, on the rank of derivative conditions
     against the columns x^j y^e with j < levels[e], where levels does not
-    grow with e: (a+1,) * (b+1) for the bidegree (a, b) box, (d+1, d, ..., 1)
-    for the degree-d triangle.
+    grow with e: (a+1,) * (b+1) for the bidegree (a, b) box, and for plane
+    degree d the columns that the corners leave, per power of y.
 
-    The row d^c/dx^c d^e/dy^e at a point is c! e! at x^c y^e and zero on
-    every column x^j y^k with j < c or k < e, so, levels not growing, it
+    The row d^c/dx^c d^e/dy^e at a chart point is c! e! at x^c y^e and zero
+    on every column x^j y^k with j < c or k < e, so, levels not growing, it
     can be nonzero on the columns exactly when c < levels[e]. A chart
     point, given with its count as a (widths, count) pair in chart, has
-    min(w_e, levels[e]) such rows of level e. At a point on the line y = 0,
-    given by its widths in line, a level-e row is also zero unless k = e:
-    the level-e rows of all of them lie in the levels[e] columns x^j y^e,
-    so together they count at most levels[e]. This is the trace count on
-    the line. The sum is capped by the columns.
+    min(w_e, levels[e]) such rows of level e. At a point on a line, given
+    by its widths in line, the level-e row d_u^c d_v^e, with u along the
+    line, is d_u^c of the restriction of d_v^e F to the line: the level-e
+    rows of all of them factor through that restriction, so together they
+    count at most caps[e], the dimension it ranges over (d - e + 1 on
+    degree-d forms; none past the last cap). This is the trace count on the
+    line. The sum is capped by the columns.
     """
     rows = sum(n * sum(map(min, widths, levels)) for widths, n in chart)
-    rows += sum(map(min, map(sum, zip_longest(*line, fillvalue=0)), levels))
+    rows += sum(map(min, map(sum, zip_longest(*line, fillvalue=0)), caps))
     return min(rows, sum(levels))
 
 
@@ -563,7 +632,7 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     counts = Counter(mults)
     deg = _bi_row_degree(b, cells, counts, cfg)  # before the row exists
     chart = [(fat_profile(m), n) for m, n in counts.items()]
-    bounds = {(a + 1) * (b + 1): _rank_bound((a + 1,) * (b + 1), chart, ()) for a in cells}
+    bounds = {(a + 1) * (b + 1): _rank_bound((a + 1,) * (b + 1), chart, (), ()) for a in cells}
     ranks = _max_ranks(("bi", b, mults), len(mults),
                        lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
                        bounds, cfg)
@@ -607,22 +676,33 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Dimension of the degree-d piece of the plane scheme's ideal: the
-    complement of the max over trials of the conditions-matrix rank. The
-    trials stop once the rank reaches the _rank_bound of the triangle."""
+    """Dimension of the degree-d piece of the plane scheme's ideal.
+
+    The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1], where each of their
+    conditions is the coefficient of one monomial. So the value is the
+    number of monomials they leave, _plane_columns, less the max over
+    trials of the rank of the other points' conditions on those: 0, with no
+    draw, when they leave none. The trials stop once the rank reaches its
+    _rank_bound, whose line caps d - e + 1 are the trace count on y = x.
+    """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
     fat = Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items()
     line = tuple(pr.widths for pr in scheme.on_line)
     require_plane_fits(d, fat, sum(map(sum, line)))  # before the first draw
+    _, k = _plane_columns(d, scheme)
+    cols = len(k)
+    if cols == 0:
+        return 0
     tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general, line)
-    cols = binom(d + 2, 2)
-    # clamped as in the builder, so a corner far above d makes no long profile
-    chart = [(fat_profile(min(m, d + 1)), n) for m, n in fat]
-    return cols - _max_ranks(tags, len(scheme.general) + 2 + len(scheme.on_line),
+    # clamped as in the builder, so a point far above d makes no long profile
+    chart = [(fat_profile(min(m, d + 1)), n) for m, n in Counter(scheme.general).items()]
+    bound = _rank_bound(np.bincount(k).tolist(), chart, line, range(d + 1, 0, -1))
+    # one point per profile, and one more for the direction across the line
+    return cols - _max_ranks(tags, len(scheme.general) + len(scheme.on_line) + 1,
                              lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
-                             {cols: _rank_bound(range(d + 1, 0, -1), chart, line)}, cfg)[cols]
+                             {cols: bound}, cfg)[cols]
 
 
 def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

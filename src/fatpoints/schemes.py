@@ -1,12 +1,18 @@
 """Plane-model schemes: two corner fat points, general fat points, and
 vertically graded points sitting on a distinguished line.
 
-The distinguished line is always y = 0 in the working chart x0 = 1; the two
-corners are Q1 = [0:1:0] and Q2 = [0:0:1]. The rank oracle draws them as two
-random chart points off the line, which PGL(3) takes to Q1 and Q2 without
-changing any dimension. A point on the line is described purely
-by its width profile (d_0, ..., d_k): d_j conditions at y-level j, so the
+The two corners are Q1 = [0:1:0] and Q2 = [0:0:1], and the distinguished
+line passes through neither. A point on the line is described purely by its
+width profile (d_0, ..., d_k): d_j conditions at level j, so in local
+coordinates x along the line and y across it, y = 0 being the line, the
 scheme's local ideal is (x^{d_0}) + (x^{d_1}) y + ... + (y^{k+1}).
+
+The rank oracle puts the line at y = x in the chart x0 = 1, where each
+corner condition is the coefficient of one monomial, and differentiates a
+point on the line along (1, 1) and across a random direction (1, slope),
+which points at neither corner. A profile whose widths fall strictly, as a
+fat point's do, gives the same scheme whatever the direction across; one
+whose widths do not, such as (3, 3, 2), need not.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +61,8 @@ class SliceProfile:
 
 @dataclass(frozen=True)
 class PlaneScheme:
-    """aQ1 + bQ2 + general fat points + profiled points on the line y = 0."""
+    """aQ1 + bQ2 + general fat points + profiled points on the distinguished
+    line."""
 
     corner_a: int
     corner_b: int

@@ -2,11 +2,13 @@
 seed 0, recorded in tests/data/kernel_pivots.json in call order with its
 shape, its rank and the SHA-256 of its pivot list.
 
-The commands are the golden table, two plane reductions whose matrices take
-the blocked path, and the 720 x 1681 large cell. A change to the kernel that
-is meant to leave every pivot alone must pass this unchanged; a change that
-moves a pivot changes the program's answers. `PYTHONPATH=src python
-tests/test_kernel_pivots.py` prints the record, to write the file from.
+The commands are the golden table, two plane reductions and the 720 x 1681
+large cell, which is the only workload matrix that the kernel eliminates in
+panels; every other call takes its single first panel. A change to the
+kernel that is meant to leave every pivot alone must pass this unchanged; a
+change that moves a pivot changes the program's answers.
+`PYTHONPATH=src python tests/test_kernel_pivots.py` prints the record, to
+write the file from.
 """
 
 import hashlib
@@ -52,6 +54,14 @@ def test_every_pivot_list_is_unchanged():
     assert [entry["argv"] for entry in expected] == COMMANDS
     for entry in expected:
         assert record_calls(entry["argv"]) == entry["calls"], entry["argv"]
+
+
+def test_both_kernel_paths_are_recorded():
+    # at least one call on the single first panel and one in panels, so a
+    # kernel change is checked on both
+    sizes = [rows * cols for entry in json.loads(PIVOTS.read_text())
+             for rows, cols in (call["shape"] for call in entry["calls"])]
+    assert min(sizes) <= oracle._SINGLE_PANEL_ENTRIES < max(sizes)
 
 
 if __name__ == "__main__":

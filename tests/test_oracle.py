@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatpoints import oracle as oracle_module
@@ -45,7 +45,11 @@ from fatpoints.oracle import (
     _sub_mul_mod_p,
 )
 from fatpoints.schemes import PlaneScheme, SliceProfile, reduce_to_plane
-from reference_builder import reference_conditions_matrix
+from reference_builder import (
+    reference_conditions_matrix,
+    triangle_conditions,
+    triangle_conditions_matrix,
+)
 
 
 def rational_rank(rows):
@@ -270,6 +274,20 @@ def unreduced_matrices(p):
     return [small, wide]
 
 
+# (a, b, s) of the benchmark's reduce cells, s points of multiplicity 5
+REDUCE_CELLS = [(25, 18, 5), (20, 20, 8)]
+
+
+def triangle_first_trial(a, b, s):
+    """The triangle geometry's plane matrix of reduce --a a --b b --m 5
+    --s s at seed 0, on the support of its first trial there: the s
+    general points, then the two corners."""
+    p = DEFAULT_PRIME
+    scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
+    points = sample_support(derive_seed(0, *plane_tags(d, scheme), 0), s + 2, p)
+    return triangle_conditions_matrix(d, scheme, points, p)
+
+
 class TestReferenceElimination:
     """The kernel against plain Python-int elimination, on the single panel,
     on the blocked path forced with cutoff 0 and panel width 3, and on the
@@ -396,27 +414,31 @@ class TestBlockedElimination:
 
     def test_routing_of_the_workload_shapes(self):
         # the golden table's widest row (75 x 494), the widest verify row
-        # (m 6, s 10, 210 x 42) and every matrix of the 23 criterion-6 chains
-        # of the benchmark (at most 125 x 120) stay on the single panel; the
-        # plane matrices of the reduce cells (25, 18, 5, 5) and (20, 20, 5, 8)
-        # take the blocked path
-        for rows, cols in [(75, 494), (210, 42), (125, 120)]:
+        # (m 6, s 10, 210 x 42), every matrix of the 23 criterion-6 chains
+        # of the benchmark (at most 66 x 64) and the plane matrices of the
+        # reduce cells (25, 18, 5, 5) and (20, 20, 5, 8) stay on the single
+        # panel; the large cell, 720 x 1681, is the only workload matrix in
+        # panels. The triangle geometry's matrices of those reduce cells
+        # take the blocked path too
+        p = DEFAULT_PRIME
+        planes = []
+        for a, b, s in REDUCE_CELLS:
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
+            M = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
+            planes.append(M.shape)
+        assert planes == [(75, 494), (120, 441)]
+        for rows, cols in [(75, 494), (210, 42), (66, 64)] + planes:
             assert rows * cols <= oracle_module._SINGLE_PANEL_ENTRIES
-        for rows, cols in [(540, 861), (571, 990)]:
+        triangles = [triangle_first_trial(a, b, s).shape for a, b, s in REDUCE_CELLS]
+        assert triangles == [(571, 990), (540, 861)]
+        for rows, cols in [(720, 1681)] + triangles:
             assert rows * cols > oracle_module._SINGLE_PANEL_ENTRIES
 
     def test_reduce_cell_pivots_match_the_single_panel(self, monkeypatch):
-        # the plane matrices of reduce --a 25 --b 18 --m 5 --s 5 and
-        # reduce --a 20 --b 20 --m 5 --s 8, as hf_plane draws them on its
-        # first trial; the trial loop's call overwrites its matrix, so a
-        # copy is kept to eliminate again
-        seen = []
-        monkeypatch.setattr("fatpoints.oracle.rank_profile_mod_p",
-                            lambda M, p, **kw: seen.append(M.copy())
-                            or rank_profile_mod_p(M, p, **kw))
-        for a, b, s in [(25, 18, 5), (20, 20, 8)]:
-            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
-            hf_plane(d, scheme, OracleConfig(trials=1))
+        # the triangle geometry's plane matrices of reduce --a 25 --b 18
+        # --m 5 --s 5 and reduce --a 20 --b 20 --m 5 --s 8, on the support
+        # its first trial drew
+        seen = [triangle_first_trial(a, b, s) for a, b, s in REDUCE_CELLS]
         assert [M.shape for M in seen] == [(571, 990), (540, 861)]
         p = DEFAULT_PRIME
         for M in seen:
@@ -604,10 +626,10 @@ class TestConditionsMatrix:
     def test_equals_per_point_reference(self, fast_oracle, monkeypatch):
         shapes = []
 
-        def checked(points, profiles, xexp, yexp, p):
+        def checked(points, profiles, xexp, yexp, p, **line):
             args = (list(points), list(profiles), xexp, yexp, p)
-            M = conditions_matrix(*args)
-            assert np.array_equal(M, reference_conditions_matrix(*args)), M.shape
+            M = conditions_matrix(*args, **line)
+            assert np.array_equal(M, reference_conditions_matrix(*args, **line)), M.shape
             shapes.append(M.shape)
             return M
 
@@ -622,21 +644,25 @@ class TestConditionsMatrix:
         table_region(5, 5, 25, 18, fast_oracle)
         assert (75, 494) in shapes
         # the plane matrices of the reduce cells (25, 18, 5, 5) and (20, 20, 5, 8)
-        for a, b, m, s in [(25, 18, 5, 5), (20, 20, 5, 8)]:
-            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, m))
+        for a, b, s in REDUCE_CELLS:
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
             hf_plane(d, scheme, fast_oracle)
-        assert {(571, 990), (540, 861)} <= set(shapes)
+        assert {(75, 494), (120, 441)} <= set(shapes)
+        # a Horace chain, whose specialized schemes have points on the line
+        assert verify_chain(6, 4, 6, fast_oracle).ok
         # mixed plane schemes whose runs of equal profile come back, with an
-        # empty profile among them
+        # empty profile among them, and with a run cut where the points on
+        # the line begin
         p = DEFAULT_PRIME
         rng = random.Random(12)
         j, k = np.triu_indices(9)
         for _ in range(20):
-            kinds = [fat_profile(3), (2, 1), (4, 2, 1), (), (1,)]
+            kinds = [fat_profile(3), (2, 1), (4, 2, 1), (), (1,), (3, 3, 2), (2, 2)]
             profiles = [rng.choice(kinds) for _ in range(rng.randrange(1, 12))]
             profiles[-3:] = [fat_profile(3), (2, 1), fat_profile(3)]
             points = [(rng.randrange(1, p), rng.randrange(p)) for _ in profiles]
-            checked(points, profiles, j, k - j, p)
+            checked(points, profiles, j, k - j, p,
+                    on_line=rng.randrange(len(profiles) + 1), slope=rng.randrange(1, p))
         # the line, with a scalar y exponent
         hf_trace_line(12, (3, 1, 4, 2), fast_oracle)
         assert (10, 13) in shapes
@@ -669,15 +695,15 @@ class TestConditionsMatrix:
     def test_build_peaks_near_the_matrix(self):
         # no temporary as large as the matrix, or as a sizeable part of it:
         # the large_cell matrix, 720 x 1681, is one run of equal profiles,
-        # and the plane matrices of the reduce cells (25, 18, 5, 5) and
-        # (20, 20, 5, 8), 571 x 990 and 540 x 861, are a few
+        # and the triangle geometry's plane matrices of the reduce cells
+        # (25, 18, 5, 5) and (20, 20, 5, 8), 571 x 990 and 540 x 861, are a few
         p = DEFAULT_PRIME
         builds = [(partial(conditions_matrix, sample_support(5, 20, p), [fat_profile(8)] * 20,
                            np.arange(41)[:, None], np.arange(41), p), (720, 1681), 1.1)]
-        for a, b, m, s, shape in [(25, 18, 5, 5, (571, 990)), (20, 20, 5, 8, (540, 861))]:
-            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, m))
-            points = sample_support(5, len(scheme.general) + 2 + len(scheme.on_line), p)
-            builds.append((partial(plane_conditions_matrix, d, scheme, points, p), shape, 1.3))
+        for (a, b, s), shape in zip(REDUCE_CELLS, [(571, 990), (540, 861)]):
+            scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
+            args = triangle_conditions(d, scheme, sample_support(5, s + 2, p))
+            builds.append((partial(conditions_matrix, *args, p), shape, 1.3))
         for build, shape, bound in builds:
             tracemalloc.start()
             try:
@@ -829,6 +855,10 @@ class TestBiModel:
             assert base <= bigger <= base + binom(m + 1, 2)
 
 
+line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
+
+
 class TestPlaneModel:
     def test_examples(self, oracle):
         assert hf_plane(9, PlaneScheme(5, 4, (3,) * 5), oracle) == 1
@@ -853,6 +883,42 @@ class TestPlaneModel:
         # conics through four collinear points all contain the line
         scheme = PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)
         assert hf_plane(2, scheme, oracle) == 3
+
+    def test_no_column_left_takes_no_draw(self, oracle, eliminations, monkeypatch):
+        # a corner of multiplicity d + 1 or more kills every monomial of
+        # degree d, whatever else the scheme holds
+        monkeypatch.setattr("fatpoints.oracle.sample_support",
+                            lambda *args: pytest.fail("a support was drawn"))
+        assert hf_plane(3, PlaneScheme(4, 0, (2, 2), (SliceProfile((3, 3, 2)),)), oracle) == 0
+        assert hf_plane(3, PlaneScheme(1, 7), oracle) == 0
+        assert hf_plane(0, PlaneScheme(0, 1, (1,)), oracle) == 0
+        assert eliminations == []
+
+    def test_degree_zero_and_multiplicity_zero(self, oracle):
+        # the constants: kept by no point, killed by any; a point of
+        # multiplicity 0 imposes nothing
+        cases = [(0, PlaneScheme(0, 0), 1),
+                 (0, PlaneScheme(0, 0, (0, 0)), 1),
+                 (0, PlaneScheme(0, 0, (1,)), 0),
+                 (0, PlaneScheme(0, 0, (), (SliceProfile((2, 1)),)), 0),
+                 (3, PlaneScheme(1, 1, (0, 2, 0)), 10 - 1 - 1 - 3),
+                 (3, PlaneScheme(1, 1, (0,), (SliceProfile((1,)),)), 10 - 1 - 1 - 1)]
+        for d, scheme, value in cases:
+            assert hf_plane(d, scheme, oracle) == all_trials_triangle(d, scheme, oracle) == value
+
+    @given(st.integers(0, 7), st.integers(0, 10), st.integers(0, 10),
+           st.lists(st.integers(0, 4), max_size=4), st.lists(line_profiles, max_size=4))
+    @example(5, 2, 1, [2], [SliceProfile((3, 3, 2))])  # non-strict, d != a + b
+    @example(3, 6, 1, [1], [SliceProfile((2, 2))])  # a corner above d + 1
+    @example(4, 3, 3, [1], [SliceProfile((1,))])  # the corners' monomials overlap
+    @example(6, 2, 3, [], [SliceProfile((3, 3, 2)), SliceProfile((2, 2))])  # no general point
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_equals_the_triangle_reference(self, d, corner_a, corner_b, general, on_line):
+        # the corners as two more random chart points and the line at y = 0,
+        # which PGL(3) takes to the coordinate points and a line off them
+        scheme = PlaneScheme(corner_a, corner_b, tuple(general), tuple(on_line))
+        cfg = OracleConfig()
+        assert hf_plane(d, scheme, cfg) == all_trials_triangle(d, scheme, cfg)
 
     def test_semicontinuity_under_specialization(self, fast_oracle):
         rng = random.Random(4242)
@@ -889,14 +955,33 @@ def plane_tags(d, scheme):
             tuple(pr.widths for pr in scheme.on_line))
 
 
+def plane_columns(d, scheme):
+    """The number of monomials of degree d that the scheme's corners leave."""
+    return len(oracle_module._plane_columns(d, scheme)[0])
+
+
 def all_trials_plane(d, scheme, cfg):
     """hf_plane's draw and ranks, every trial run, max kept."""
+    p = cfg.prime
+    count = len(scheme.general) + len(scheme.on_line) + 1
+    best = 0
+    for trial in range(cfg.trials):
+        points = sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), trial), count, p)
+        M = plane_conditions_matrix(d, scheme, points, p)
+        best = max(best, len(rank_profile_mod_p(M, p)))
+    return plane_columns(d, scheme) - best
+
+
+def all_trials_triangle(d, scheme, cfg):
+    """The triangle geometry's value: its draw, with the corners as two more
+    chart points and the line at y = 0, and its ranks, every trial run, max
+    kept."""
     p = cfg.prime
     count = len(scheme.general) + 2 + len(scheme.on_line)
     best = 0
     for trial in range(cfg.trials):
         points = sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), trial), count, p)
-        M = plane_conditions_matrix(d, scheme, points, p)
+        M = triangle_conditions_matrix(d, scheme, points, p)
         best = max(best, len(rank_profile_mod_p(M, p)))
     return binom(d + 2, 2) - best
 
@@ -1070,10 +1155,6 @@ class TestEarlyStop:
                 hf_biproj_row(2, cells, [2], oracle)
 
 
-line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
-    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
-
-
 def handed(call, *args):
     """call(*args) and the bounds it hands the trial loop, by cut."""
     bounds = {}
@@ -1106,28 +1187,55 @@ class TestRankBound:
     def test_box_by_hand(self):
         bound = oracle_module._rank_bound
         # a 6-fold point meets the columns of (20, 2) in its rows e <= 2
-        assert bound((21,) * 3, [(fat_profile(6), 2)], ()) == 2 * (6 + 5 + 4)
+        assert bound((21,) * 3, [(fat_profile(6), 2)], (), ()) == 2 * (6 + 5 + 4)
         # at a = 1 a triple point keeps min(2, 3) + min(2, 2) + min(2, 1) of
         # its 6 rows, and a simple point its one
-        assert bound((2,) * 6, [(fat_profile(3), 2), (fat_profile(1), 1)], ()) == 2 * 5 + 1
-        assert bound((6,) * 6, [(fat_profile(3), 4)], ()) == 4 * 6  # every row
-        assert bound((1,), [(fat_profile(2), 5)], ()) == 1  # the cut
-        assert bound((4,) * 4, [(fat_profile(0), 7)], ()) == 0
+        assert bound((2,) * 6, [(fat_profile(3), 2), (fat_profile(1), 1)], (), ()) == 2 * 5 + 1
+        assert bound((6,) * 6, [(fat_profile(3), 4)], (), ()) == 4 * 6  # every row
+        assert bound((1,), [(fat_profile(2), 5)], (), ()) == 1  # the cut
+        assert bound((4,) * 4, [(fat_profile(0), 7)], (), ()) == 0
 
     def test_triangle_by_hand(self):
+        # on the whole triangle, with the line at y = 0, the line's cap at
+        # level e is the triangle's level e itself
         bound = oracle_module._rank_bound
         conics, cubics, quartics = range(3, 0, -1), range(4, 0, -1), range(5, 0, -1)
         # four simple points on the line meet the 3 columns 1, x, x^2 of conics
-        assert bound(conics, [], [(1,)] * 4) == 3
+        assert bound(conics, [], [(1,)] * 4, conics) == 3
         # off the line every row counts: double corners on conics, 3 + 3
-        assert bound(conics, [(fat_profile(2), 2)], ()) == 6
+        assert bound(conics, [(fat_profile(2), 2)], (), ()) == 6
         # level e meets the 5 - e columns x^j y^e of quartics: 5 + 4 + 3 of
         # the levels' 6 + 6 + 4 rows, plus a simple corner
-        assert bound(quartics, [(fat_profile(1), 1)], [(3, 3, 2)] * 2) == 13
+        assert bound(quartics, [(fat_profile(1), 1)], [(3, 3, 2)] * 2, quartics) == 13
         # levels above d meet no column; a 9-fold corner counts its 10 rows
         # of order at most 3
-        assert bound(conics, [], [(1, 1, 1, 1)]) == 3
-        assert bound(cubics, [(fat_profile(9), 1)], ()) == 10
+        assert bound(conics, [], [(1, 1, 1, 1)], conics) == 3
+        assert bound(cubics, [(fat_profile(9), 1)], (), ()) == 10
+
+    def test_line_caps_by_hand(self):
+        # on y = x the level-e rows of degree-d forms count at most d - e + 1,
+        # however few columns of y-degree e the corners leave
+        bound = oracle_module._rank_bound
+        caps = range(5, 0, -1)  # quartics
+        # a double Q1 leaves x^j y^k with j <= 2, levels (3, 3, 3, 2, 1):
+        # four simple points on the line impose 4 conditions, where the
+        # 3 columns of y-degree 0 would allow only 3
+        assert bound((3, 3, 3, 2, 1), [], [(1,)] * 4, caps) == 4
+        assert hf_plane(4, PlaneScheme(2, 0, (), (SliceProfile((1,)),) * 4)) == 12 - 4
+        # simple corners leave levels (4, 4, 3, 2): two points (3, 3, 2) on
+        # the line count min(6, 5) + min(6, 4) + min(4, 3), one simple
+        # general point one more, 13 in all, the columns
+        assert bound((4, 4, 3, 2), [(fat_profile(1), 1)], [(3, 3, 2)] * 2, caps) == 13
+        # the corners of a plane reduction leave the box, (3, 3, 3) at
+        # a = b = 2: a double general point and a double point on the line
+        # count 3 each
+        assert bound((3, 3, 3), [(fat_profile(2), 1)], [(2, 1)], caps) == 6
+        # on conics, levels past the caps count nothing: (1, 1, 1, 1) counts 3
+        conics = range(3, 0, -1)
+        assert bound((3, 2, 1), [], [(1, 1, 1, 1)], conics) == 3
+        # and the columns cap the sum: corners (1, 2) leave 1 and x, and four
+        # simple points on the line, 3 by their cap, count 2
+        assert bound((2,), [], [(1,)] * 4, conics) == 2
 
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -1147,7 +1255,10 @@ class TestRankBound:
         scheme = PlaneScheme(corner_a, corner_b, tuple(general), tuple(on_line))
         value = all_trials_plane(d, scheme, cfg)
         got, bounds = handed(hf_plane, d, scheme, cfg)
-        assert bounds[binom(d + 2, 2)] >= binom(d + 2, 2) - value
+        cols = plane_columns(d, scheme)
+        # with no column left there is nothing to bound, and no trial
+        assert bounds.keys() == ({cols} if cols else set())
+        assert bounds.get(cols, 0) >= cols - value
         assert got == value
 
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4),
@@ -1157,8 +1268,8 @@ class TestRankBound:
     def test_equals_the_rows_nonzero_on_the_cut(self, a_max, b, mults, d, corner_a,
                                                 corner_b, general):
         # off the line every counted row holds c! e! at x^c y^e, so the
-        # bound is the count itself: each row of a box cut, and the triangle
-        # of a scheme with no points on the line
+        # bound is the count itself: each row of a box cut, and the columns
+        # the corners leave of a scheme with no points on the line
         cfg = OracleConfig(trials=1)
         p = cfg.prime
         _, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
@@ -1167,8 +1278,25 @@ class TestRankBound:
         assert bounds == {cut: rows_on_cut(M, cut) for cut in bounds}
         scheme = PlaneScheme(corner_a, corner_b, tuple(general))
         _, bounds = handed(hf_plane, d, scheme, cfg)
-        M = plane_conditions_matrix(d, scheme, sample_support(1, len(general) + 2, p), p)
-        assert bounds == {binom(d + 2, 2): rows_on_cut(M, binom(d + 2, 2))}
+        M = plane_conditions_matrix(d, scheme, sample_support(1, len(general) + 1, p), p)
+        cols = M.shape[1]
+        assert bounds == ({cols: rows_on_cut(M, cols)} if cols else {})
+
+    @given(st.integers(0, 7), st.integers(0, 3), st.integers(0, 3),
+           st.lists(line_profiles, min_size=1, max_size=4))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_line_rows_of_a_level_meet_its_cap(self, d, corner_a, corner_b, on_line):
+        # a level-e row d_u^c d_v^e on y = x is d_u^c of the restriction of
+        # d_v^e F to the line, of degree d - e: the level-e rows of all the
+        # points on the line have rank at most d - e + 1
+        p = DEFAULT_PRIME
+        scheme = PlaneScheme(corner_a, corner_b, (), tuple(on_line))
+        M = plane_conditions_matrix(d, scheme, sample_support(2, len(on_line) + 1, p), p)
+        # rows run point by point, then by level, then by c
+        levels = np.array([e for pr in on_line for e, w in enumerate(pr.widths)
+                           for _ in range(w)])
+        for e in set(levels.tolist()):
+            assert rank_mod_p(M[levels == e], p) <= max(d - e + 1, 0), e
 
 
 def record_points(monkeypatch, name, index):
@@ -1177,9 +1305,9 @@ def record_points(monkeypatch, name, index):
     calls = []
     builder = getattr(oracle_module, name)
 
-    def kept(*args):
+    def kept(*args, **kw):
         calls.append(list(args[index]))
-        return builder(*args)
+        return builder(*args, **kw)
 
     monkeypatch.setattr(oracle_module, name, kept)
     return calls
@@ -1198,27 +1326,30 @@ class TestDraw:
                                              5, oracle.prime)) for t in range(oracle.trials)]
 
     @pytest.mark.parametrize("d, scheme, trials", [
-        # true defects, never certified, so every trial runs: conics double
-        # at both corners are the corner line doubled, and quartics double
-        # at five points, one of them on the line, the conic through them
-        # doubled
-        (2, PlaneScheme(2, 2), DEFAULT_TRIALS),
+        # true defects, never certified, so every trial runs: quartics
+        # double at five points, the corners among them and one of them on
+        # the line or none, are the conic through them doubled
+        (4, PlaneScheme(2, 2, (2, 2, 2)), DEFAULT_TRIALS),
         (4, PlaneScheme(2, 2, (2, 2), (SliceProfile.fat_point(2),)), DEFAULT_TRIALS),
         (10, specialize_triple_step1(6, 4, 6).scheme, 1),
     ])
     def test_plane_scheme_with_points_on_the_line(self, d, scheme, trials, monkeypatch):
         cfg = OracleConfig(seed=3)
         drawn = record_points(monkeypatch, "plane_conditions_matrix", 2)
-        built = record_points(monkeypatch, "conditions_matrix", 0)
+        built = []
+        builder = oracle_module.conditions_matrix
+        monkeypatch.setattr(oracle_module, "conditions_matrix", lambda points, *args, **kw:
+                            built.append((list(points), kw)) or builder(points, *args, **kw))
         hf_plane(d, scheme, cfg)
-        count = len(scheme.general) + 2 + len(scheme.on_line)
+        general, on_line = len(scheme.general), len(scheme.on_line)
         supports = [list(sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), t),
-                                        count, cfg.prime)) for t in range(trials)]
+                                        general + on_line + 1, cfg.prime))
+                    for t in range(trials)]
         assert drawn == supports
-        # general points and corners in scheme order, then the line's points
-        # with their x kept and y = 0
-        off = len(scheme.general) + 2
-        assert built == [pts[:off] + [(x, 0) for x, _ in pts[off:]] for pts in supports]
+        # the general points in scheme order, then the line's points with
+        # their x kept and y = x, and last the x of the slope across the line
+        assert built == [(pts[:general] + [(x, x) for x, _ in pts[general:-1]],
+                          {"on_line": on_line, "slope": pts[-1][0]}) for pts in supports]
 
     def test_trace_line(self, oracle, monkeypatch):
         calls = record_points(monkeypatch, "conditions_matrix", 0)
@@ -1228,11 +1359,12 @@ class TestDraw:
 
     def test_reduce_support_is_unchanged(self, monkeypatch):
         # trial 0 of the plane call of reduce --a 25 --b 18 --m 5 --s 5 at
-        # seed 0: a scheme without points on the line keeps its support
+        # seed 0, its one trial: the five general points and the slope's
         calls = record_points(monkeypatch, "plane_conditions_matrix", 2)
         assert check_reduction(BiDegree(25, 18), UniformFatPoints(5, 5), OracleConfig(seed=0))
+        assert [len(points) for points in calls] == [6]
         digest = hashlib.sha256(repr(tuple(calls[0])).encode()).hexdigest()
-        assert digest == "f36c6e1027d90d22eb6674e908456fbea72f3f38877d2196c1bb3a1a68445479"
+        assert digest == "01c509c86d8094a434044f1d26bba8895fc267ad287ac51956ba8ae33ae02520"
 
 
 class TestTraceLine:
