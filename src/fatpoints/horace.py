@@ -135,8 +135,8 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
     general_scheme = PlaneScheme(ambient.corner_a, ambient.corner_b,
                                  ambient.general + tuple(m for m, _ in line_points))
     # the conclusion's matrix is the largest: refuse it before any elimination
-    require_plane_fits(d, [(m, 1) for m in general_scheme.general
-                           + (ambient.corner_a, ambient.corner_b)])
+    require_plane_fits(d, (ambient.corner_a, ambient.corner_b),
+                       [(m, 1) for m in general_scheme.general])
 
     res_dim = hf_plane(d - 1, res_scheme, oracle) if d >= 1 else 0
     res_expected = max(0, binom(d + 1, 2) - res_scheme.degree)
@@ -280,14 +280,14 @@ def verify_chain(a: int, b: int, s: int,
     Checks dim at a+b of the general-position scheme against the first
     residual at a+b-2 and the second at a+b-4. Rounds whose slices are all
     bottom rows are plain removals, so the specialized scheme is also
-    required to match there. The general-position matrix, the largest, is
-    refused from (a, b, s) before any scheme exists. When step 2 moves no
-    point its scheme is step 1's residual, in the same degree, so the
-    oracle's value for it is the one already taken.
+    required to match there. The general-position matrix, 6s rows on the
+    (a+1)(b+1) columns the corners leave, is the largest and is refused from
+    (a, b, s) before any scheme exists. When step 2 moves no point its
+    scheme is step 1's residual, so the oracle's value is the one taken.
     """
     _step_params(a, b)  # an input outside the regime is refused first
     d = a + b
-    require_plane_fits(d, ((a, 1), (b, 1), (3, s)))
+    require_plane_fits(d, (a, b), ((3, s),))
     step1 = specialize_triple_step1(a, b, s)
     step2 = specialize_triple_step2(step1)
     generic = hf_plane(d, PlaneScheme(a, b, (3,) * s), oracle)

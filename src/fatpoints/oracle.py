@@ -213,8 +213,8 @@ def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
 # BLAS thread, left-looking, that first panel against panels of 64 from the
 # start: the golden table's 75x494 (2^15.2 entries) takes 2.2 against 3.8 ms
 # and a 125x120 Horace chain matrix 4.0 against 5.8 ms, while panels win on
-# the triangle-shaped plane matrices that reduce cells had with their
-# corners drawn as chart points, 399x666 (2^18.0) in 29 against 31 ms and
+# the plane matrices of reduce cells in the tests' triangle reference, with
+# the corners drawn as chart points, 399x666 (2^18.0) in 29 against 31 ms and
 # 571x990 in 50 against 56 ms, and on a dense random 210x294 (2^15.9), 17
 # against 24 ms. So the plane crossover lies near 2^18 and the dense one
 # below 2^15.9. No workload matrix lies between 2^15.2 and 2^20.2 entries,
@@ -383,15 +383,15 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 # peak bytes of build plus elimination per matrix entry, by tracemalloc. The
-# trial loop eliminates the matrix it built in place: with panels, the
-# matrix and a panel's catch-up buffers come to 1.2 to 1.4 times it
-# (720x1681, 571x990, 540x861, 300x961); on a first panel of every column
-# the loop's temporaries of the block below each pivot take it to 1.7 at
-# 75x494, 2.4 at 210x42, 2.8 at 240x169 and 3.3 at 120x120, where numpy's
-# fixed iteration buffers (about 0.2 MB) weigh most. A call that keeps the
-# copy adds one matrix: 2.2 to 2.4 times in panels, up to 4.3 on the
-# smallest. Five matrices cover every case, and the build alone, which
-# peaks at 1.03 to 1.7 times the matrix.
+# trial loop eliminates the matrix it built in place: with panels, the matrix
+# and a panel's catch-up buffers come to 1.2 to 1.4 times it (720x1681,
+# 300x961, and 571x990 and 540x861 of the tests' triangle reference); on a
+# first panel of every column the loop's temporaries of the block below each
+# pivot take it to 1.7 at 75x494, 2.4 at 210x42, 2.8 at 240x169 and 3.3 at
+# 120x120, where numpy's fixed iteration buffers (about 0.2 MB) weigh most. A
+# call that keeps the copy adds one matrix: 2.2 to 2.4 times in panels, up to
+# 4.3 on the smallest. Five matrices cover every case, and the build alone,
+# which peaks at 1.03 to 1.7 times the matrix.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
@@ -505,21 +505,22 @@ def bi_conditions_matrix(deg: BiDegree, mults, points, p: int) -> np.ndarray:
                              np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
 
 
-def _plane_columns(d: int, scheme: PlaneScheme):
-    """The exponents (j, k) of the monomials x^j y^k of degree at most d that
-    the corners leave, j-major: j <= d - alpha and k <= d - beta, with the
-    corner multiplicities alpha and beta clamped to d + 1.
+def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
+    """(width, height, count) of the monomials x^j y^k of degree at most d
+    that the corners leave. In the chart x0 = 1, x^j y^k has order d - j at
+    Q1 = [0:1:0] and d - k at Q2 = [0:0:1], so they are the box j < width =
+    d - alpha + 1, k < height = d - beta + 1, alpha and beta clamped to
+    d + 1, less the binom(width + height - d - 1, 2) of degree above d."""
+    width, height = (d + 1 - min(m, d + 1) for m in (corner_a, corner_b))
+    return width, height, width * height - binom(width + height - d - 1, 2)
 
-    In the chart x0 = 1, x^j y^k is x0^(d-j-k) x1^j x2^k, whose order at
-    Q1 = [0:1:0] is d - j and at Q2 = [0:0:1] is d - k. So each corner
-    condition is the coefficient of one monomial, and the corners kill
-    exactly the monomials outside these.
-    """
-    alpha, beta = (min(m, d + 1) for m in (scheme.corner_a, scheme.corner_b))
-    j, k = np.triu_indices(d + 1)
-    k -= j
-    keep = (j <= d - alpha) & (k <= d - beta)
-    return j[keep], k[keep]
+
+def _plane_columns(d: int, scheme: PlaneScheme):
+    """The exponents (j, k) of _plane_box, j-major: min(height, d + 1 - j) at each j."""
+    width, height, count = _plane_box(d, scheme.corner_a, scheme.corner_b)
+    per_j = np.minimum(height, d + 1 - np.arange(width))
+    k = np.arange(count) - np.repeat(np.cumsum(per_j) - per_j, per_j)
+    return np.repeat(np.arange(width), per_j), k
 
 
 def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
@@ -544,14 +545,13 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.n
                              on_line=len(scheme.on_line), slope=slope)
 
 
-def require_plane_fits(d: int, points, line_rows: int = 0):
-    """Refuse with a ValueError a degree-d plane conditions matrix that would
-    not fit in physical memory, from its fat points as (multiplicity, count)
-    pairs and the rows of its on-line points, before any scheme or support
-    exists."""
+def require_plane_fits(d: int, corners, points, line_rows: int = 0):
+    """Refuse with a ValueError, before any scheme or support exists, a degree-d plane
+    matrix too large for physical memory: line_rows and the rows of the (multiplicity,
+    count) pairs in points against the _plane_box columns of corners, (alpha, beta)."""
     # partials of order above d vanish on degree-d forms, as in the builder
     rows = sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
-    _require_fits(line_rows + rows, binom(d + 2, 2))
+    _require_fits(line_rows + rows, _plane_box(d, *corners)[2])
 
 
 def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
@@ -680,25 +680,26 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
 
     The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1], where each of their
     conditions is the coefficient of one monomial. So the value is the
-    number of monomials they leave, _plane_columns, less the max over
-    trials of the rank of the other points' conditions on those: 0, with no
-    draw, when they leave none. The trials stop once the rank reaches its
+    number of monomials they leave, _plane_box, less the max over trials of
+    the rank of the other points' conditions on those: 0, with no draw,
+    when they leave none. The trials stop once the rank reaches its
     _rank_bound, whose line caps d - e + 1 are the trace count on y = x.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
-    fat = Counter(scheme.general + (scheme.corner_a, scheme.corner_b)).items()
+    counts = Counter(scheme.general).items()
     line = tuple(pr.widths for pr in scheme.on_line)
-    require_plane_fits(d, fat, sum(map(sum, line)))  # before the first draw
-    _, k = _plane_columns(d, scheme)
-    cols = len(k)
+    require_plane_fits(d, (scheme.corner_a, scheme.corner_b), counts,
+                       sum(map(sum, line)))  # before the first draw
+    width, height, cols = _plane_box(d, scheme.corner_a, scheme.corner_b)
     if cols == 0:
         return 0
     tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general, line)
     # clamped as in the builder, so a point far above d makes no long profile
-    chart = [(fat_profile(min(m, d + 1)), n) for m, n in Counter(scheme.general).items()]
-    bound = _rank_bound(np.bincount(k).tolist(), chart, line, range(d + 1, 0, -1))
+    chart = [(fat_profile(min(m, d + 1)), n) for m, n in counts]
+    levels = [min(width, d + 1 - k) for k in range(height)]
+    bound = _rank_bound(levels, chart, line, range(d + 1, 0, -1))
     # one point per profile, and one more for the direction across the line
     return cols - _max_ranks(tags, len(scheme.general) + len(scheme.on_line) + 1,
                              lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
@@ -733,11 +734,10 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
-    """Both sides of the plane-model translation, compared by oracle; either
-    side too large is refused before the s multiplicities exist."""
+    """Both sides of the plane-model translation, compared by oracle. The plane side has the
+    bidegree side's columns and no more rows: one guard refuses both before the points exist."""
     row = deg.normalized
     _bi_row_degree(row.b, (row.a,), {pts.m: pts.s}, cfg)
-    require_plane_fits(deg.a + deg.b, ((deg.a, 1), (deg.b, 1), (pts.m, pts.s)))
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

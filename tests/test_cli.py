@@ -455,9 +455,9 @@ class TestOversizedPointCount:
                                 "physical memory\n")
 
     def test_horace_refused_before_any_scheme(self, capsys, monkeypatch):
-        # the general-position plane matrix: 6 rows a triple point and the
-        # corners' 36 and 28, against the C(17, 2) forms of degree 15; the s
-        # points of the schemes and their support are never made
+        # the general-position plane matrix: 6 rows a triple point, against
+        # the 9 x 8 forms of degree 15 that the corners 8Q1 + 7Q2 leave; the
+        # s points of the schemes and their support are never made
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         tracemalloc.start()
@@ -470,7 +470,7 @@ class TestOversizedPointCount:
         assert peak < 1 << 20
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: a 600064 x 136 conditions matrix needs about 3.0 GiB "
+        assert captured.err == ("error: a 600000 x 72 conditions matrix needs about 1.6 GiB "
                                 "to eliminate, more than the 1.0 GiB of physical memory\n")
 
 

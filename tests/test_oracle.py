@@ -1,7 +1,9 @@
 import hashlib
 import random
+import re
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -40,7 +42,9 @@ from fatpoints.oracle import (
     plane_conditions_matrix,
     rank_mod_p,
     rank_profile_mod_p,
+    require_plane_fits,
     sample_support,
+    _bi_row_degree,
     _panel_width,
     _sub_mul_mod_p,
 )
@@ -737,9 +741,10 @@ class TestSizeGuard:
         with pytest.raises(ValueError, match="physical memory"):
             conditions_matrix([(3, 5)], [fat_profile(5)],
                               np.arange(n + 1)[:, None], np.arange(n + 1), p)
-        # two corners of multiplicity 2000: 4 million rows, 8 million columns
-        with pytest.raises(ValueError, match="physical memory"):
-            hf_plane(4000, PlaneScheme(2000, 2000), OracleConfig(trials=1))
+        # corners of multiplicity 2000 leave 4 million forms of degree 4000,
+        # and a general point of multiplicity 2000 has 2 million rows
+        with pytest.raises(ValueError, match="^a 2001000 x 4004001 conditions matrix"):
+            hf_plane(4000, PlaneScheme(2000, 2000, (2000,)), OracleConfig(trials=1))
         # the row and line entries ask before building a 10^6-long row or
         # column range (8 MB each); one 4 KiB page refuses any matrix, also
         # one with no rows, whose index arrays still have a column each
@@ -762,27 +767,44 @@ class TestSizeGuard:
 
     def test_plane_refused_before_its_support(self, monkeypatch):
         # the 1 GiB the byte-identity corpus pins refuses 10^5 triple points
-        # in degree 15 before a coordinate of them is drawn
+        # on the 9 x 8 forms of degree 15 that the corners leave, before a
+        # coordinate of them is drawn
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         scheme = PlaneScheme(8, 7, (3,) * 100000)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="^a 600064 x 136 conditions matrix"):
+            with pytest.raises(ValueError, match="^a 600000 x 72 conditions matrix"):
                 hf_plane(15, scheme, OracleConfig(trials=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_reduce_refuses_its_plane_side_first(self, monkeypatch, eliminations):
-        # at the corpus's 1 GiB the 720 x 14641 bidegree side fits and the
-        # plane side does not: neither is eliminated
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
-        monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
-        with pytest.raises(ValueError, match="^a 15240 x 29161 conditions matrix"):
-            check_reduction(BiDegree(120, 120), UniformFatPoints(20, 8), OracleConfig())
-        assert eliminations == []
+    def test_admitted_plane_peaks_near_its_matrix(self, eliminations):
+        # corners of multiplicity 9998 leave the 3 x 3 forms of degree 10^4
+        # that five triple points fill: the columns come from the box, not
+        # from the 50 million forms of degree 10^4
+        cfg = OracleConfig()
+        tracemalloc.start()
+        try:
+            assert hf_plane(10**4, PlaneScheme(9998, 9998, (3,) * 5), cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eliminations == [(30, 9)]
+        assert peak < 2**20
+        # corners of multiplicity 2000 and no other point: no row against
+        # 2001 x 2001 forms of degree 4000
+        cols = 2001**2
+        tracemalloc.start()
+        try:
+            assert hf_plane(4000, PlaneScheme(2000, 2000), cfg) == cols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eliminations[1:] == [(0, cols)]
+        assert peak <= conditions_bytes(1, cols), peak / conditions_bytes(1, cols)
 
     def test_horace_verify_refuses_its_conclusion_first(self, monkeypatch, eliminations):
         # at 16 MiB the 1800 x 210 residue and the 20 x 21 trace fit and the
@@ -801,6 +823,102 @@ class TestSizeGuard:
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match="physical memory"):
             conditions_matrix([(3, 5)], [fat_profile(4)], *columns, p)  # 6400 bytes
+
+
+ONE_PAGE = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
+
+
+def refused_shape(guard, *args):
+    """The shape guard(*args) names when one 4 KiB page of physical memory
+    refuses its matrix, or None when it admits it."""
+    with mock.patch("fatpoints.oracle.os.sysconf", ONE_PAGE.__getitem__):
+        try:
+            guard(*args)
+        except ValueError as refusal:
+            rows, cols = re.match(r"a (\d+) x (\d+) conditions matrix", str(refusal)).groups()
+            return int(rows), int(cols)
+    return None
+
+
+def one_page_names(shape):
+    """What a guard that counts a matrix of this shape names under one page."""
+    rows, cols = shape
+    return shape if conditions_bytes(max(rows, 1), cols) > 4096 else None
+
+
+def built_shapes(call, *args):
+    """The shapes of the conditions matrices that call(*args) builds."""
+    shapes = []
+    builder = oracle_module.conditions_matrix
+
+    def kept(*margs, **kw):
+        M = builder(*margs, **kw)
+        shapes.append(M.shape)
+        return M
+
+    with mock.patch.object(oracle_module, "conditions_matrix", kept):
+        call(*args)
+    return shapes
+
+
+line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
+
+
+# a degree and two corner multiplicities of at most d + 2
+plane_corners = st.integers(0, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(0, d + 2), st.integers(0, d + 2)))
+
+
+class TestGuardCountsItsBuilder:
+    """Each size guard refuses by the shape its builder would build: the
+    shape a refusal names is the built matrix's, under one page of memory."""
+
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=3), st.integers(0, 8),
+           st.lists(st.integers(0, 6), max_size=5))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_bidegree_rows(self, cells, b, mults):
+        cfg = OracleConfig()
+        p = cfg.prime
+        counts = Counter(mults)
+        deg = _bi_row_degree(b, cells, counts, cfg)
+        M = bi_conditions_matrix(deg, mults, sample_support(0, len(mults), p), p)
+        assert refused_shape(_bi_row_degree, b, cells, counts, cfg) == one_page_names(M.shape)
+
+    @given(plane_corners, st.lists(st.integers(0, 10), max_size=3),
+           st.lists(line_profiles, max_size=3))
+    @example((5, 2, 1), [], [SliceProfile((3, 3, 2))])  # no general point, d != a + b
+    @example((4, 6, 0), [9], [])  # corners and a point above d + 1
+    @example((6, 3, 3), [2, 2], [SliceProfile((2, 1))])  # d = a + b
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_plane_schemes(self, degree_corners, general, on_line):
+        d, *corners = degree_corners
+        scheme = PlaneScheme(*corners, tuple(general), tuple(on_line))
+        p = DEFAULT_PRIME
+        points = sample_support(0, len(general) + len(on_line) + 1, p)
+        M = plane_conditions_matrix(d, scheme, points, p)
+        line_rows = sum(pr.degree for pr in on_line)
+        got = refused_shape(require_plane_fits, d, corners, Counter(general).items(), line_rows)
+        assert got == one_page_names(M.shape)
+
+    @given(st.integers(0, 12), st.lists(st.integers(1, 5), max_size=4))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_line_lengths(self, d, lengths):
+        cfg = OracleConfig()
+        [shape] = built_shapes(hf_trace_line, d, lengths, cfg)
+        assert refused_shape(hf_trace_line, d, lengths, cfg) == one_page_names(shape)
+
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 12), st.integers(0, 4))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_reduction_plane_side_is_no_larger(self, a, b, m, s):
+        # so check_reduction's bidegree guard admits its plane side too
+        p = DEFAULT_PRIME
+        deg = BiDegree(a, b)
+        scheme, d = reduce_to_plane(deg, UniformFatPoints(s, m))
+        plane = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
+        bi = bi_conditions_matrix(deg, (m,) * s, sample_support(0, s, p), p)
+        assert plane.shape[1] == bi.shape[1]
+        assert plane.shape[0] <= bi.shape[0]
 
 
 class TestBiModel:
@@ -855,10 +973,6 @@ class TestBiModel:
             assert base <= bigger <= base + binom(m + 1, 2)
 
 
-line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
-    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
-
-
 class TestPlaneModel:
     def test_examples(self, oracle):
         assert hf_plane(9, PlaneScheme(5, 4, (3,) * 5), oracle) == 1
@@ -893,6 +1007,20 @@ class TestPlaneModel:
         assert hf_plane(3, PlaneScheme(1, 7), oracle) == 0
         assert hf_plane(0, PlaneScheme(0, 1, (1,)), oracle) == 0
         assert eliminations == []
+
+    def test_columns_are_the_triangle_less_what_the_corners_kill(self):
+        # the box, j-major, against the degree-d triangle masked by the
+        # corners, for every corner up to d + 2
+        for d in range(30):
+            j, k = np.triu_indices(d + 1)
+            k -= j
+            for alpha in range(d + 3):
+                for beta in range(d + 3):
+                    keep = (j <= d - min(alpha, d + 1)) & (k <= d - min(beta, d + 1))
+                    got_j, got_k = oracle_module._plane_columns(d, PlaneScheme(alpha, beta))
+                    assert np.array_equal(got_j, j[keep]), (d, alpha, beta)
+                    assert np.array_equal(got_k, k[keep]), (d, alpha, beta)
+                    assert oracle_module._plane_box(d, alpha, beta)[2] == keep.sum()
 
     def test_degree_zero_and_multiplicity_zero(self, oracle):
         # the constants: kept by no point, killed by any; a point of
