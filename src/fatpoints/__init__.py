@@ -25,13 +25,13 @@ from .horace import (
     ChainReport,
     HoraceReport,
     castelnuovo_check,
+    chain_params,
     diff_slice,
     differential_residue,
     horace_verify,
     residue_corner,
     residue_line,
-    specialize_triple_step1,
-    specialize_triple_step2,
+    specialize_triple,
     trace_line,
     verify_chain,
 )

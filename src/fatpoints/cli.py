@@ -19,7 +19,7 @@ import sys
 
 from .core import BiDegree, HFValue, Source, UniformFatPoints, hf_value
 from .formulas import hf_uniform, table_region
-from .horace import verify_chain
+from .horace import chain_params, verify_chain
 from .oracle import (
     DEFAULT_PRIME,
     DEFAULT_SEED,
@@ -219,7 +219,8 @@ def cmd_horace(args) -> int:
     cfg = _oracle_config(args)
     report = verify_chain(args.a, args.b, args.s, cfg)
     step1, step2 = report.step1, report.step2
-    print(f"a+b = 5*{step1.h} + {step1.c}; on-line points: x={step1.x} y={step1.y}")
+    h, c, x, y = chain_params(args.a, args.b)
+    print(f"a+b = 5*{h} + {c}; on-line points: x={x} y={y}")
     print("step 1 slices:", list(step1.slices))
     print("step 1 residual profiles:",
           [list(pr.widths) for pr in step1.residual.on_line])

@@ -6,9 +6,9 @@ the line drops the bottom row of every on-line profile; the differential
 variant may instead remove a chosen higher row of a full fat point, trading
 a shorter trace on the line for a larger residual scheme. A differential
 step is a PlaneScheme plus one row width (its slice) for each on-line
-profile. The two-step builders reproduce the specific slice choices that
-make the line and the corner line removable, and expose every intermediate
-scheme so the rank oracle can confirm the dimension bookkeeping.
+profile. specialize_triple builds both rounds of a triple-point chain from
+chain_params, with the slices that make both lines removable, and exposes
+every scheme so the rank oracle can confirm the dimension bookkeeping.
 """
 
 from dataclasses import dataclass
@@ -155,10 +155,9 @@ def horace_verify(line_points, ambient: PlaneScheme, d: int,
     )
 
 
-# slice widths for the two scripted specializations, by a+b mod 5:
-# step 1 places x points of width 3 and y of width 2, plus one extra point;
-# step 2 swaps the widths on those points, slices step 1's extra point at
-# _STEP2_KEPT and may move one more point in at _STEP2_MOVED.
+# slice widths of the two rounds, by a+b mod 5: step 1 slices x points at width 3 and y at
+# width 2, plus one extra point at _STEP1_EXTRA; step 2 swaps the widths on those points,
+# slices step 1's extra point at _STEP2_KEPT and may move one more point in at _STEP2_MOVED.
 _STEP1_EXTRA = {2: 1, 3: 2, 4: 3}
 _STEP2_KEPT = {2: 3, 3: 3, 4: 2}
 _STEP2_MOVED = {1: 2, 3: 1, 4: 3}
@@ -166,32 +165,26 @@ _STEP2_MOVED = {1: 2, 3: 1, 4: 3}
 
 @dataclass(frozen=True)
 class TripleStep:
-    """One removal round: the specialized scheme, the row width taken at each
-    of its on-line profiles, and the residual.
+    """One removal round in degree `degree`: the specialized scheme, the row
+    width taken at each of its on-line profiles, and the residual.
 
     The oracle-checkable claim is that the residual in degree `degree - 2`
-    has the same ideal dimension as the scheme with all points in general
-    position in degree `degree`. When every chosen slice is a bottom row the
-    round is a plain line removal and the specialized scheme
-    `scheme` itself has that dimension too; rounds that take a higher
-    slice are limit arguments, and the honestly specialized scheme can sit
-    strictly higher.
+    has the ideal dimension of the scheme with all points in general
+    position in degree `degree`. A round whose slices are all bottom rows is
+    a plain line removal, and `scheme` has that dimension too; a round that
+    takes a higher slice is a limit argument, and `scheme` can sit higher.
     """
 
-    a: int
-    b: int
-    s: int
-    h: int
-    c: int
-    x: int
-    y: int
     degree: int
     scheme: PlaneScheme
     slices: tuple[int, ...]
     residual: PlaneScheme
 
 
-def _step_params(a: int, b: int) -> tuple[int, int, int, int]:
+def chain_params(a: int, b: int) -> tuple[int, int, int, int]:
+    """(h, c, x, y) of the chain at (a, b): a+b = 5h + c, and step 1 slices
+    x on-line points at width 3 and y at width 2. Raises a ValueError outside
+    the regime a >= b >= 4, a + b >= 10."""
     if not (a >= b >= 4 and a + b >= 10):
         raise ValueError(
             f"specialization needs a >= b >= 4 and a + b >= 10, got ({a}, {b})"
@@ -202,12 +195,11 @@ def _step_params(a: int, b: int) -> tuple[int, int, int, int]:
     return h, c, x, y
 
 
-def _round(prior: PlaneScheme, kept, moved, degree: int, too_few: str):
+def _round(prior: PlaneScheme, kept, moved, degree: int, too_few: str) -> TripleStep:
     """One removal round in degree `degree`: move len(moved) general triple
     points of prior onto the line, slice prior's on-line profiles at kept and
     the moved points at moved, check that the line cuts out degree + 1, and
-    remove the line and then the corner line. Returns (scheme, slices,
-    residual)."""
+    remove the line and then the corner line."""
     widths = tuple(kept) + tuple(moved)
     if sum(widths) != degree + 1:
         raise AssertionError(f"trace degree {sum(widths)} != {degree + 1}")
@@ -216,47 +208,34 @@ def _round(prior: PlaneScheme, kept, moved, degree: int, too_few: str):
         raise ValueError(too_few)
     scheme = PlaneScheme(prior.corner_a, prior.corner_b, prior.general[:left],
                          prior.on_line + (SliceProfile.fat_point(3),) * len(moved))
-    return scheme, widths, residue_corner(differential_residue(scheme, widths))
+    return TripleStep(degree, scheme, widths,
+                      residue_corner(differential_residue(scheme, widths)))
 
 
-def specialize_triple_step1(a: int, b: int, s: int) -> TripleStep:
-    """First round: move x + y (+ maybe one) triple points onto the line.
+def specialize_triple(a: int, b: int, s: int) -> tuple[TripleStep, TripleStep]:
+    """The two removal rounds for s triple points at (a, b).
 
-    Slice widths 3 on the first x points and 2 on the next y make the line
-    cut out degree a+b+1, so the line and then the corner line are forced
-    components; the residual lives in degree a+b-2.
+    Step 1 moves x + y (+ maybe one) triple points onto the line and slices
+    the first x at width 3 and the next y at width 2, so the line cuts out
+    degree a+b+1 and the line and then the corner line are forced; its
+    residual lives in degree a+b-2. Step 2 swaps those widths to cut out
+    degree a+b-1 and force both lines again, and for some a+b mod 5 moves
+    one more off-line point on; its residual lives in degree a+b-4.
     """
-    h, c, x, y = _step_params(a, b)
+    _, c, x, y = chain_params(a, b)
     s1 = critical_counts(BiDegree(a, b), 3)[0]
     if x + y + 1 > s1:
         raise AssertionError(f"x + y + 1 = {x + y + 1} exceeds s1 = {s1}")
-    moved = [3] * x + [2] * y
-    if c in _STEP1_EXTRA:
-        moved.append(_STEP1_EXTRA[c])
-    scheme, widths, residual = _round(PlaneScheme(a, b, (3,) * s), (), moved, a + b,
-                                      f"need at least {len(moved)} points, got s={s}")
-    return TripleStep(a, b, s, h, c, x, y, a + b, scheme, widths, residual)
-
-
-def specialize_triple_step2(step1: TripleStep) -> TripleStep:
-    """Second round on the first residual, with the widths swapped.
-
-    Widths 2 on the first x points and 3 on the next y cut out degree
-    a+b-1 on the line, again forcing both lines; for some congruence classes
-    one more off-line triple point moves on. The new residual lives in
-    degree a+b-4.
-    """
-    a, b, s, h, c, x, y = (step1.a, step1.b, step1.s, step1.h,
-                           step1.c, step1.x, step1.y)
-    kept = [2] * x + [3] * y + [_STEP2_KEPT[c] for _ in step1.residual.on_line[x + y:]]
-    moved = [_STEP2_MOVED[c]] if c in _STEP2_MOVED else []
-    scheme, widths, residual = _round(step1.residual, kept, moved, step1.degree - 2,
-                                      f"not enough off-line points for step 2 with s={s}")
-    if c in (3, 4):
-        s1 = critical_counts(BiDegree(a, b), 3)[0]
-        if x + y + 2 > s1:
-            raise AssertionError(f"x + y + 2 = {x + y + 2} exceeds s1 = {s1}")
-    return TripleStep(a, b, s, h, c, x, y, step1.degree - 2, scheme, widths, residual)
+    extra = [_STEP1_EXTRA[c]] if c in _STEP1_EXTRA else []
+    moved = [3] * x + [2] * y + extra
+    step1 = _round(PlaneScheme(a, b, (3,) * s), (), moved, a + b,
+                   f"need at least {len(moved)} points, got s={s}")
+    step2 = _round(step1.residual, [2] * x + [3] * y + [_STEP2_KEPT[c] for _ in extra],
+                   [_STEP2_MOVED[c]] if c in _STEP2_MOVED else [], a + b - 2,
+                   f"not enough off-line points for step 2 with s={s}")
+    if c in (3, 4) and x + y + 2 > s1:
+        raise AssertionError(f"x + y + 2 = {x + y + 2} exceeds s1 = {s1}")
+    return step1, step2
 
 
 @dataclass(frozen=True)
@@ -285,11 +264,10 @@ def verify_chain(a: int, b: int, s: int,
     (a, b, s) before any scheme exists. When step 2 moves no point its
     scheme is step 1's residual, so the oracle's value is the one taken.
     """
-    _step_params(a, b)  # an input outside the regime is refused first
+    chain_params(a, b)  # an input outside the regime is refused first
     d = a + b
     require_plane_fits(d, (a, b), ((3, s),))
-    step1 = specialize_triple_step1(a, b, s)
-    step2 = specialize_triple_step2(step1)
+    step1, step2 = specialize_triple(a, b, s)
     generic = hf_plane(d, PlaneScheme(a, b, (3,) * s), oracle)
     res1 = hf_plane(d - 2, step1.residual, oracle)
     res2 = hf_plane(d - 4, step2.residual, oracle)

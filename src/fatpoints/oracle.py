@@ -50,10 +50,10 @@ corners as two more random chart points and the line at y = 0. The plane
 model takes one point per profile in scheme order: the general points,
 then the points on the line, which keep their x and move to (x, x), and one
 more, whose x is the slope of the direction v = (1, slope) across the line.
-A point on the line gives the rows d_u^c d_v^e, u = (1, 1) along the line,
-each a sum of c + e + 1 products of the same tables. The direction v points
-at neither corner, as d/dy would at Q2: the scheme of a profile that does
-not fall strictly, such as (3, 3, 2), depends on it.
+A point on the line gives the rows d_u^c d_v^e with c + e <= d, u = (1, 1)
+along the line, each a sum of c + e + 1 products of the same tables. The
+direction v points at neither corner, as d/dy would at Q2: the scheme of a
+profile that does not fall strictly, such as (3, 3, 2), depends on it.
 
 A matrix whose elimination would not fit in physical memory is refused with
 a ValueError before it is allocated.
@@ -523,6 +523,11 @@ def _plane_columns(d: int, scheme: PlaneScheme):
     return np.repeat(np.arange(width), per_j), k
 
 
+def _order_d(widths, d: int) -> tuple[int, ...]:
+    """A profile's rows of order c + e <= d: min(w_e, d + 1 - e) at each level e <= d."""
+    return tuple(min(w, d + 1 - e) for e, w in enumerate(widths[:d + 1]))
+
+
 def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
     """Conditions of a plane scheme's points other than its corners on the
     degree-d forms that the corners leave, _plane_columns, in the chart
@@ -539,7 +544,7 @@ def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.n
     *points, (slope, _) = points
     # partials of order above d vanish on degree-d forms
     profiles = [fat_profile(min(m, d + 1)) for m in scheme.general]
-    profiles += [pr.widths for pr in scheme.on_line]
+    profiles += [_order_d(pr.widths, d) for pr in scheme.on_line]
     points = points[:general] + [(x, x) for x, _ in points[general:]]
     return conditions_matrix(points, profiles, *_plane_columns(d, scheme), p,
                              on_line=len(scheme.on_line), slope=slope)
@@ -690,8 +695,9 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     cfg.require_degree(d)
     counts = Counter(scheme.general).items()
     line = tuple(pr.widths for pr in scheme.on_line)
+    built = [_order_d(widths, d) for widths in line]  # as in the builder
     require_plane_fits(d, (scheme.corner_a, scheme.corner_b), counts,
-                       sum(map(sum, line)))  # before the first draw
+                       sum(map(sum, built)))  # before the first draw
     width, height, cols = _plane_box(d, scheme.corner_a, scheme.corner_b)
     if cols == 0:
         return 0
@@ -699,7 +705,7 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     # clamped as in the builder, so a point far above d makes no long profile
     chart = [(fat_profile(min(m, d + 1)), n) for m, n in counts]
     levels = [min(width, d + 1 - k) for k in range(height)]
-    bound = _rank_bound(levels, chart, line, range(d + 1, 0, -1))
+    bound = _rank_bound(levels, chart, built, range(d + 1, 0, -1))
     # one point per profile, and one more for the direction across the line
     return cols - _max_ranks(tags, len(scheme.general) + len(scheme.on_line) + 1,
                              lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
@@ -710,8 +716,8 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Ideal dimension on the line: degree-d forms vanishing to the lengths.
 
     Collinear conditions at distinct points are Hermite-independent, so the
-    answer is max(0, d+1 - sum); the univariate rank at random support is
-    computed as a cross-check and a disagreement raises.
+    answer is max(0, d+1 - sum); the univariate rank at random support, on
+    min(l, d+1) rows per length l, is a cross-check, and a disagreement raises.
     """
     lengths = tuple(lengths)
     if d < 0:
@@ -720,11 +726,11 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
         raise ValueError(f"lengths must be positive, got {lengths}")
     cfg.require_degree(d)
     expected = max(0, d + 1 - sum(lengths))
-    _require_fits(sum(lengths), d + 1)  # before the columns exist
+    built = [_order_d((l,), d) for l in lengths]
+    _require_fits(sum(map(sum, built)), d + 1)  # before the columns exist
     p = cfg.prime
     support = sample_support(derive_seed(cfg.seed, "line", d, lengths), len(lengths), p)
-    M = conditions_matrix([(x, 0) for x, _ in support], [(l,) for l in lengths],
-                          np.arange(d + 1), 0, p)
+    M = conditions_matrix([(x, 0) for x, _ in support], built, np.arange(d + 1), 0, p)
     got = d + 1 - rank_mod_p(M, p)
     if got != expected:
         raise ArithmeticError(

@@ -1,22 +1,25 @@
 import random
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints.core import binom
 from fatpoints.horace import (
     castelnuovo_check,
+    chain_params,
     diff_slice,
     differential_residue,
     horace_verify,
     residue_corner,
     residue_line,
-    specialize_triple_step1,
-    specialize_triple_step2,
+    specialize_triple,
     trace_line,
     verify_chain,
 )
-from fatpoints.oracle import hf_plane
+from fatpoints.oracle import DEFAULT_PRIME, hf_plane, plane_conditions_matrix, sample_support
 from fatpoints.schemes import PlaneScheme, SliceProfile
 
 
@@ -168,6 +171,29 @@ class TestHoraceVerify:
         assert report.conclusion_dim == 11
         assert report.witnessed
 
+    @given(st.lists(st.integers(1, 10).flatmap(
+               lambda m: st.tuples(st.just(m), st.integers(0, m - 1))), max_size=3),
+           st.integers(0, 6), st.integers(0, 6), st.lists(st.integers(0, 8), max_size=3),
+           st.integers(1, 8))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_conclusion_is_the_largest_matrix(self, line_points, corner_a, corner_b,
+                                              general, d):
+        # horace_verify refuses only the conclusion's matrix before its first
+        # elimination, so the residue's at d - 1 must be no larger
+        calls = []
+        with mock.patch("fatpoints.horace.hf_plane",
+                        lambda degree, scheme, cfg: calls.append((degree, scheme)) or 0):
+            horace_verify(line_points, PlaneScheme(corner_a, corner_b, tuple(general)), d)
+        (_, residue), (_, conclusion) = calls
+        p = DEFAULT_PRIME
+
+        def built(degree, scheme):
+            points = sample_support(0, len(scheme.general) + len(scheme.on_line) + 1, p)
+            return plane_conditions_matrix(degree, scheme, points, p).shape
+
+        (res_rows, res_cols), (rows, cols) = built(d - 1, residue), built(d, conclusion)
+        assert res_rows <= rows and res_cols <= cols
+
     def test_rejects_ambient_line_points(self, oracle):
         bad = PlaneScheme(0, 0, (), (SliceProfile((1,)),))
         with pytest.raises(ValueError):
@@ -176,37 +202,39 @@ class TestHoraceVerify:
 
 class TestStepOne:
     def test_c0(self):
-        step = specialize_triple_step1(6, 4, 5)
-        assert (step.h, step.c, step.x, step.y) == (2, 0, 3, 1)
+        assert chain_params(6, 4) == (2, 0, 3, 1)
+        step, _ = specialize_triple(6, 4, 5)
         assert list(step.slices) == [3, 3, 3, 2]
         assert step.scheme.general == (3,)
         assert (step.residual.corner_a, step.residual.corner_b) == (5, 3)
         assert widths(step.residual) == [[2, 1], [2, 1], [2, 1], [3, 1]]
 
     def test_c1(self):
-        step = specialize_triple_step1(7, 4, 6)
-        assert (step.h, step.c, step.x, step.y) == (2, 1, 4, 0)
+        assert chain_params(7, 4) == (2, 1, 4, 0)
+        step, _ = specialize_triple(7, 4, 6)
         assert list(step.slices) == [3, 3, 3, 3]
         assert widths(step.residual) == [[2, 1]] * 4
 
     def test_c2(self):
-        step = specialize_triple_step1(6, 6, 8)
-        assert (step.h, step.c, step.x, step.y) == (2, 2, 4, 0)
+        assert chain_params(6, 6) == (2, 2, 4, 0)
+        step, _ = specialize_triple(6, 6, 8)
         assert list(step.slices) == [3, 3, 3, 3, 1]
         assert widths(step.residual) == [[2, 1]] * 4 + [[3, 2]]
 
     def test_regime_errors(self):
-        with pytest.raises(ValueError):
-            specialize_triple_step1(3, 3, 2)
-        with pytest.raises(ValueError):
-            specialize_triple_step1(6, 3, 9)
-        with pytest.raises(ValueError):
-            specialize_triple_step1(6, 4, 3)
+        with pytest.raises(ValueError, match="a >= b >= 4"):
+            chain_params(3, 3)
+        with pytest.raises(ValueError, match="a >= b >= 4"):
+            specialize_triple(3, 3, 2)
+        with pytest.raises(ValueError, match="a >= b >= 4"):
+            specialize_triple(6, 3, 9)
+        with pytest.raises(ValueError, match="need at least 4 points, got s=3"):
+            specialize_triple(6, 4, 3)
 
 
 class TestStepTwo:
     def test_c0(self):
-        step = specialize_triple_step2(specialize_triple_step1(6, 4, 5))
+        _, step = specialize_triple(6, 4, 5)
         assert list(step.slices) == [2, 2, 2, 3]
         assert (step.residual.corner_a, step.residual.corner_b) == (4, 2)
         assert widths(step.residual) == [[1]] * 4
@@ -216,35 +244,49 @@ class TestStepTwo:
         assert stripped.general == (3,)
 
     def test_c1(self):
-        step = specialize_triple_step2(specialize_triple_step1(7, 4, 6))
+        _, step = specialize_triple(7, 4, 6)
         assert list(step.slices) == [2, 2, 2, 2, 2]
         assert widths(step.scheme) == [[2, 1]] * 4 + [[3, 2, 1]]
         assert widths(step.residual) == [[1]] * 4 + [[3, 1]]
         assert widths(residue_line(step.residual)) == [[1]]
 
     def test_c2(self):
-        step = specialize_triple_step2(specialize_triple_step1(6, 6, 8))
+        _, step = specialize_triple(6, 6, 8)
         assert list(step.slices) == [2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 4 + [[2]]
         assert widths(residue_line(step.residual)) == []
         assert residue_line(step.residual).general == (3, 3, 3)
 
     def test_c3(self):
-        step = specialize_triple_step2(specialize_triple_step1(8, 5, 7))
+        _, step = specialize_triple(8, 5, 7)
         assert list(step.slices) == [2, 2, 2, 2, 3, 1]
         assert widths(step.residual) == [[1]] * 5 + [[3, 2]]
         assert widths(residue_line(step.residual)) == [[2]]
 
     def test_c4(self):
-        step = specialize_triple_step2(specialize_triple_step1(10, 4, 9))
+        _, step = specialize_triple(10, 4, 9)
         assert list(step.slices) == [2, 2, 2, 2, 2, 3]
         assert widths(step.residual) == [[1]] * 5 + [[2, 1]]
         assert widths(residue_line(step.residual)) == [[1]]
 
+    def test_starts_from_the_first_residual(self):
+        for a, b, s in [(6, 4, 5), (7, 4, 6), (6, 6, 8), (8, 5, 7), (10, 4, 9)]:
+            step1, step2 = specialize_triple(a, b, s)
+            assert (step1.degree, step2.degree) == (a + b, a + b - 2)
+            assert len(step1.scheme.general) + len(step1.scheme.on_line) == s
+            # step 2 keeps step 1's residual and moves at most one more point
+            kept = len(step1.residual.on_line)
+            assert step2.scheme.on_line[:kept] == step1.residual.on_line
+            moved = len(step2.scheme.on_line) - kept
+            assert moved == len(step1.residual.general) - len(step2.scheme.general) <= 1
+            assert step2.scheme.corner_a == step1.residual.corner_a
+            assert step2.scheme.corner_b == step1.residual.corner_b
+
     def test_needs_spare_point(self):
-        step1 = specialize_triple_step1(7, 4, 4)
-        with pytest.raises(ValueError):
-            specialize_triple_step2(step1)
+        # step 1 moves all four points onto the line, and step 2 finds no
+        # off-line point left to move
+        with pytest.raises(ValueError, match="not enough off-line points for step 2 with s=4"):
+            specialize_triple(7, 4, 4)
 
 
 class TestChain:

@@ -18,8 +18,7 @@ from fatpoints.core import BiDegree, Source, UniformFatPoints, binom
 from fatpoints.formulas import hf_uniform, table_region
 from fatpoints.horace import (
     horace_verify,
-    specialize_triple_step1,
-    specialize_triple_step2,
+    specialize_triple,
     verify_chain,
 )
 from fatpoints.oracle import (
@@ -672,9 +671,10 @@ class TestConditionsMatrix:
         assert (10, 13) in shapes
         # derivative orders above the degree, whose rows of the tables stay
         # zero: multiplicity 6 at bidegree (2, 1), 6 orders against 3
-        # exponents, and a line profile longer than d + 1
+        # exponents, and a length longer than d + 1 on the line, which the
+        # line model itself clamps to d + 1
         bi_conditions_matrix(BiDegree(2, 1), (6,) * 3, sample_support(7, 3, p), p)
-        hf_trace_line(2, (5,), fast_oracle)
+        checked([(rng.randrange(1, p), 0)], [(5,)], np.arange(3), 0, p)
         assert {(63, 6), (5, 3)} <= set(shapes)
 
     def test_points_and_profiles_must_match(self):
@@ -865,6 +865,12 @@ line_profiles = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
 
 
+# profiles on the line as tall and as wide as 12, past d + 1 for every d the
+# guard tests draw
+tall_line_profiles = st.lists(st.integers(1, 12), min_size=1, max_size=12).map(
+    lambda widths: SliceProfile(tuple(sorted(widths, reverse=True))))
+
+
 # a degree and two corner multiplicities of at most d + 2
 plane_corners = st.integers(0, 8).flatmap(
     lambda d: st.tuples(st.just(d), st.integers(0, d + 2), st.integers(0, d + 2)))
@@ -886,10 +892,11 @@ class TestGuardCountsItsBuilder:
         assert refused_shape(_bi_row_degree, b, cells, counts, cfg) == one_page_names(M.shape)
 
     @given(plane_corners, st.lists(st.integers(0, 10), max_size=3),
-           st.lists(line_profiles, max_size=3))
+           st.lists(tall_line_profiles, max_size=3))
     @example((5, 2, 1), [], [SliceProfile((3, 3, 2))])  # no general point, d != a + b
     @example((4, 6, 0), [9], [])  # corners and a point above d + 1
     @example((6, 3, 3), [2, 2], [SliceProfile((2, 1))])  # d = a + b
+    @example((2, 0, 0), [], [SliceProfile.fat_point(10)])  # a point on the line above d + 1
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_plane_schemes(self, degree_corners, general, on_line):
         d, *corners = degree_corners
@@ -897,11 +904,32 @@ class TestGuardCountsItsBuilder:
         p = DEFAULT_PRIME
         points = sample_support(0, len(general) + len(on_line) + 1, p)
         M = plane_conditions_matrix(d, scheme, points, p)
-        line_rows = sum(pr.degree for pr in on_line)
+        # a level-e row d_u^c d_v^e has order c + e, and is zero on degree-d
+        # forms above order d
+        line_rows = sum(min(w, d + 1 - e) for pr in on_line for e, w in enumerate(pr.widths)
+                        if e <= d)
         got = refused_shape(require_plane_fits, d, corners, Counter(general).items(), line_rows)
         assert got == one_page_names(M.shape)
+        # and hf_plane hands its guard that count
+        assert refused_shape(hf_plane, d, scheme, OracleConfig(trials=1)) == got
 
-    @given(st.integers(0, 12), st.lists(st.integers(1, 5), max_size=4))
+    def test_rows_above_order_d_are_neither_built_nor_counted(self):
+        # partials of order above d vanish on every degree-d form, so a point
+        # on the line keeps min(w_e, d + 1 - e) rows at each level e <= d and
+        # a length on the line min(l, d + 1), as a general point is clamped
+        # to multiplicity d + 1; the values stay those of the raw widths
+        cfg = OracleConfig()
+        tenfold = PlaneScheme(0, 0, (), (SliceProfile.fat_point(10),))
+        assert set(built_shapes(hf_plane, 2, tenfold, cfg)) == {(6, 6)}
+        assert hf_plane(2, tenfold, cfg) == all_trials_triangle(2, tenfold, cfg) == 0
+        assert built_shapes(hf_trace_line, 2, (5,), cfg) == [(3, 3)]
+        assert hf_trace_line(2, (5,), cfg) == 0
+        # 20000100000 rows unclamped, 4470 GiB to eliminate
+        huge = PlaneScheme(0, 0, (), (SliceProfile.fat_point(200000),))
+        assert set(built_shapes(hf_plane, 2, huge, cfg)) == {(6, 6)}
+        assert hf_plane(2, huge, cfg) == 0
+
+    @given(st.integers(0, 12), st.lists(st.integers(1, 16), max_size=4))
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_line_lengths(self, d, lengths):
         cfg = OracleConfig()
@@ -1192,8 +1220,7 @@ class TestEarlyStop:
 
     def test_criterion_6_chain(self, oracle):
         a, b, s = 6, 4, 6
-        step1 = specialize_triple_step1(a, b, s)
-        step2 = specialize_triple_step2(step1)
+        step1, step2 = specialize_triple(a, b, s)
         d = a + b
         calls = [(d, PlaneScheme(a, b, (3,) * s)), (d - 2, step1.residual),
                  (d - 4, step2.residual), (d, step1.scheme), (d - 2, step2.scheme)]
@@ -1421,8 +1448,9 @@ class TestRankBound:
         scheme = PlaneScheme(corner_a, corner_b, (), tuple(on_line))
         M = plane_conditions_matrix(d, scheme, sample_support(2, len(on_line) + 1, p), p)
         # rows run point by point, then by level, then by c
-        levels = np.array([e for pr in on_line for e, w in enumerate(pr.widths)
-                           for _ in range(w)])
+        # those of order c + e <= d, the others vanishing on degree-d forms
+        levels = np.array([e for pr in on_line for e, w in enumerate(pr.widths) if e <= d
+                           for _ in range(min(w, d + 1 - e))])
         for e in set(levels.tolist()):
             assert rank_mod_p(M[levels == e], p) <= max(d - e + 1, 0), e
 
@@ -1459,7 +1487,7 @@ class TestDraw:
         # the line or none, are the conic through them doubled
         (4, PlaneScheme(2, 2, (2, 2, 2)), DEFAULT_TRIALS),
         (4, PlaneScheme(2, 2, (2, 2), (SliceProfile.fat_point(2),)), DEFAULT_TRIALS),
-        (10, specialize_triple_step1(6, 4, 6).scheme, 1),
+        (10, specialize_triple(6, 4, 6)[0].scheme, 1),
     ])
     def test_plane_scheme_with_points_on_the_line(self, d, scheme, trials, monkeypatch):
         cfg = OracleConfig(seed=3)

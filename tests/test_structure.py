@@ -2,11 +2,14 @@
 and no method or property of a class, that nothing in src/ calls, no random
 generator outside oracle.sample_support, no kernel call with overwrite=
 outside the trial loop, no import beyond the standard library and numpy,
-numpy only in oracle.py, and no command-line option that README.md does not
-name."""
+numpy only in oracle.py, no command-line option that README.md does not
+name, and no name that the benchmark's tracer wraps missing from its home
+module."""
 
 import argparse
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -148,3 +151,20 @@ def test_every_option_is_documented():
     undocumented = {opt for opt in long_options(build_parser())
                     if not re.search(re.escape(opt) + r"(?![\w-])", readme)}
     assert undocumented == set()
+
+
+def traced_names_missing(spans_path: Path = ROOT / "bench" / "spans.py") -> set[tuple[str, str]]:
+    """(home module, name) for every entry of the tracer's TARGETS that its
+    home module does not define; spans.py is loaded from its path as it is."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    return {(home, name) for home, name, _ in spans.TARGETS
+            if not hasattr(importlib.import_module(home), name)}
+
+
+def test_every_traced_name_exists():
+    # the tracer counts a name missing from its home module as 0, with only
+    # a warning, so a rename in src/ would silently empty a layer
+    assert traced_names_missing() == set()
