@@ -27,15 +27,28 @@ off the row of min(a, b): hf_uniform_cells groups the cells of a table, a
 verify rectangle or a single cell by that row, so a cell and its transpose
 share one elimination per trial and one support in every command.
 
+The bidegree model puts the first point of largest multiplicity m0 at the
+origin and draws the other s - 1: PGL(2) x PGL(2) takes any point to
+(0, 0) and keeps the others general. There an m0-fold point's conditions are
+the coefficients of the monomials x^j y^l with j + l < m0, so its rows, and
+the columns they kill, leave the matrix: the other points' rows are built on
+the box columns with j + l >= m0, j-major. The rank on the (a, b) box is the
+columns killed there plus the rank of the first kept columns, those with
+j <= a, and the count killed is the origin's own term in _rank_bound on the
+box, so the bound drops by it too and stays sharp. The golden table's widest
+matrix is 60x479 (75x494 on the whole box) and the large cell's 684x1645
+(720x1681).
+
 All three models share one builder, conditions_matrix: derivative conditions
-at chart points against a set of exponent columns, a box for bidegree
-(a, b), the monomials its corners leave for plane degree d and a segment
-for the line. It fills one derivative table for all points together, row 0
-by the powers t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1), and
-writes the rows of each run of points with equal width profile one level at
-a time, each level one block multiplied and reduced in place. The bidegree
-model is one run and the plane model a few, so the builder's Python-level
-work does not grow with the number of points.
+at chart points against a set of exponent columns, the monomials of the box
+that the origin leaves for bidegree (a, b), the monomials the corners leave
+for plane degree d and a segment for the line. It fills one derivative table
+for all points together, row 0 by the powers t^j = t^(j-1) t and row c by
+d^c t^j = j d^(c-1) t^(j-1). Each run of points with equal width profile
+takes one gather of its x factors straight into its rows, one multiply per
+level by the y factor and one remainder, all in place. The bidegree model
+is one run and the plane model a few, so the builder's Python-level work
+does not grow with the number of points.
 
 The plane model puts its corners at Q1 = [0:1:0] and Q2 = [0:0:1] and its
 distinguished line at y = x, which avoids both: PGL(3) takes any two points
@@ -44,7 +57,8 @@ a corner condition is the coefficient of one monomial, so the corners give
 no rows, the monomials they kill give no columns, and the value is the
 columns left less the rank of the other points' rows on them. For a
 reduction, d = a + b, those are the (b+1) x (a+1) box of the bidegree
-model, so check_reduction checks the corner bookkeeping; the tests compare
+model, so check_reduction checks the corner bookkeeping, on every point's
+rows against the whole box, the larger side; the tests compare
 the plane model with the triangle of every degree-d monomial, with the
 corners as two more random chart points and the line at y = 0. The plane
 model takes one point per profile in scheme order: the general points,
@@ -211,17 +225,17 @@ def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
 # A matrix of at most this many entries starts with a first panel of
 # rows + _panel_width(p) columns, a larger one with _panel_width(p). On one
 # BLAS thread, left-looking, that first panel against panels of 64 from the
-# start: the golden table's 75x494 (2^15.2 entries) takes 2.2 against 3.8 ms
+# start: the golden table's 60x479 (2^14.8 entries) takes 1.0 against 2.0 ms
 # and a 125x120 Horace chain matrix 4.0 against 5.8 ms, while panels win on
 # the plane matrices of reduce cells in the tests' triangle reference, with
 # the corners drawn as chart points, 399x666 (2^18.0) in 29 against 31 ms and
 # 571x990 in 50 against 56 ms, and on a dense random 210x294 (2^15.9), 17
 # against 24 ms. So the plane crossover lies near 2^18 and the dense one
-# below 2^15.9. No workload matrix lies between 2^15.2 and 2^20.2 entries,
-# so any cutoff there routes them alike: the golden table, verify (at most
-# 210x42), the Horace chains (at most 66x64) and the plane reductions
-# (75x494, 120x441) take the first panel, and the large cell, 720x1681, is
-# the only workload matrix in panels.
+# below 2^15.9. No workload matrix lies between 2^15.7 and 2^20.1 entries,
+# so any cutoff there routes them alike: the golden table (at most 60x479),
+# verify (at most 189x21), the Horace chains (at most 66x64) and the plane
+# reductions (75x494, and 120x441 at 2^15.7) take the first panel, and the
+# large cell, 684x1645, is the only workload matrix in panels.
 _SINGLE_PANEL_ENTRIES = 1 << 18
 
 
@@ -384,14 +398,14 @@ def rank_mod_p(matrix, p: int) -> int:
 
 # peak bytes of build plus elimination per matrix entry, by tracemalloc. The
 # trial loop eliminates the matrix it built in place: with panels, the matrix
-# and a panel's catch-up buffers come to 1.2 to 1.4 times it (720x1681,
-# 300x961, and 571x990 and 540x861 of the tests' triangle reference); on a
-# first panel of every column the loop's temporaries of the block below each
-# pivot take it to 1.7 at 75x494, 2.4 at 210x42, 2.8 at 240x169 and 3.3 at
-# 120x120, where numpy's fixed iteration buffers (about 0.2 MB) weigh most. A
-# call that keeps the copy adds one matrix: 2.2 to 2.4 times in panels, up to
-# 4.3 on the smallest. Five matrices cover every case, and the build alone,
-# which peaks at 1.03 to 1.7 times the matrix.
+# and a panel's catch-up buffers come to 1.2 times it (684x1645, and 571x990
+# and 540x861 of the tests' triangle reference); on a first panel of every
+# column the loop's temporaries of the block below each pivot and numpy's
+# fixed iteration buffers (about 0.2 MB) take it to 1.6 at 120x441, 1.8 at
+# 75x494, 2.0 at 60x479 and 3.4 at 189x21, where those buffers weigh most. A
+# call that keeps the copy adds one matrix: 2.2 times in panels, up to 4.4 on
+# the smallest. Five matrices cover every case, and the build alone, which
+# peaks at 1.07 to 2.3 times the matrix.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
@@ -435,15 +449,17 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
     together by two recurrences: t^j = t^(j-1) t for the powers in row 0,
     and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. Points
     come in runs of equal profile (the bidegree model is one run, the plane
-    model a few), and each level of a chart run is one block of rows of the
-    preallocated matrix, written in place by one multiply and one remainder.
-    The only temporaries are the two gathered factors of a block, the x one
-    no larger than the block and the y one no larger than a row per point.
-    On the line, d_u^c d_v^e = (d_x + d_y)^c (d_x + slope d_y)^e is
-    sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i the coefficient of
-    z^i in (1 + z)^c (1 + slope z)^e, so row (c, e) of a run is summed in
-    place from c + e + 1 products of the same tables, one per i, each a
-    temporary of one row per point.
+    model a few), and the rows of a chart run are written in place in the
+    preallocated matrix: one gather puts the x factor d^c x^j of every row
+    (c, e) of the run straight into it, each level is then multiplied by its
+    y factor d^e y^l, and one remainder reduces the run. The temporaries are
+    the run's x table, one row of DX per row of a point, and the y factor of
+    a level, one row per point; no temporary grows with the rows of a point
+    times the columns. On the line, d_u^c d_v^e = (d_x + d_y)^c
+    (d_x + slope d_y)^e is sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i
+    the coefficient of z^i in (1 + z)^c (1 + slope z)^e, so row (c, e) of a
+    run is summed in place from c + e + 1 products of the same tables, one
+    per i, each a temporary of one row per point.
     """
     profiles = [tuple(widths) for widths in profiles]
     shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
@@ -454,9 +470,8 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
         return out
     # strict: a point without a profile, or a profile without a point, is an error
     coords = [xy for xy, _ in zip(points, profiles, strict=True)]
-    # both exponent arrays get the full number of axes, behind the point and c axes
-    xexp, yexp = (np.reshape(e, (1,) * (len(shape) - np.ndim(e)) + np.shape(e))
-                  for e in (xexp, yexp))
+    # one exponent of each kind per column, behind the point and c axes
+    xexp, yexp = (np.broadcast_to(e, shape) for e in (xexp, yexp))
     # a row d_u^c d_v^e takes derivatives of order up to c + e in x and in y
     orders = max(w + e for widths in set(profiles) for e, w in enumerate(widths))
     DX, DY = _derivative_tables(np.transpose(coords), orders,
@@ -468,12 +483,14 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
         n, size = len(list(run)), sum(widths)
         view = out[r : r + n * size].reshape((n, size) + shape)
         dx, dy = DX[i : i + n], DY[i : i + n]
+        if not on_the_line:
+            # view is contiguous, so the gather writes it with no buffer
+            np.take(dx[:, [c for w in widths for c in range(w)]], xexp, axis=2,
+                    out=view, mode="clip")
         level = 0
         for e, w in enumerate(widths):
             if not on_the_line:
-                block = view[:, level : level + w]
-                np.multiply(dx[:, :w, xexp], dy[:, e][:, None, yexp], out=block)
-                np.remainder(block, p, out=block)
+                view[:, level : level + w] *= dy[:, e][:, None, yexp]  # below p^2
             else:
                 for c in range(w):
                     kappa = [1]
@@ -487,22 +504,40 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
                         term *= k
                         term %= p
                         row += term  # at most c + e + 1 terms below p
-                    row %= p
             level += w
+        view %= p
         r, i = r + n * size, i + n
     return out
 
 
-def bi_conditions_matrix(deg: BiDegree, mults, points, p: int) -> np.ndarray:
-    """One row per derivative condition against the monomial basis x^j y^l.
+def _killed(a: int, b: int, origin: int) -> int:
+    """The monomials x^j y^l of the (a, b) box with j + l < origin: the
+    columns that an origin-fold point at (0, 0) kills, and its rows that are
+    nonzero on the box."""
+    return sum(min(b + 1, origin - j) for j in range(min(a + 1, origin)))
+
+
+def _bi_columns(deg: BiDegree, origin: int):
+    """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major."""
+    j, l = np.divmod(np.arange(deg.cells), deg.b + 1)
+    kept = j + l >= origin
+    return j[kept], l[kept]
+
+
+def bi_conditions_matrix(deg: BiDegree, mults, points, p: int, *, origin: int = 0) -> np.ndarray:
+    """One row per derivative condition against the monomials x^j y^l of the
+    bidegree (a, b) box that an origin-fold point at (0, 0) leaves.
 
     Point i of multiplicity m contributes the rows (c,e) with c+e <= m-1:
     the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
-    Column j*(b+1) + l holds x^j y^l; hf_biproj_row relies on this j-major
-    order to read smaller a off a prefix of the columns.
+    At (0, 0) those rows are the coefficients of x^j y^l with j + l < m,
+    so hf_biproj_row puts one point there and builds only the others' rows,
+    on the columns j + l >= origin; origin = 0 keeps every column. The
+    columns run j-major, so the columns with j <= a' are a prefix for each
+    a' <= a, which hf_biproj_row reads smaller a off. The matrix holds no
+    temporary as large as itself: see conditions_matrix.
     """
-    return conditions_matrix(points, map(fat_profile, mults),
-                             np.arange(deg.a + 1)[:, None], np.arange(deg.b + 1), p)
+    return conditions_matrix(points, map(fat_profile, mults), *_bi_columns(deg, origin), p)
 
 
 def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
@@ -588,15 +623,19 @@ def _bi_row_degree(b: int, cells, counts, cfg: OracleConfig) -> BiDegree:
     """(max(cells), b), the widest bidegree of a row of points with counts[m]
     of multiplicity m. Raises a ValueError unless the cells are nonnegative,
     the prime exceeds the degree and the top multiplicity, and the matrix
-    fits in physical memory; from the counts alone, so a caller can check a
-    row before its multiplicities exist."""
+    hf_biproj_row builds fits in physical memory: the rows of every point
+    but one of top multiplicity, which sits at the origin, on the columns it
+    leaves. From the counts alone, so a caller can check a row before its
+    multiplicities exist."""
     cells = tuple(cells)
     if not cells or min(cells) < 0:
         raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
     deg = BiDegree(max(cells), b)
     cfg.require_degree(deg.a + b)
-    cfg.require_degree(max((m for m, n in counts.items() if n), default=0))
-    _require_fits(sum(n * binom(m + 1, 2) for m, n in counts.items()), deg.cells)
+    origin = max((m for m, n in counts.items() if n), default=0)
+    cfg.require_degree(origin)
+    rows = sum(n * binom(m + 1, 2) for m, n in counts.items()) - binom(origin + 1, 2)
+    _require_fits(rows, deg.cells - _killed(deg.a, b, origin))
     return deg
 
 
@@ -626,22 +665,35 @@ def _rank_bound(levels, chart, line, caps) -> int:
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
-    The columns of the conditions matrix run j-major, so the (a, b) matrix is
-    the first (a+1)(b+1) columns of the (max(cells), b) matrix on the same
-    support, and one elimination per trial gives every cell. Exactly the
-    cells asked for are returned, keyed by a, and only they can hold the
-    trials up: the trials stop once each has reached the _rank_bound of its
-    box. The support does not depend on the cells.
+    The first point of largest multiplicity m0 sits at the origin, where its
+    rows are the coefficients of the monomials it kills, and the trials draw
+    the other len(mults) - 1 points. The rank on the (a, b) box is then the
+    _killed(a, b, m0) columns of the box plus the rank of the other points'
+    rows on the columns left with j <= a: a prefix of the (max(cells), b)
+    matrix, whose columns run j-major, so one elimination per trial gives
+    every cell. The origin's rows are its own term in the _rank_bound of the
+    box, so each cut's bound drops by the same count and stays sharp.
+    Exactly the cells asked for are returned, keyed by a, and only they can
+    hold the trials up: the trials stop once each has reached its bound. The
+    support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
     counts = Counter(mults)
     deg = _bi_row_degree(b, cells, counts, cfg)  # before the row exists
+    origin = max(mults, default=0)
+    at = mults.index(origin) if mults else 0
+    others = mults[:at] + mults[at + 1 :]
     chart = [(fat_profile(m), n) for m, n in counts.items()]
-    bounds = {(a + 1) * (b + 1): _rank_bound((a + 1,) * (b + 1), chart, (), ()) for a in cells}
-    ranks = _max_ranks(("bi", b, mults), len(mults),
-                       lambda points: bi_conditions_matrix(deg, mults, points, cfg.prime),
+    killed = {a: _killed(a, b, origin) for a in cells}
+    cut = {a: (a + 1) * (b + 1) - killed[a] for a in cells}
+    # two cells share a cut only when no column of it is left, and then both
+    # bounds are 0
+    bounds = {cut[a]: _rank_bound((a + 1,) * (b + 1), chart, (), ()) - killed[a] for a in cells}
+    ranks = _max_ranks(("bi", b, mults), len(others),
+                       lambda points: bi_conditions_matrix(deg, others, points, cfg.prime,
+                                                           origin=origin),
                        bounds, cfg)
-    return {a: ranks[(a + 1) * (b + 1)] for a in cells}
+    return {a: killed[a] + ranks[cut[a]] for a in cells}
 
 
 def hf_uniform_cells(cells, pts: UniformFatPoints,
@@ -740,10 +792,13 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
-    """Both sides of the plane-model translation, compared by oracle. The plane side has the
-    bidegree side's columns and no more rows: one guard refuses both before the points exist."""
-    row = deg.normalized
-    _bi_row_degree(row.b, (row.a,), {pts.m: pts.s}, cfg)
+    """Both sides of the plane-model translation, compared by oracle. The plane side is the
+    larger: the bidegree box against every point's rows, none at the origin. So after the
+    degree and prime checks its guard refuses both, before the points exist."""
+    d = deg.a + deg.b
+    cfg.require_degree(d)
+    cfg.require_degree(pts.m if pts.s else 0)
+    require_plane_fits(d, (deg.a, deg.b), [(pts.m, pts.s)])
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

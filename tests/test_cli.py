@@ -429,13 +429,16 @@ class TestReduceAndHorace:
 class TestOversizedPointCount:
     # 10^7 points of multiplicity 5 are 1.5 * 10^8 rows: the first row's
     # matrix is refused from (s, m), before the 80 MB tuple of multiplicities
-    @pytest.mark.parametrize("argv, cols", [
-        (["hf", "--a", "8", "--b", "7", "--m", "5", "--mode", "oracle"], 72),
-        (["verify", "--m", "5", "--amax", "8", "--bmax", "7"], 9),
-        (["reduce", "--a", "8", "--b", "7", "--m", "5"], 72),
-        (["table", "--m", "5", "--amax", "8", "--bmax", "7", "--oracle-unknown"], 63),
+    # the bidegree matrix leaves out the rows of the point at the origin and
+    # the 15 columns it kills (5 on a row b = 0); reduce refuses by its plane
+    # side, every point's rows against the whole box
+    @pytest.mark.parametrize("argv, rows, cols", [
+        (["hf", "--a", "8", "--b", "7", "--m", "5", "--mode", "oracle"], 149999985, 57),
+        (["verify", "--m", "5", "--amax", "8", "--bmax", "7"], 149999985, 4),
+        (["reduce", "--a", "8", "--b", "7", "--m", "5"], 150000000, 72),
+        (["table", "--m", "5", "--amax", "8", "--bmax", "7", "--oracle-unknown"], 149999985, 48),
     ], ids=["hf", "verify", "reduce", "table"])
-    def test_refused_before_the_multiplicities(self, capsys, monkeypatch, argv, cols):
+    def test_refused_before_the_multiplicities(self, capsys, monkeypatch, argv, rows, cols):
         # the 1 GiB of physical memory the byte-identity corpus pins
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
@@ -449,8 +452,8 @@ class TestOversizedPointCount:
         assert peak < 1 << 20
         captured = capsys.readouterr()
         assert captured.out == ""
-        need = 40 * 150000000 * cols / 2**30
-        assert captured.err == (f"error: a 150000000 x {cols} conditions matrix needs about "
+        need = 40 * rows * cols / 2**30
+        assert captured.err == (f"error: a {rows} x {cols} conditions matrix needs about "
                                 f"{need:.1f} GiB to eliminate, more than the 1.0 GiB of "
                                 "physical memory\n")
 

@@ -416,11 +416,11 @@ class TestBlockedElimination:
         assert len(pivots) == 40
 
     def test_routing_of_the_workload_shapes(self):
-        # the golden table's widest row (75 x 494), the widest verify row
-        # (m 6, s 10, 210 x 42), every matrix of the 23 criterion-6 chains
+        # the golden table's widest row (60 x 479), the widest verify row
+        # (m 6, s 10, 189 x 21), every matrix of the 23 criterion-6 chains
         # of the benchmark (at most 66 x 64) and the plane matrices of the
         # reduce cells (25, 18, 5, 5) and (20, 20, 5, 8) stay on the single
-        # panel; the large cell, 720 x 1681, is the only workload matrix in
+        # panel; the large cell, 684 x 1645, is the only workload matrix in
         # panels. The triangle geometry's matrices of those reduce cells
         # take the blocked path too
         p = DEFAULT_PRIME
@@ -430,11 +430,11 @@ class TestBlockedElimination:
             M = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
             planes.append(M.shape)
         assert planes == [(75, 494), (120, 441)]
-        for rows, cols in [(75, 494), (210, 42), (66, 64)] + planes:
+        for rows, cols in [(60, 479), (189, 21), (66, 64)] + planes:
             assert rows * cols <= oracle_module._SINGLE_PANEL_ENTRIES
         triangles = [triangle_first_trial(a, b, s).shape for a, b, s in REDUCE_CELLS]
         assert triangles == [(571, 990), (540, 861)]
-        for rows, cols in [(720, 1681)] + triangles:
+        for rows, cols in [(684, 1645)] + triangles:
             assert rows * cols > oracle_module._SINGLE_PANEL_ENTRIES
 
     def test_reduce_cell_pivots_match_the_single_panel(self, monkeypatch):
@@ -453,7 +453,8 @@ class TestBlockedElimination:
             assert len(pivots) == len(M)
 
     def test_large_row_reads_every_prefix(self, oracle):
-        # 20 points of multiplicity 8 at (40, 40): a 720 x 1681 matrix
+        # 20 points of multiplicity 8 at (40, 40): a 684 x 1645 matrix, the
+        # rows of the 19 points off the origin
         row = hf_biproj_row(40, range(41), (8,) * 20, oracle)
         assert row[40] == 720
         pts = UniformFatPoints(20, 8)
@@ -555,7 +556,8 @@ def traced_peak(call):
     return result, peak
 
 
-LARGE_CELL_BYTES = 720 * 1681 * 8  # the large cell's int64 matrix
+LARGE_CELL_BYTES = 720 * 1681 * 8  # the large cell's int64 matrix on the whole box
+ORIGIN_CELL_BYTES = 684 * 1645 * 8  # and with one point at the origin
 
 
 class TestOwnership:
@@ -578,11 +580,11 @@ class TestOwnership:
             assert np.array_equal(owned, M) == (not M.any()), M.shape
 
     def test_large_cell_peaks_near_its_matrix(self):
-        # build and elimination of the 720 x 1681 matrix, which certifies on
+        # build and elimination of the 684 x 1645 matrix, which certifies on
         # its first trial; with a copy in the kernel the peak reads 2.2
         ranks, peak = traced_peak(lambda: hf_biproj_row(40, (40,), (8,) * 20))
         assert ranks == {40: 720}
-        assert peak <= 1.3 * LARGE_CELL_BYTES, peak / LARGE_CELL_BYTES
+        assert peak <= 1.3 * ORIGIN_CELL_BYTES, peak / ORIGIN_CELL_BYTES
 
     def test_no_trial_matrix_outlives_its_elimination(self, eliminations):
         # the large cell's build with its last row a copy of its first: the
@@ -642,10 +644,10 @@ class TestConditionsMatrix:
         for m in range(2, 7):
             for s in range(1, 11):
                 hf_biproj_row(m, (5,), (m,) * s, fast_oracle)
-        assert len(shapes) == 50 and (210, 42) in shapes
+        assert len(shapes) == 50 and (189, 21) in shapes
         # every golden-table row, at its widest unknown cell
         table_region(5, 5, 25, 18, fast_oracle)
-        assert (75, 494) in shapes
+        assert (60, 479) in shapes
         # the plane matrices of the reduce cells (25, 18, 5, 5) and (20, 20, 5, 8)
         for a, b, s in REDUCE_CELLS:
             scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
@@ -885,11 +887,9 @@ class TestGuardCountsItsBuilder:
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_bidegree_rows(self, cells, b, mults):
         cfg = OracleConfig()
-        p = cfg.prime
         counts = Counter(mults)
-        deg = _bi_row_degree(b, cells, counts, cfg)
-        M = bi_conditions_matrix(deg, mults, sample_support(0, len(mults), p), p)
-        assert refused_shape(_bi_row_degree, b, cells, counts, cfg) == one_page_names(M.shape)
+        [shape] = built_shapes(hf_biproj_row, b, cells, mults, OracleConfig(trials=1))
+        assert refused_shape(_bi_row_degree, b, cells, counts, cfg) == one_page_names(shape)
 
     @given(plane_corners, st.lists(st.integers(0, 10), max_size=3),
            st.lists(tall_line_profiles, max_size=3))
@@ -989,6 +989,22 @@ class TestBiModel:
                     BiDegree(a, b), [4] * 2, OracleConfig(prime=ALT_PRIME, trials=1)
                 )
                 assert lhs == rhs
+
+    @given(st.integers(0, 7), st.integers(0, 5), st.lists(st.integers(0, 6), max_size=6),
+           st.integers(0, 2))
+    @example(3, 2, [], 0)  # s = 0: no point, none at the origin
+    @example(4, 3, [4], 0)  # s = 1: the origin's point alone, no draw
+    @example(2, 1, [5, 2, 5], 0)  # m0 > a + b: no column left
+    @example(6, 0, [3, 5, 5], 0)  # b = 0: cells 0 to 4 share the empty cut
+    @example(4, 3, [0, 2, 0, 3], 0)  # points of multiplicity 0
+    @example(3, 2, [0, 0], 0)  # one of them at the origin
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_origin_point_equals_the_full_box(self, a_max, b, mults, seed):
+        # every cell of the row, also those whose cuts coincide, against
+        # every point drawn on the whole box
+        cfg = OracleConfig(seed=seed)
+        expected = all_trials_row(a_max, b, mults, cfg)
+        assert hf_biproj_row(b, range(a_max, -1, -1), mults, cfg) == dict(enumerate(expected))
 
     def test_subscheme_monotonicity(self, fast_oracle):
         rng = random.Random(99)
@@ -1094,7 +1110,9 @@ class TestPlaneModel:
 
 
 def all_trials_row(a_max, b, mults, cfg):
-    """hf_biproj_row's support and ranks, every trial run, max kept."""
+    """The full-box reference of hf_biproj_row: under its tags every point
+    drawn, none at the origin, and the whole box built; every trial run, max
+    kept."""
     mults = tuple(mults)
     best = [0] * (a_max + 1)
     for trial in range(cfg.trials):
@@ -1210,11 +1228,11 @@ class TestEarlyStop:
 
     def test_every_row_is_checked_before_the_first_elimination(self, oracle, eliminations,
                                                                 monkeypatch):
-        # 1 MiB of physical memory holds the table and the 75-row matrices up
-        # to row 12, 75 x 26 * 13; row 13 is refused before row 6 runs
+        # 1 MiB of physical memory holds the table and the 60-row matrices up
+        # to row 16, 60 x (26 * 17 - 15); row 17 is refused before row 6 runs
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
-        with pytest.raises(ValueError, match="^a 75 x 364 conditions matrix needs"):
+        with pytest.raises(ValueError, match="^a 60 x 453 conditions matrix needs"):
             table_region(5, 5, 25, 18, oracle)
         assert eliminations == []
 
@@ -1244,16 +1262,17 @@ class TestEarlyStop:
         assert len(eliminations) == len(calls)
 
     def test_certified_only_under_the_model_bound(self, oracle, eliminations):
-        # two 6-fold points give 42 rows against the 63 columns of (20, 2),
-        # but only their rows (c, e) with e <= 2 meet those columns: 6 + 5 + 4
-        # a point. min(rows, cols) = 42 would run every trial
+        # one of two 6-fold points sits at the origin and kills 6 + 5 + 4 of
+        # the 63 columns of (20, 2); the other gives 21 rows against the 48
+        # left, but only its rows (c, e) with e <= 2 meet them: 6 + 5 + 4.
+        # min(rows, cols) = 21 would run every trial
         assert hf_biproj_row(2, (20,), (6, 6), oracle) == {20: 30}
-        assert eliminations == [(42, 63)]
+        assert eliminations == [(21, 48)]
         # conics double at two points of the line are the line doubled: 6
         # rows, but the 4 at level 0 meet only the 3 columns 1, x, x^2
         scheme = PlaneScheme(0, 0, (), (SliceProfile.fat_point(2),) * 2)
         assert hf_plane(2, scheme, oracle) == 1
-        assert eliminations == [(42, 63), (6, 6)]
+        assert eliminations == [(21, 48), (6, 6)]
 
     def test_certified_cell_takes_one_elimination(self, oracle, eliminations):
         # 5 points of multiplicity 5 give 75 rows, and the rank reaches them
@@ -1298,11 +1317,12 @@ class TestEarlyStop:
 
     def test_bound_is_capped_by_the_cut(self, oracle, eliminations):
         # more rows than the cut: five double points give 15 conditions, and
-        # each rank reaches its cut on the first trial
+        # each rank reaches its cut on the first trial; on the box, four of
+        # them give 12 rows against the 9 columns the one at the origin leaves
         assert hf_plane(3, PlaneScheme(0, 0, (2,) * 5), oracle) == 0
         assert eliminations == [(15, 10)]
         assert hf_biproj_row(3, (0, 1, 2), (2,) * 5, oracle) == {0: 4, 1: 8, 2: 12}
-        assert eliminations == [(15, 10), (15, 12)]
+        assert eliminations == [(15, 10), (12, 9)]
 
     def test_cells_are_checked(self, oracle):
         for cells in ((), [], (3, -1), (-1,)):
@@ -1321,6 +1341,19 @@ def handed(call, *args):
 
     with mock.patch.object(oracle_module, "_max_ranks", kept):
         return call(*args), bounds
+
+
+def origin_split(mults):
+    """hf_biproj_row's split of mults: the first largest, whose point sits at
+    the origin, and the others in order."""
+    mults = tuple(mults)
+    at = mults.index(max(mults)) if mults else 0
+    return max(mults, default=0), mults[:at] + mults[at + 1 :]
+
+
+def box_killed(a, b, origin):
+    """The monomials x^j y^l of the (a, b) box with j + l < origin."""
+    return sum(j + l < origin for j in range(a + 1) for l in range(b + 1))
 
 
 def box_reference(a, b, mults):
@@ -1395,11 +1428,14 @@ class TestRankBound:
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_bidegree_bound_holds(self, a_max, b, mults):
+        # each cut's bound and rank drop by the columns the origin kills
         cfg = OracleConfig()
         ranks = all_trials_row(a_max, b, mults, cfg)
         row, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
+        origin = origin_split(mults)[0]
         for a, rank in enumerate(ranks):
-            assert bounds[(a + 1) * (b + 1)] == box_reference(a, b, mults) >= rank, a
+            dead = box_killed(a, b, origin)
+            assert bounds[(a + 1) * (b + 1) - dead] + dead == box_reference(a, b, mults) >= rank, a
         assert row == dict(enumerate(ranks))
 
     @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3),
@@ -1424,12 +1460,16 @@ class TestRankBound:
                                                 corner_b, general):
         # off the line every counted row holds c! e! at x^c y^e, so the
         # bound is the count itself: each row of a box cut, and the columns
-        # the corners leave of a scheme with no points on the line
+        # the corners leave of a scheme with no points on the line. On the
+        # box, the rows of the points off the origin on the columns it
+        # leaves: a counted row is nonzero at x^a y^b, which the origin
+        # leaves unless it leaves the cut no column
         cfg = OracleConfig(trials=1)
         p = cfg.prime
         _, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
-        M = bi_conditions_matrix(BiDegree(a_max, b), mults,
-                                 sample_support(1, len(mults), p), p)
+        origin, others = origin_split(mults)
+        M = bi_conditions_matrix(BiDegree(a_max, b), others,
+                                 sample_support(1, len(others), p), p, origin=origin)
         assert bounds == {cut: rows_on_cut(M, cut) for cut in bounds}
         scheme = PlaneScheme(corner_a, corner_b, tuple(general))
         _, bounds = handed(hf_plane, d, scheme, cfg)
@@ -1476,10 +1516,11 @@ class TestDraw:
     def test_bidegree_row(self, oracle, monkeypatch):
         calls = record_points(monkeypatch, "bi_conditions_matrix", 2)
         mults = (5,) * 5
-        # defective cells, so every trial runs
+        # defective cells, so every trial runs; one point sits at the origin
+        # and the other four are drawn
         assert hf_biproj_row(6, (9, 10), mults, oracle) == {9: 69, 10: 72}
         assert calls == [list(sample_support(derive_seed(oracle.seed, "bi", 6, mults, t),
-                                             5, oracle.prime)) for t in range(oracle.trials)]
+                                             4, oracle.prime)) for t in range(oracle.trials)]
 
     @pytest.mark.parametrize("d, scheme, trials", [
         # true defects, never certified, so every trial runs: quartics
