@@ -2,7 +2,7 @@
 seed 0, recorded in tests/data/kernel_pivots.json in call order with its
 shape, its rank and the SHA-256 of its pivot list.
 
-The commands are the golden table, two plane reductions and the 720 x 1681
+The commands are the golden table, two plane reductions and the 684 x 1645
 large cell, which is the only workload matrix that the kernel eliminates in
 panels; every other call takes its single first panel. A change to the
 kernel that is meant to leave every pivot alone must pass this unchanged; a
