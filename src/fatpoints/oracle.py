@@ -484,7 +484,8 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
         view = out[r : r + n * size].reshape((n, size) + shape)
         dx, dy = DX[i : i + n], DY[i : i + n]
         if not on_the_line:
-            # view is contiguous, so the gather writes it with no buffer
+            # view is contiguous, so the gather writes it with no buffer;
+            # mode "raise" would buffer it
             np.take(dx[:, [c for w in widths for c in range(w)]], xexp, axis=2,
                     out=view, mode="clip")
         level = 0
@@ -534,8 +535,9 @@ def bi_conditions_matrix(deg: BiDegree, mults, points, p: int, *, origin: int = 
     so hf_biproj_row puts one point there and builds only the others' rows,
     on the columns j + l >= origin; origin = 0 keeps every column. The
     columns run j-major, so the columns with j <= a' are a prefix for each
-    a' <= a, which hf_biproj_row reads smaller a off. The matrix holds no
-    temporary as large as itself: see conditions_matrix.
+    a' <= a, which hf_biproj_row reads smaller a off. The build takes no
+    temporary that grows with a point's rows times the columns (see
+    conditions_matrix).
     """
     return conditions_matrix(points, map(fat_profile, mults), *_bi_columns(deg, origin), p)
 
@@ -795,10 +797,10 @@ def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> b
     """Both sides of the plane-model translation, compared by oracle. The plane side is the
     larger: the bidegree box against every point's rows, none at the origin. So after the
     degree and prime checks its guard refuses both, before the points exist."""
-    d = deg.a + deg.b
-    cfg.require_degree(d)
+    # reduce_to_plane's degree and corners, before its s points exist
+    cfg.require_degree(deg.a + deg.b)
     cfg.require_degree(pts.m if pts.s else 0)
-    require_plane_fits(d, (deg.a, deg.b), [(pts.m, pts.s)])
+    require_plane_fits(deg.a + deg.b, (deg.a, deg.b), [(pts.m, pts.s)])
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)
     return bi_ideal == hf_plane(d, scheme, cfg)

@@ -939,14 +939,26 @@ class TestGuardCountsItsBuilder:
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 12), st.integers(0, 4))
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_reduction_plane_side_is_no_larger(self, a, b, m, s):
-        # so check_reduction's bidegree guard admits its plane side too
+        # than the whole box of the bidegree side; but the bidegree matrix
+        # that is built leaves out the origin's rows and the columns they
+        # kill, and no column is left where the plane clamps its points to
+        # multiplicity d + 1. So the plane side is the larger, and
+        # check_reduction refuses by it
         p = DEFAULT_PRIME
         deg = BiDegree(a, b)
-        scheme, d = reduce_to_plane(deg, UniformFatPoints(s, m))
+        pts = UniformFatPoints(s, m)
+        scheme, d = reduce_to_plane(deg, pts)
         plane = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
         bi = bi_conditions_matrix(deg, (m,) * s, sample_support(0, s, p), p)
         assert plane.shape[1] == bi.shape[1]
         assert plane.shape[0] <= bi.shape[0]
+        row = deg.normalized
+        [(rows, cols)] = built_shapes(hf_biproj_row, row.b, (row.a,), (m,) * s,
+                                      OracleConfig(trials=1))
+        assert conditions_bytes(max(rows, 1), cols) <= conditions_bytes(max(len(plane), 1),
+                                                                         plane.shape[1])
+        cfg = OracleConfig(trials=1)
+        assert refused_shape(check_reduction, deg, pts, cfg) == one_page_names(plane.shape)
 
 
 class TestBiModel:
