@@ -42,9 +42,12 @@ matrix is 60x479 (75x494 on the whole box) and the large cell's 684x1645
 All three models share one builder, conditions_matrix: derivative conditions
 at chart points against a set of exponent columns, the monomials of the box
 that the origin leaves for bidegree (a, b), the monomials the corners leave
-for plane degree d and a segment for the line. It fills one derivative table
-for all points together, row 0 by the powers t^j = t^(j-1) t and row c by
-d^c t^j = j d^(c-1) t^(j-1). Each run of points with equal width profile
+for plane degree d and a segment for the line. Each model states its rows
+once, as runs (widths, count, on_line) of equal width profile clamped to
+the rows that can be nonzero, and that one list feeds the size guard
+_require_fits, the only row count, the rank bound and the builder. The
+builder fills one derivative table for all points together, row 0 by the
+powers t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1). Each run
 takes one gather of its x factors straight into its rows, one multiply per
 level by the y factor and one remainder, all in place. The bidegree model
 is one run and the plane model a few, so the builder's Python-level work
@@ -102,7 +105,6 @@ import math
 import os
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
 
@@ -425,62 +427,61 @@ def require_memory(need: int, subject: str, purpose: str):
         )
 
 
-def _require_fits(rows: int, cols: int):
+def _require_fits(runs, cols: int) -> int:
+    """The runs' rows, the one count behind a size check; a ValueError if too large."""
+    rows = sum(n * sum(widths) for widths, n, _ in runs)
     # a matrix with no rows still allocates its column index arrays
     require_memory(conditions_bytes(max(rows, 1), cols),
                    f"a {rows} x {cols} conditions matrix", "to eliminate")
+    return rows
 
 
-def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
-                      on_line: int = 0, slope: int = 0) -> np.ndarray:
+def conditions_matrix(points, runs, xexp, yexp, p: int, *, slope: int = 0) -> np.ndarray:
     """Derivative conditions at chart points against exponent columns.
 
     The columns are the monomials x^j y^l for (j, l) running over xexp and
-    yexp broadcast together, in C order. Point (x, y) with width profile
-    (w_0, w_1, ...) gives, for each level e and each c < w_e, the row of
-    d^c/dx^c d^e/dy^e of every column monomial at (x, y). The last on_line
-    points are points of the line y = x, and theirs is instead the row of
-    d_u^c d_v^e, with u = (1, 1) along the line and v = (1, slope) across
-    it. A fat point of multiplicity m is the profile (m, ..., 1); a point on
-    the line takes its SliceProfile widths. Rows run point by point, then by
-    level, then by c.
+    yexp broadcast together, in C order. runs holds (widths, count, on_line)
+    triples, and each run takes its count of the points in turn. A point
+    (x, y) with width profile (w_0, w_1, ...) gives, for each level e and
+    each c < w_e, the row of d^c/dx^c d^e/dy^e of every column monomial at
+    (x, y). The points of a run on_line are points of the line y = x, and
+    theirs is instead the row of d_u^c d_v^e, with u = (1, 1) along the line
+    and v = (1, slope) across it. A fat point of multiplicity m is the
+    profile (m, ..., 1); a point on the line takes its SliceProfile widths.
+    Rows run point by point, then by level, then by c.
 
     The derivative tables DX and DY of all points are one table, filled
     together by two recurrences: t^j = t^(j-1) t for the powers in row 0,
-    and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. Points
-    come in runs of equal profile (the bidegree model is one run, the plane
-    model a few), and the rows of a chart run are written in place in the
-    preallocated matrix: one gather puts the x factor d^c x^j of every row
-    (c, e) of the run straight into it, each level is then multiplied by its
-    y factor d^e y^l, and one remainder reduces the run. The temporaries are
-    the run's x table, one row of DX per row of a point, and the y factor of
-    a level, one row per point; no temporary grows with the rows of a point
-    times the columns. On the line, d_u^c d_v^e = (d_x + d_y)^c
-    (d_x + slope d_y)^e is sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i
-    the coefficient of z^i in (1 + z)^c (1 + slope z)^e, so row (c, e) of a
-    run is summed in place from c + e + 1 products of the same tables, one
-    per i, each a temporary of one row per point.
+    and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. The rows of
+    a chart run are written in place in the preallocated matrix: one gather
+    puts the x factor d^c x^j of every row (c, e) of the run straight into
+    it, each level is then multiplied by its y factor d^e y^l, and one
+    remainder reduces the run. The temporaries are the run's x table, one
+    row of DX per row of a point, and the y factor of a level, one row per
+    point; no temporary grows with the rows of a point times the columns.
+    On the line, d_u^c d_v^e = (d_x + d_y)^c (d_x + slope d_y)^e is
+    sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i the coefficient of z^i
+    in (1 + z)^c (1 + slope z)^e, so row (c, e) of a run is summed in place
+    from c + e + 1 products of the same tables, one per i, each a temporary
+    of one row per point.
     """
-    profiles = [tuple(widths) for widths in profiles]
     shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
-    rows, cols = sum(map(sum, profiles)), math.prod(shape)
-    _require_fits(rows, cols)
-    out = np.empty((rows, cols), dtype=np.int64)
+    cols = math.prod(shape)
+    out = np.empty((_require_fits(runs, cols), cols), dtype=np.int64)
     if out.size == 0:
         return out
-    # strict: a point without a profile, or a profile without a point, is an error
-    coords = [xy for xy, _ in zip(points, profiles, strict=True)]
+    coords, count = list(points), sum(n for _, n, _ in runs)
+    if len(coords) != count:
+        raise ValueError(f"{len(coords)} points for runs of {count}")
     # one exponent of each kind per column, behind the point and c axes
     xexp, yexp = (np.broadcast_to(e, shape) for e in (xexp, yexp))
     # a row d_u^c d_v^e takes derivatives of order up to c + e in x and in y
-    orders = max(w + e for widths in set(profiles) for e, w in enumerate(widths))
+    orders = max(w + e for widths, _, _ in runs for e, w in enumerate(widths))
     DX, DY = _derivative_tables(np.transpose(coords), orders,
                                 int(max(xexp.max(), yexp.max())), p)
-    # a run's points share one profile, and lie all off the line or all on it
-    lined = [False] * (len(profiles) - on_line) + [True] * on_line
     r = i = 0
-    for (widths, on_the_line), run in groupby(zip(profiles, lined)):
-        n, size = len(list(run)), sum(widths)
+    for widths, n, on_the_line in runs:
+        size = sum(widths)
         view = out[r : r + n * size].reshape((n, size) + shape)
         dx, dy = DX[i : i + n], DY[i : i + n]
         if not on_the_line:
@@ -514,8 +515,11 @@ def conditions_matrix(points, profiles, xexp, yexp, p: int, *,
 def _killed(a: int, b: int, origin: int) -> int:
     """The monomials x^j y^l of the (a, b) box with j + l < origin: the
     columns that an origin-fold point at (0, 0) kills, and its rows that are
-    nonzero on the box."""
-    return sum(min(b + 1, origin - j) for j in range(min(a + 1, origin)))
+    nonzero on the box: min(b + 1, origin - j) at each j < J = min(a + 1,
+    origin), the first t of them b + 1 and the rest origin - j."""
+    J = min(a + 1, origin)
+    t = min(J, max(0, origin - b))
+    return t * (b + 1) + (J - t) * origin - (J * (J - 1) - t * (t - 1)) // 2
 
 
 def _bi_columns(deg: BiDegree, origin: int):
@@ -525,21 +529,21 @@ def _bi_columns(deg: BiDegree, origin: int):
     return j[kept], l[kept]
 
 
-def bi_conditions_matrix(deg: BiDegree, mults, points, p: int, *, origin: int = 0) -> np.ndarray:
+def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0) -> np.ndarray:
     """One row per derivative condition against the monomials x^j y^l of the
     bidegree (a, b) box that an origin-fold point at (0, 0) leaves.
 
-    Point i of multiplicity m contributes the rows (c,e) with c+e <= m-1:
+    A point of multiplicity m contributes the rows (c,e) with c+e <= m-1:
     the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
     At (0, 0) those rows are the coefficients of x^j y^l with j + l < m,
     so hf_biproj_row puts one point there and builds only the others' rows,
-    on the columns j + l >= origin; origin = 0 keeps every column. The
-    columns run j-major, so the columns with j <= a' are a prefix for each
-    a' <= a, which hf_biproj_row reads smaller a off. The build takes no
-    temporary that grows with a point's rows times the columns (see
-    conditions_matrix).
+    the runs of _bi_row, on the columns j + l >= origin; origin = 0 keeps
+    every column. The columns run j-major, so the columns with j <= a' are a
+    prefix for each a' <= a, which hf_biproj_row reads smaller a off. The
+    build takes no temporary that grows with a point's rows times the
+    columns (see conditions_matrix).
     """
-    return conditions_matrix(points, map(fat_profile, mults), *_bi_columns(deg, origin), p)
+    return conditions_matrix(points, runs, *_bi_columns(deg, origin), p)
 
 
 def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
@@ -552,48 +556,43 @@ def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
     return width, height, width * height - binom(width + height - d - 1, 2)
 
 
-def _plane_columns(d: int, scheme: PlaneScheme):
+def _plane_columns(d: int, corners):
     """The exponents (j, k) of _plane_box, j-major: min(height, d + 1 - j) at each j."""
-    width, height, count = _plane_box(d, scheme.corner_a, scheme.corner_b)
+    width, height, count = _plane_box(d, *corners)
     per_j = np.minimum(height, d + 1 - np.arange(width))
     k = np.arange(count) - np.repeat(np.cumsum(per_j) - per_j, per_j)
     return np.repeat(np.arange(width), per_j), k
 
 
-def _order_d(widths, d: int) -> tuple[int, ...]:
-    """A profile's rows of order c + e <= d: min(w_e, d + 1 - e) at each level e <= d."""
-    return tuple(min(w, d + 1 - e) for e, w in enumerate(widths[:d + 1]))
+def plane_conditions_matrix(d: int, corners, runs, points, p: int) -> np.ndarray:
+    """Conditions of the runs of require_plane_fits, a plane scheme's points
+    other than its corners, on the degree-d forms that the corners
+    (alpha, beta) leave, _plane_columns, in the chart x0 = 1.
 
-
-def plane_conditions_matrix(d: int, scheme: PlaneScheme, points, p: int) -> np.ndarray:
-    """Conditions of a plane scheme's points other than its corners on the
-    degree-d forms that the corners leave, _plane_columns, in the chart
-    x0 = 1.
-
-    points holds one chart point per profile, in scheme order, and one more:
-    the general points, then one per profiled point on the distinguished
-    line y = x, which keeps its x and moves to (x, x), and last a point whose
-    x is the slope of the direction v = (1, slope) across the line. The line
+    points holds one chart point per point of the runs, in order, and one
+    more: the general points, then one per point on the distinguished line
+    y = x, which keeps its x and moves to (x, x), and last a point whose x
+    is the slope of the direction v = (1, slope) across the line. The line
     avoids both corners, and v is general: it does not point at Q2, as d/dy
     does, or at Q1, as d/dx does.
     """
-    general = len(scheme.general)
+    general = sum(n for _, n, on_line in runs if not on_line)
     *points, (slope, _) = points
-    # partials of order above d vanish on degree-d forms
-    profiles = [fat_profile(min(m, d + 1)) for m in scheme.general]
-    profiles += [_order_d(pr.widths, d) for pr in scheme.on_line]
     points = points[:general] + [(x, x) for x, _ in points[general:]]
-    return conditions_matrix(points, profiles, *_plane_columns(d, scheme), p,
-                             on_line=len(scheme.on_line), slope=slope)
+    return conditions_matrix(points, runs, *_plane_columns(d, corners), p, slope=slope)
 
 
-def require_plane_fits(d: int, corners, points, line_rows: int = 0):
-    """Refuse with a ValueError, before any scheme or support exists, a degree-d plane
-    matrix too large for physical memory: line_rows and the rows of the (multiplicity,
-    count) pairs in points against the _plane_box columns of corners, (alpha, beta)."""
-    # partials of order above d vanish on degree-d forms, as in the builder
-    rows = sum(n * binom(min(m, d + 1) + 1, 2) for m, n in points)
-    _require_fits(line_rows + rows, _plane_box(d, *corners)[2])
+def require_plane_fits(d: int, corners, general, line=()) -> list:
+    """The runs of a degree-d plane matrix, the general points as (multiplicity,
+    count) pairs in order and one point on the line per widths in line, each
+    kept to its rows of order at most d, the others vanishing on degree-d
+    forms; refused with a ValueError, before any scheme or support exists,
+    when too large for memory on the _plane_box of corners (alpha, beta)."""
+    runs = [(fat_profile(min(m, d + 1)), n, False) for m, n in general]
+    clamped = (tuple(min(w, d + 1 - e) for e, w in enumerate(widths[: d + 1])) for widths in line)
+    runs += [(widths, len(list(run)), True) for widths, run in groupby(clamped)]
+    _require_fits(runs, _plane_box(d, *corners)[2])
+    return runs
 
 
 def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
@@ -621,27 +620,30 @@ def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
     return best
 
 
-def _bi_row_degree(b: int, cells, counts, cfg: OracleConfig) -> BiDegree:
-    """(max(cells), b), the widest bidegree of a row of points with counts[m]
-    of multiplicity m. Raises a ValueError unless the cells are nonnegative,
-    the prime exceeds the degree and the top multiplicity, and the matrix
-    hf_biproj_row builds fits in physical memory: the rows of every point
-    but one of top multiplicity, which sits at the origin, on the columns it
-    leaves. From the counts alone, so a caller can check a row before its
-    multiplicities exist."""
+def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
+    """(max(cells), b), the widest bidegree of a row of points given in order
+    as (multiplicity, count) pairs; the runs hf_biproj_row builds there, each
+    point but the first of largest multiplicity m0, which sits at the origin,
+    with its rows of order at most a + b, those above vanishing on the box;
+    and m0. Raises a ValueError unless the cells are nonnegative, the prime
+    exceeds the degree and m0, and the runs fit in physical memory on the
+    columns the origin leaves. From the pairs alone, so a caller can check a
+    row before its multiplicities exist."""
     cells = tuple(cells)
     if not cells or min(cells) < 0:
         raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
     deg = BiDegree(max(cells), b)
     cfg.require_degree(deg.a + b)
-    origin = max((m for m, n in counts.items() if n), default=0)
+    origin = max((m for m, n in pairs if n), default=0)
     cfg.require_degree(origin)
-    rows = sum(n * binom(m + 1, 2) for m, n in counts.items()) - binom(origin + 1, 2)
-    _require_fits(rows, deg.cells - _killed(deg.a, b, origin))
-    return deg
+    at = next((i for i, (m, n) in enumerate(pairs) if n and m == origin), None)
+    runs = [(fat_profile(min(m, deg.a + b + 1)), n - (i == at), False)
+            for i, (m, n) in enumerate(pairs) if n > (i == at)]
+    _require_fits(runs, deg.cells - _killed(deg.a, b, origin))
+    return deg, runs, origin
 
 
-def _rank_bound(levels, chart, line, caps) -> int:
+def _rank_bound(levels, runs, caps=()) -> int:
     """An upper bound, on any support, on the rank of derivative conditions
     against the columns x^j y^e with j < levels[e], where levels does not
     grow with e: (a+1,) * (b+1) for the bidegree (a, b) box, and for plane
@@ -649,17 +651,18 @@ def _rank_bound(levels, chart, line, caps) -> int:
 
     The row d^c/dx^c d^e/dy^e at a chart point is c! e! at x^c y^e and zero
     on every column x^j y^k with j < c or k < e, so, levels not growing, it
-    can be nonzero on the columns exactly when c < levels[e]. A chart
-    point, given with its count as a (widths, count) pair in chart, has
-    min(w_e, levels[e]) such rows of level e. At a point on a line, given
-    by its widths in line, the level-e row d_u^c d_v^e, with u along the
-    line, is d_u^c of the restriction of d_v^e F to the line: the level-e
-    rows of all of them factor through that restriction, so together they
-    count at most caps[e], the dimension it ranges over (d - e + 1 on
-    degree-d forms; none past the last cap). This is the trace count on the
-    line. The sum is capped by the columns.
+    can be nonzero on the columns exactly when c < levels[e]. runs holds the
+    (widths, count, on_line) triples the model builds. A point of a run off
+    the line has min(w_e, levels[e]) such rows of level e. At a point of a
+    run on a line the level-e row d_u^c d_v^e, with u along the line, is
+    d_u^c of the restriction of d_v^e F to the line: the level-e rows of all
+    of them factor through that restriction, so together they count at
+    most caps[e], the dimension it ranges over (d - e + 1 on degree-d forms;
+    none past the last cap). This is the trace count on the line. The sum
+    is capped by the columns.
     """
-    rows = sum(n * sum(map(min, widths, levels)) for widths, n in chart)
+    rows = sum(n * sum(map(min, widths, levels)) for widths, n, on_line in runs if not on_line)
+    line = [[n * w for w in widths] for widths, n, on_line in runs if on_line]
     rows += sum(map(min, map(sum, zip_longest(*line, fillvalue=0)), caps))
     return min(rows, sum(levels))
 
@@ -680,19 +683,14 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
-    counts = Counter(mults)
-    deg = _bi_row_degree(b, cells, counts, cfg)  # before the row exists
-    origin = max(mults, default=0)
-    at = mults.index(origin) if mults else 0
-    others = mults[:at] + mults[at + 1 :]
-    chart = [(fat_profile(m), n) for m, n in counts.items()]
+    deg, runs, origin = _bi_row(b, cells, [(m, len(list(g))) for m, g in groupby(mults)], cfg)
     killed = {a: _killed(a, b, origin) for a in cells}
     cut = {a: (a + 1) * (b + 1) - killed[a] for a in cells}
     # two cells share a cut only when no column of it is left, and then both
     # bounds are 0
-    bounds = {cut[a]: _rank_bound((a + 1,) * (b + 1), chart, (), ()) - killed[a] for a in cells}
-    ranks = _max_ranks(("bi", b, mults), len(others),
-                       lambda points: bi_conditions_matrix(deg, others, points, cfg.prime,
+    bounds = {cut[a]: min(_rank_bound((a + 1,) * (b + 1), runs), cut[a]) for a in cells}
+    ranks = _max_ranks(("bi", b, mults), sum(n for _, n, _ in runs),
+                       lambda points: bi_conditions_matrix(deg, runs, points, cfg.prime,
                                                            origin=origin),
                        bounds, cfg)
     return {a: killed[a] + ranks[cut[a]] for a in cells}
@@ -714,7 +712,7 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
         rows.setdefault(deg.b, set()).add(deg.a)
     rows = {b: sorted(rows[b]) for b in sorted(rows)}
     for b, row in rows.items():
-        _bi_row_degree(b, row, {pts.m: pts.s}, cfg)
+        _bi_row(b, row, [(pts.m, pts.s)], cfg)
     if not rows:
         return {}
     mults = (pts.m,) * pts.s
@@ -740,29 +738,28 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1], where each of their
     conditions is the coefficient of one monomial. So the value is the
     number of monomials they leave, _plane_box, less the max over trials of
-    the rank of the other points' conditions on those: 0, with no draw,
-    when they leave none. The trials stop once the rank reaches its
-    _rank_bound, whose line caps d - e + 1 are the trace count on y = x.
+    the rank of the other points' conditions on those, the runs of
+    require_plane_fits: 0, with no draw, when they leave none. The trials
+    stop once the rank reaches its _rank_bound, whose line caps d - e + 1
+    are the trace count on y = x.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
     cfg.require_degree(d)
-    counts = Counter(scheme.general).items()
+    corners = (scheme.corner_a, scheme.corner_b)
     line = tuple(pr.widths for pr in scheme.on_line)
-    built = [_order_d(widths, d) for widths in line]  # as in the builder
-    require_plane_fits(d, (scheme.corner_a, scheme.corner_b), counts,
-                       sum(map(sum, built)))  # before the first draw
-    width, height, cols = _plane_box(d, scheme.corner_a, scheme.corner_b)
+    runs = require_plane_fits(d, corners, [(m, len(list(g))) for m, g in groupby(scheme.general)],
+                              line)  # before the first draw
+    width, height, cols = _plane_box(d, *corners)
     if cols == 0:
         return 0
-    tags = ("plane", d, scheme.corner_a, scheme.corner_b, scheme.general, line)
-    # clamped as in the builder, so a point far above d makes no long profile
-    chart = [(fat_profile(min(m, d + 1)), n) for m, n in counts]
+    tags = ("plane", d, *corners, scheme.general, line)
     levels = [min(width, d + 1 - k) for k in range(height)]
-    bound = _rank_bound(levels, chart, built, range(d + 1, 0, -1))
-    # one point per profile, and one more for the direction across the line
-    return cols - _max_ranks(tags, len(scheme.general) + len(scheme.on_line) + 1,
-                             lambda points: plane_conditions_matrix(d, scheme, points, cfg.prime),
+    bound = _rank_bound(levels, runs, range(d + 1, 0, -1))
+    # one point per point of the runs, and one more for the direction across the line
+    return cols - _max_ranks(tags, sum(n for _, n, _ in runs) + 1,
+                             lambda points: plane_conditions_matrix(d, corners, runs, points,
+                                                                    cfg.prime),
                              {cols: bound}, cfg)[cols]
 
 
@@ -780,11 +777,11 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
         raise ValueError(f"lengths must be positive, got {lengths}")
     cfg.require_degree(d)
     expected = max(0, d + 1 - sum(lengths))
-    built = [_order_d((l,), d) for l in lengths]
-    _require_fits(sum(map(sum, built)), d + 1)  # before the columns exist
+    runs = [((min(l, d + 1),), 1, False) for l in lengths]
+    _require_fits(runs, d + 1)  # before the columns exist
     p = cfg.prime
     support = sample_support(derive_seed(cfg.seed, "line", d, lengths), len(lengths), p)
-    M = conditions_matrix([(x, 0) for x, _ in support], built, np.arange(d + 1), 0, p)
+    M = conditions_matrix([(x, 0) for x, _ in support], runs, np.arange(d + 1), 0, p)
     got = d + 1 - rank_mod_p(M, p)
     if got != expected:
         raise ArithmeticError(

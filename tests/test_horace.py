@@ -19,7 +19,13 @@ from fatpoints.horace import (
     trace_line,
     verify_chain,
 )
-from fatpoints.oracle import DEFAULT_PRIME, hf_plane, plane_conditions_matrix, sample_support
+from fatpoints.oracle import (
+    DEFAULT_PRIME,
+    hf_plane,
+    plane_conditions_matrix,
+    require_plane_fits,
+    sample_support,
+)
 from fatpoints.schemes import PlaneScheme, SliceProfile
 
 
@@ -189,7 +195,10 @@ class TestHoraceVerify:
 
         def built(degree, scheme):
             points = sample_support(0, len(scheme.general) + len(scheme.on_line) + 1, p)
-            return plane_conditions_matrix(degree, scheme, points, p).shape
+            corners = (scheme.corner_a, scheme.corner_b)
+            runs = require_plane_fits(degree, corners, [(m, 1) for m in scheme.general],
+                                      [pr.widths for pr in scheme.on_line])
+            return plane_conditions_matrix(degree, corners, runs, points, p).shape
 
         (res_rows, res_cols), (rows, cols) = built(d - 1, residue), built(d, conclusion)
         assert res_rows <= rows and res_cols <= cols

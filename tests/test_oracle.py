@@ -6,6 +6,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -43,7 +44,7 @@ from fatpoints.oracle import (
     rank_profile_mod_p,
     require_plane_fits,
     sample_support,
-    _bi_row_degree,
+    _bi_row,
     _panel_width,
     _sub_mul_mod_p,
 )
@@ -53,6 +54,30 @@ from reference_builder import (
     triangle_conditions,
     triangle_conditions_matrix,
 )
+
+
+def profile_runs(profiles, on_line=0):
+    """The runs of one point per profile, the last on_line of them on the
+    line: each stretch of equal profiles on one side of the line is a run."""
+    lined = [i >= len(profiles) - on_line for i in range(len(profiles))]
+    return [(widths, len(list(run)), line)
+            for (widths, line), run in groupby(zip(map(tuple, profiles), lined))]
+
+
+def chart_runs(mults):
+    """The runs of fat points of these multiplicities off the line, every row
+    of each built."""
+    return profile_runs([fat_profile(m) for m in mults])
+
+
+def plane_matrix(d, scheme, points, p):
+    """plane_conditions_matrix on the scheme's rows that hf_plane builds: a
+    level-e row d_u^c d_v^e has order c + e, and is zero on degree-d forms
+    above order d."""
+    runs = [(fat_profile(min(m, d + 1)), 1, False) for m in scheme.general]
+    runs += [(tuple(min(w, d + 1 - e) for e, w in enumerate(pr.widths) if e <= d), 1, True)
+             for pr in scheme.on_line]
+    return plane_conditions_matrix(d, (scheme.corner_a, scheme.corner_b), runs, points, p)
 
 
 def rational_rank(rows):
@@ -182,7 +207,7 @@ class TestRankProfile:
                 for a in range(13):
                     seed = derive_seed(oracle.seed, "cross-check", a, b, mults)
                     points = sample_support(seed, s, p)
-                    M = bi_conditions_matrix(BiDegree(a, b), mults, points, p)
+                    M = bi_conditions_matrix(BiDegree(a, b), chart_runs(mults), points, p)
                     assert row[a] == rank_mod_p(M, p), (a, b, m, s)
 
 
@@ -427,7 +452,7 @@ class TestBlockedElimination:
         planes = []
         for a, b, s in REDUCE_CELLS:
             scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
-            M = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
+            M = plane_matrix(d, scheme, sample_support(0, s + 1, p), p)
             planes.append(M.shape)
         assert planes == [(75, 494), (120, 441)]
         for rows, cols in [(60, 479), (189, 21), (66, 64)] + planes:
@@ -494,7 +519,7 @@ class TestLeftLooking:
         p = DEFAULT_PRIME
         mults = (8,) * 20
         points = sample_support(derive_seed(0, "bi", 40, mults, 0), 20, p)
-        M = bi_conditions_matrix(BiDegree(40, 40), mults, points, p)
+        M = bi_conditions_matrix(BiDegree(40, 40), chart_runs(mults), points, p)
         assert M.shape == (720, 1681)
         calls = self.record_updates(monkeypatch)
         pivots = rank_profile_mod_p(M, p)
@@ -508,7 +533,7 @@ class TestLeftLooking:
         p = DEFAULT_PRIME
         mults = (5,) * 5
         points = sample_support(derive_seed(0, "bi", 18, mults, 0), 5, p)
-        M = bi_conditions_matrix(BiDegree(25, 18), mults, points, p)
+        M = bi_conditions_matrix(BiDegree(25, 18), chart_runs(mults), points, p)
         assert M.shape == (75, 494)
         calls = self.record_updates(monkeypatch)
         assert len(rank_profile_mod_p(M, p)) == 75
@@ -594,7 +619,7 @@ class TestOwnership:
         p, mults, deg = DEFAULT_PRIME, (8,) * 20, BiDegree(40, 40)
 
         def build(points):
-            M = bi_conditions_matrix(deg, mults, points, p)
+            M = bi_conditions_matrix(deg, chart_runs(mults), points, p)
             M[-1] = M[0]
             return M
 
@@ -612,7 +637,7 @@ class TestConditionsMatrix:
         rng = random.Random(31)
         for a, b in [(2, 2), (4, 1), (0, 3), (5, 4)]:
             u, v = rng.randrange(1, p), rng.randrange(1, p)
-            M = conditions_matrix([(u, v)], [fat_profile(3)],
+            M = conditions_matrix([(u, v)], [(fat_profile(3), 1, False)],
                                   np.arange(a + 1)[:, None], np.arange(b + 1), p)
             reference = [[x % p for x in row] for row in triple_point_rows_at(u, v, a, b)]
             assert sorted(M.tolist()) == sorted(reference)
@@ -622,7 +647,7 @@ class TestConditionsMatrix:
         j, k = np.triu_indices(7)
         profiles = [(3, 1), (2,), (4, 2, 1), fat_profile(2)]
         points = [(5, 0), (9, 0), (11, 0), (13, 17)]
-        M = conditions_matrix(points, profiles, j, k - j, p)
+        M = conditions_matrix(points, profile_runs(profiles), j, k - j, p)
         assert M.shape == (sum(map(sum, profiles)), binom(8, 2))
         # a row at level e on y = 0 sees only the monomials x^j y^e
         assert not M[:3, k - j != 0].any()
@@ -631,10 +656,16 @@ class TestConditionsMatrix:
     def test_equals_per_point_reference(self, fast_oracle, monkeypatch):
         shapes = []
 
-        def checked(points, profiles, xexp, yexp, p, **line):
-            args = (list(points), list(profiles), xexp, yexp, p)
-            M = conditions_matrix(*args, **line)
-            assert np.array_equal(M, reference_conditions_matrix(*args, **line)), M.shape
+        def checked(points, runs, xexp, yexp, p, **line):
+            M = conditions_matrix(list(points), runs, xexp, yexp, p, **line)
+            # the reference takes one profile per point, those on the line last
+            profiles = [widths for widths, n, _ in runs for _ in range(n)]
+            lined = [on for _, n, on in runs for _ in range(n)]
+            on_line = sum(lined)
+            assert not any(lined[: len(lined) - on_line])
+            reference = reference_conditions_matrix(list(points), profiles, xexp, yexp, p,
+                                                    on_line=on_line, **line)
+            assert np.array_equal(M, reference), M.shape
             shapes.append(M.shape)
             return M
 
@@ -666,8 +697,8 @@ class TestConditionsMatrix:
             profiles = [rng.choice(kinds) for _ in range(rng.randrange(1, 12))]
             profiles[-3:] = [fat_profile(3), (2, 1), fat_profile(3)]
             points = [(rng.randrange(1, p), rng.randrange(p)) for _ in profiles]
-            checked(points, profiles, j, k - j, p,
-                    on_line=rng.randrange(len(profiles) + 1), slope=rng.randrange(1, p))
+            checked(points, profile_runs(profiles, rng.randrange(len(profiles) + 1)), j, k - j,
+                    p, slope=rng.randrange(1, p))
         # the line, with a scalar y exponent
         hf_trace_line(12, (3, 1, 4, 2), fast_oracle)
         assert (10, 13) in shapes
@@ -675,8 +706,8 @@ class TestConditionsMatrix:
         # zero: multiplicity 6 at bidegree (2, 1), 6 orders against 3
         # exponents, and a length longer than d + 1 on the line, which the
         # line model itself clamps to d + 1
-        bi_conditions_matrix(BiDegree(2, 1), (6,) * 3, sample_support(7, 3, p), p)
-        checked([(rng.randrange(1, p), 0)], [(5,)], np.arange(3), 0, p)
+        bi_conditions_matrix(BiDegree(2, 1), chart_runs((6,) * 3), sample_support(7, 3, p), p)
+        checked([(rng.randrange(1, p), 0)], [((5,), 1, False)], np.arange(3), 0, p)
         assert {(63, 6), (5, 3)} <= set(shapes)
 
     def test_points_and_profiles_must_match(self):
@@ -685,15 +716,16 @@ class TestConditionsMatrix:
         for points, profiles in [([(3, 5)], [fat_profile(2), (1,)]),
                                  ([(3, 5), (7, 11)], [fat_profile(2)])]:
             with pytest.raises(ValueError):
-                conditions_matrix(points, profiles, *columns, p)
+                conditions_matrix(points, profile_runs(profiles), *columns, p)
 
     def test_empty_profile_adds_no_rows(self):
         p = DEFAULT_PRIME
         columns = (np.arange(5)[:, None], np.arange(4))
         points = [(3, 5), (7, 11), (13, 17), (19, 23)]
         profiles = [fat_profile(2), (), fat_profile(2), (3, 1)]
-        M = conditions_matrix(points, profiles, *columns, p)
-        without = conditions_matrix(points[:1] + points[2:], profiles[:1] + profiles[2:],
+        M = conditions_matrix(points, profile_runs(profiles), *columns, p)
+        without = conditions_matrix(points[:1] + points[2:],
+                                    profile_runs(profiles[:1] + profiles[2:]),
                                     *columns, p)
         assert M.shape == (10, 20)
         assert np.array_equal(M, without)
@@ -704,12 +736,14 @@ class TestConditionsMatrix:
         # and the triangle geometry's plane matrices of the reduce cells
         # (25, 18, 5, 5) and (20, 20, 5, 8), 571 x 990 and 540 x 861, are a few
         p = DEFAULT_PRIME
-        builds = [(partial(conditions_matrix, sample_support(5, 20, p), [fat_profile(8)] * 20,
+        builds = [(partial(conditions_matrix, sample_support(5, 20, p), chart_runs((8,) * 20),
                            np.arange(41)[:, None], np.arange(41), p), (720, 1681), 1.1)]
         for (a, b, s), shape in zip(REDUCE_CELLS, [(571, 990), (540, 861)]):
             scheme, d = reduce_to_plane(BiDegree(a, b), UniformFatPoints(s, 5))
-            args = triangle_conditions(d, scheme, sample_support(5, s + 2, p))
-            builds.append((partial(conditions_matrix, *args, p), shape, 1.3))
+            points, profiles, *columns = triangle_conditions(d, scheme,
+                                                             sample_support(5, s + 2, p))
+            builds.append((partial(conditions_matrix, points, profile_runs(profiles), *columns, p),
+                           shape, 1.3))
         for build, shape, bound in builds:
             tracemalloc.start()
             try:
@@ -741,7 +775,7 @@ class TestSizeGuard:
         p = 2**31 - 1
         n = 10**6  # the box columns broadcast: two vectors, not a 10^12 grid
         with pytest.raises(ValueError, match="physical memory"):
-            conditions_matrix([(3, 5)], [fat_profile(5)],
+            conditions_matrix([(3, 5)], [(fat_profile(5), 1, False)],
                               np.arange(n + 1)[:, None], np.arange(n + 1), p)
         # corners of multiplicity 2000 leave 4 million forms of degree 4000,
         # and a general point of multiplicity 2000 has 2 million rows
@@ -820,11 +854,12 @@ class TestSizeGuard:
     def test_compares_with_physical_memory(self, monkeypatch):
         p = 2**31 - 1
         columns = (np.arange(4)[:, None], np.arange(4))
-        assert conditions_matrix([(3, 5)], [fat_profile(2)], *columns, p).shape == (3, 16)
+        M = conditions_matrix([(3, 5)], [(fat_profile(2), 1, False)], *columns, p)
+        assert M.shape == (3, 16)
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}  # one 4 KiB page
         monkeypatch.setattr("fatpoints.oracle.os.sysconf", pages.__getitem__)
         with pytest.raises(ValueError, match="physical memory"):
-            conditions_matrix([(3, 5)], [fat_profile(4)], *columns, p)  # 6400 bytes
+            conditions_matrix([(3, 5)], [(fat_profile(4), 1, False)], *columns, p)  # 6400 bytes
 
 
 ONE_PAGE = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}
@@ -884,12 +919,20 @@ class TestGuardCountsItsBuilder:
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=3), st.integers(0, 8),
            st.lists(st.integers(0, 6), max_size=5))
+    # multiplicities above a + b + 1 keep their rows of order a + b only
+    @example([2], 3, [2_000_000_000, 2_000_000_000, 4])
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_bidegree_rows(self, cells, b, mults):
         cfg = OracleConfig()
         counts = Counter(mults)
         [shape] = built_shapes(hf_biproj_row, b, cells, mults, OracleConfig(trials=1))
-        assert refused_shape(_bi_row_degree, b, cells, counts, cfg) == one_page_names(shape)
+        assert refused_shape(_bi_row, b, cells, counts.items(), cfg) == one_page_names(shape)
+        # every point but the origin's, with its rows of order at most a + b,
+        # on the columns the origin leaves
+        a = max(cells)
+        origin, others = origin_split(mults)
+        assert shape == (sum(binom(min(m, a + b + 1) + 1, 2) for m in others),
+                         (a + 1) * (b + 1) - box_killed(a, b, origin))
 
     @given(plane_corners, st.lists(st.integers(0, 10), max_size=3),
            st.lists(tall_line_profiles, max_size=3))
@@ -903,12 +946,9 @@ class TestGuardCountsItsBuilder:
         scheme = PlaneScheme(*corners, tuple(general), tuple(on_line))
         p = DEFAULT_PRIME
         points = sample_support(0, len(general) + len(on_line) + 1, p)
-        M = plane_conditions_matrix(d, scheme, points, p)
-        # a level-e row d_u^c d_v^e has order c + e, and is zero on degree-d
-        # forms above order d
-        line_rows = sum(min(w, d + 1 - e) for pr in on_line for e, w in enumerate(pr.widths)
-                        if e <= d)
-        got = refused_shape(require_plane_fits, d, corners, Counter(general).items(), line_rows)
+        M = plane_matrix(d, scheme, points, p)
+        got = refused_shape(require_plane_fits, d, corners, Counter(general).items(),
+                            [pr.widths for pr in on_line])
         assert got == one_page_names(M.shape)
         # and hf_plane hands its guard that count
         assert refused_shape(hf_plane, d, scheme, OracleConfig(trials=1)) == got
@@ -948,8 +988,8 @@ class TestGuardCountsItsBuilder:
         deg = BiDegree(a, b)
         pts = UniformFatPoints(s, m)
         scheme, d = reduce_to_plane(deg, pts)
-        plane = plane_conditions_matrix(d, scheme, sample_support(0, s + 1, p), p)
-        bi = bi_conditions_matrix(deg, (m,) * s, sample_support(0, s, p), p)
+        plane = plane_matrix(d, scheme, sample_support(0, s + 1, p), p)
+        bi = bi_conditions_matrix(deg, chart_runs((m,) * s), sample_support(0, s, p), p)
         assert plane.shape[1] == bi.shape[1]
         assert plane.shape[0] <= bi.shape[0]
         row = deg.normalized
@@ -1018,6 +1058,12 @@ class TestBiModel:
         expected = all_trials_row(a_max, b, mults, cfg)
         assert hf_biproj_row(b, range(a_max, -1, -1), mults, cfg) == dict(enumerate(expected))
 
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 30))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_killed_in_closed_form(self, a, b, origin):
+        # origin up to 30, past a + b + 1 for every box drawn
+        assert oracle_module._killed(a, b, origin) == box_killed(a, b, origin)
+
     def test_subscheme_monotonicity(self, fast_oracle):
         rng = random.Random(99)
         for _ in range(25):
@@ -1073,7 +1119,7 @@ class TestPlaneModel:
             for alpha in range(d + 3):
                 for beta in range(d + 3):
                     keep = (j <= d - min(alpha, d + 1)) & (k <= d - min(beta, d + 1))
-                    got_j, got_k = oracle_module._plane_columns(d, PlaneScheme(alpha, beta))
+                    got_j, got_k = oracle_module._plane_columns(d, (alpha, beta))
                     assert np.array_equal(got_j, j[keep]), (d, alpha, beta)
                     assert np.array_equal(got_k, k[keep]), (d, alpha, beta)
                     assert oracle_module._plane_box(d, alpha, beta)[2] == keep.sum()
@@ -1130,7 +1176,7 @@ def all_trials_row(a_max, b, mults, cfg):
     for trial in range(cfg.trials):
         points = sample_support(derive_seed(cfg.seed, "bi", b, mults, trial),
                                 len(mults), cfg.prime)
-        M = bi_conditions_matrix(BiDegree(a_max, b), mults, points, cfg.prime)
+        M = bi_conditions_matrix(BiDegree(a_max, b), chart_runs(mults), points, cfg.prime)
         pivots = rank_profile_mod_p(M, cfg.prime)
         best = [max(r, bisect_left(pivots, (a + 1) * (b + 1))) for a, r in enumerate(best)]
     return best
@@ -1143,7 +1189,7 @@ def plane_tags(d, scheme):
 
 def plane_columns(d, scheme):
     """The number of monomials of degree d that the scheme's corners leave."""
-    return len(oracle_module._plane_columns(d, scheme)[0])
+    return len(oracle_module._plane_columns(d, (scheme.corner_a, scheme.corner_b))[0])
 
 
 def all_trials_plane(d, scheme, cfg):
@@ -1153,7 +1199,7 @@ def all_trials_plane(d, scheme, cfg):
     best = 0
     for trial in range(cfg.trials):
         points = sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), trial), count, p)
-        M = plane_conditions_matrix(d, scheme, points, p)
+        M = plane_matrix(d, scheme, points, p)
         best = max(best, len(rank_profile_mod_p(M, p)))
     return plane_columns(d, scheme) - best
 
@@ -1387,13 +1433,14 @@ class TestRankBound:
     def test_box_by_hand(self):
         bound = oracle_module._rank_bound
         # a 6-fold point meets the columns of (20, 2) in its rows e <= 2
-        assert bound((21,) * 3, [(fat_profile(6), 2)], (), ()) == 2 * (6 + 5 + 4)
+        assert bound((21,) * 3, [(fat_profile(6), 2, False)]) == 2 * (6 + 5 + 4)
         # at a = 1 a triple point keeps min(2, 3) + min(2, 2) + min(2, 1) of
         # its 6 rows, and a simple point its one
-        assert bound((2,) * 6, [(fat_profile(3), 2), (fat_profile(1), 1)], (), ()) == 2 * 5 + 1
-        assert bound((6,) * 6, [(fat_profile(3), 4)], (), ()) == 4 * 6  # every row
-        assert bound((1,), [(fat_profile(2), 5)], (), ()) == 1  # the cut
-        assert bound((4,) * 4, [(fat_profile(0), 7)], (), ()) == 0
+        assert bound((2,) * 6, [(fat_profile(3), 2, False),
+                                (fat_profile(1), 1, False)]) == 2 * 5 + 1
+        assert bound((6,) * 6, [(fat_profile(3), 4, False)]) == 4 * 6  # every row
+        assert bound((1,), [(fat_profile(2), 5, False)]) == 1  # the cut
+        assert bound((4,) * 4, [(fat_profile(0), 7, False)]) == 0
 
     def test_triangle_by_hand(self):
         # on the whole triangle, with the line at y = 0, the line's cap at
@@ -1401,16 +1448,16 @@ class TestRankBound:
         bound = oracle_module._rank_bound
         conics, cubics, quartics = range(3, 0, -1), range(4, 0, -1), range(5, 0, -1)
         # four simple points on the line meet the 3 columns 1, x, x^2 of conics
-        assert bound(conics, [], [(1,)] * 4, conics) == 3
+        assert bound(conics, [((1,), 4, True)], conics) == 3
         # off the line every row counts: double corners on conics, 3 + 3
-        assert bound(conics, [(fat_profile(2), 2)], (), ()) == 6
+        assert bound(conics, [(fat_profile(2), 2, False)]) == 6
         # level e meets the 5 - e columns x^j y^e of quartics: 5 + 4 + 3 of
         # the levels' 6 + 6 + 4 rows, plus a simple corner
-        assert bound(quartics, [(fat_profile(1), 1)], [(3, 3, 2)] * 2, quartics) == 13
+        assert bound(quartics, [(fat_profile(1), 1, False), ((3, 3, 2), 2, True)], quartics) == 13
         # levels above d meet no column; a 9-fold corner counts its 10 rows
         # of order at most 3
-        assert bound(conics, [], [(1, 1, 1, 1)], conics) == 3
-        assert bound(cubics, [(fat_profile(9), 1)], (), ()) == 10
+        assert bound(conics, [((1, 1, 1, 1), 1, True)], conics) == 3
+        assert bound(cubics, [(fat_profile(9), 1, False)]) == 10
 
     def test_line_caps_by_hand(self):
         # on y = x the level-e rows of degree-d forms count at most d - e + 1,
@@ -1420,22 +1467,22 @@ class TestRankBound:
         # a double Q1 leaves x^j y^k with j <= 2, levels (3, 3, 3, 2, 1):
         # four simple points on the line impose 4 conditions, where the
         # 3 columns of y-degree 0 would allow only 3
-        assert bound((3, 3, 3, 2, 1), [], [(1,)] * 4, caps) == 4
+        assert bound((3, 3, 3, 2, 1), [((1,), 4, True)], caps) == 4
         assert hf_plane(4, PlaneScheme(2, 0, (), (SliceProfile((1,)),) * 4)) == 12 - 4
         # simple corners leave levels (4, 4, 3, 2): two points (3, 3, 2) on
         # the line count min(6, 5) + min(6, 4) + min(4, 3), one simple
         # general point one more, 13 in all, the columns
-        assert bound((4, 4, 3, 2), [(fat_profile(1), 1)], [(3, 3, 2)] * 2, caps) == 13
+        assert bound((4, 4, 3, 2), [(fat_profile(1), 1, False), ((3, 3, 2), 2, True)], caps) == 13
         # the corners of a plane reduction leave the box, (3, 3, 3) at
         # a = b = 2: a double general point and a double point on the line
         # count 3 each
-        assert bound((3, 3, 3), [(fat_profile(2), 1)], [(2, 1)], caps) == 6
+        assert bound((3, 3, 3), [(fat_profile(2), 1, False), ((2, 1), 1, True)], caps) == 6
         # on conics, levels past the caps count nothing: (1, 1, 1, 1) counts 3
         conics = range(3, 0, -1)
-        assert bound((3, 2, 1), [], [(1, 1, 1, 1)], conics) == 3
+        assert bound((3, 2, 1), [((1, 1, 1, 1), 1, True)], conics) == 3
         # and the columns cap the sum: corners (1, 2) leave 1 and x, and four
         # simple points on the line, 3 by their cap, count 2
-        assert bound((2,), [], [(1,)] * 4, conics) == 2
+        assert bound((2,), [((1,), 4, True)], conics) == 2
 
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4))
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -1480,12 +1527,12 @@ class TestRankBound:
         p = cfg.prime
         _, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
         origin, others = origin_split(mults)
-        M = bi_conditions_matrix(BiDegree(a_max, b), others,
+        M = bi_conditions_matrix(BiDegree(a_max, b), chart_runs(others),
                                  sample_support(1, len(others), p), p, origin=origin)
         assert bounds == {cut: rows_on_cut(M, cut) for cut in bounds}
         scheme = PlaneScheme(corner_a, corner_b, tuple(general))
         _, bounds = handed(hf_plane, d, scheme, cfg)
-        M = plane_conditions_matrix(d, scheme, sample_support(1, len(general) + 1, p), p)
+        M = plane_matrix(d, scheme, sample_support(1, len(general) + 1, p), p)
         cols = M.shape[1]
         assert bounds == ({cols: rows_on_cut(M, cols)} if cols else {})
 
@@ -1498,7 +1545,7 @@ class TestRankBound:
         # points on the line have rank at most d - e + 1
         p = DEFAULT_PRIME
         scheme = PlaneScheme(corner_a, corner_b, (), tuple(on_line))
-        M = plane_conditions_matrix(d, scheme, sample_support(2, len(on_line) + 1, p), p)
+        M = plane_matrix(d, scheme, sample_support(2, len(on_line) + 1, p), p)
         # rows run point by point, then by level, then by c
         # those of order c + e <= d, the others vanishing on degree-d forms
         levels = np.array([e for pr in on_line for e, w in enumerate(pr.widths) if e <= d
@@ -1544,11 +1591,12 @@ class TestDraw:
     ])
     def test_plane_scheme_with_points_on_the_line(self, d, scheme, trials, monkeypatch):
         cfg = OracleConfig(seed=3)
-        drawn = record_points(monkeypatch, "plane_conditions_matrix", 2)
+        drawn = record_points(monkeypatch, "plane_conditions_matrix", 3)
         built = []
         builder = oracle_module.conditions_matrix
-        monkeypatch.setattr(oracle_module, "conditions_matrix", lambda points, *args, **kw:
-                            built.append((list(points), kw)) or builder(points, *args, **kw))
+        monkeypatch.setattr(oracle_module, "conditions_matrix", lambda points, runs, *args, **kw:
+                            built.append((list(points), sum(n for _, n, on in runs if on), kw))
+                            or builder(points, runs, *args, **kw))
         hf_plane(d, scheme, cfg)
         general, on_line = len(scheme.general), len(scheme.on_line)
         supports = [list(sample_support(derive_seed(cfg.seed, *plane_tags(d, scheme), t),
@@ -1557,8 +1605,8 @@ class TestDraw:
         assert drawn == supports
         # the general points in scheme order, then the line's points with
         # their x kept and y = x, and last the x of the slope across the line
-        assert built == [(pts[:general] + [(x, x) for x, _ in pts[general:-1]],
-                          {"on_line": on_line, "slope": pts[-1][0]}) for pts in supports]
+        assert built == [(pts[:general] + [(x, x) for x, _ in pts[general:-1]], on_line,
+                          {"slope": pts[-1][0]}) for pts in supports]
 
     def test_trace_line(self, oracle, monkeypatch):
         calls = record_points(monkeypatch, "conditions_matrix", 0)
@@ -1569,7 +1617,7 @@ class TestDraw:
     def test_reduce_support_is_unchanged(self, monkeypatch):
         # trial 0 of the plane call of reduce --a 25 --b 18 --m 5 --s 5 at
         # seed 0, its one trial: the five general points and the slope's
-        calls = record_points(monkeypatch, "plane_conditions_matrix", 2)
+        calls = record_points(monkeypatch, "plane_conditions_matrix", 3)
         assert check_reduction(BiDegree(25, 18), UniformFatPoints(5, 5), OracleConfig(seed=0))
         assert [len(points) for points in calls] == [6]
         digest = hashlib.sha256(repr(tuple(calls[0])).encode()).hexdigest()

@@ -1,10 +1,11 @@
 """Structure checks on the package source: no module-level function or class,
 and no method or property of a class, that nothing in src/ calls, no random
 generator outside oracle.sample_support, no kernel call with overwrite=
-outside the trial loop, no import beyond the standard library and numpy,
-numpy only in oracle.py, no command-line option that README.md does not
-name, and no name that the benchmark's tracer wraps missing from its home
-module."""
+outside the trial loop, no size check in oracle.py outside its one guard
+over runs and no fat point's profile outside the rules that state them, no
+import beyond the standard library and numpy, numpy only in oracle.py, no
+command-line option that README.md does not name, and no name that the
+benchmark's tracer wraps missing from its home module."""
 
 import argparse
 import ast
@@ -96,6 +97,23 @@ def test_one_sampler():
     # assumption, into the oracle
     assert sampler_calls() == {("oracle:sample_support", "Random"),
                                ("oracle:sample_support", "_distinct")}
+
+
+# the size check behind a conditions matrix, and the profile of a fat point
+GUARDED = {"require_memory", "conditions_bytes", "fat_profile"}
+
+
+def test_one_guard_over_runs():
+    # each model states its rows once, as runs clamped to what is built, and
+    # _require_fits counts every matrix's rows from them; a second count, or
+    # a profile built outside the rules, could disagree with the builder.
+    # The table guard of formulas.py checks cells, not a matrix
+    calls = {(scope, name) for scope, name, _ in scoped_calls()
+             if scope.startswith("oracle:") and name in GUARDED}
+    assert calls == {("oracle:_require_fits", "require_memory"),
+                     ("oracle:_require_fits", "conditions_bytes"),
+                     ("oracle:_bi_row", "fat_profile"),
+                     ("oracle:require_plane_fits", "fat_profile")}
 
 
 def overwriting_calls(src: Path = SRC) -> set[tuple[str, str]]:
