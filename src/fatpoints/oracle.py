@@ -73,18 +73,18 @@ direction v points at neither corner, as d/dy would at Q2: the scheme of a
 profile that does not fall strictly, such as (3, 3, 2), depends on it.
 
 A matrix whose elimination would not fit in physical memory is refused with
-a ValueError before it is allocated.
+a ValueError before any of it is built.
 
 rank_profile_mod_p is the one elimination kernel, and it is left-looking:
-a column is updated only once the elimination reaches it, and the
-elimination stops when the rank reaches the rows. Its one loop, on scalar
+a column is fetched and updated only once the elimination reaches it, and
+the elimination stops when the rank reaches the rows. Its one loop, on scalar
 int64 rows, keeps each multiplier in the entry it clears and each pivot
 where it is, so it leaves the lower factor L of P A = L U in place. A matrix
 of at most 2^18 entries starts with that loop over rows + 64 columns, which
 hold every column of verify's and the Horace chains' matrices and every
 pivot of the golden table's; a larger matrix starts with 64 columns. Either
 goes on in panels of 64. After a panel, the rows below its pivots keep the
-multipliers L21 L11^-1 in its pivot columns, with L11^-1 from one more run
+multipliers L21 L11^-1 of its pivot columns, with L11^-1 from one more run
 of the loop, and each later panel is caught up from every earlier one by
 float64 BLAS matmuls, in the rows whose multiplier row is nonzero only. The
 matmuls stay exact: one factor is split into 16-bit limbs, so every partial
@@ -93,11 +93,14 @@ the panel width, which is 64 for p <= 2147516417 and 63 at the largest
 prime OracleConfig accepts. The pivots are those of one pass of the loop
 over every column, bit for bit.
 
-The kernel eliminates an int64 copy of its argument, so a caller's matrix is
-left as it was, except in the trial loop: _max_ranks passes overwrite=True,
-so the kernel eliminates the matrix just built in place, and the loop drops
-it before the next trial builds its own. There, one trial's matrix is alive
-at a time and no copy is made.
+The kernel fetches each panel as it starts it. The trial loop hands it a
+ColumnSource, whose fetch builds those columns on the trial's support, so no
+trial builds or holds a column past the last panel its elimination reaches:
+the large cell's trial builds 684 x 704 of its 684 x 1645, a golden-table
+row 60 x 124 of 60 x 479. Each panel is its own array, and once it is done
+it keeps only its multipliers, so the kernel holds at most the panel it is
+on and a triangle of multipliers. A caller's array is copied a panel at a
+time and left as it was.
 """
 
 import hashlib
@@ -105,8 +108,11 @@ import math
 import os
 import random
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby, zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,14 +217,20 @@ def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]
 def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
     """D[..., c, j] = d^c/dt^c t^j mod p at each t of coords, for c < orders
     and j <= max_exp, one table filled for every t at once by two
-    recurrences: row 0 holds the powers, t^j = t^(j-1) t, and row c holds
-    d^c t^j = j d^(c-1) t^(j-1) for j >= c and zero below.
+    recurrences: row 0 holds the powers, doubled as t^(n+i) = t^i t^n with
+    t^n = t^(n-1) t, and row c holds d^c t^j = j d^(c-1) t^(j-1) for j >= c
+    and zero below. A panel of a trial's columns fills its own table, so
+    the powers take log2(max_exp) steps rather than max_exp.
     """
     coords = np.asarray(coords, dtype=np.int64) % p
     D = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
     D[..., 0, 0] = 1
-    for j in range(1, max_exp + 1):
-        D[..., 0, j] = D[..., 0, j - 1] * coords % p
+    n = 1
+    while n <= max_exp:
+        step = min(n, max_exp + 1 - n)
+        power = D[..., 0, n - 1] * coords % p
+        D[..., 0, n : n + step] = D[..., 0, :step] * power[..., None] % p
+        n += step
     for c in range(1, orders):
         D[..., c, c:] = D[..., c - 1, c - 1 : max_exp] * np.arange(c, max_exp + 1) % p
     return D
@@ -250,14 +262,15 @@ def _panel_width(p: int) -> int:
     return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
 
 
-def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list) -> int:
+def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order=None) -> int:
     """Gaussian elimination over Z/p of columns c0..c1-1 of M from row
     `rank`, leaving the lower factor in place.
 
     The one elimination loop: every panel of rank_profile_mod_p, and
     [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers. Each
     pivot is the first nonzero entry at or below row `rank`, and its whole
-    row is swapped up. The pivot keeps its value and the rest of its row, up
+    row is swapped up, as is its entry of order when given. The pivot keeps
+    its value and the rest of its row, up
     to c1, is scaled by the pivot's inverse. Each row below keeps its entry
     in the pivot column, the multiplier, and takes that multiple of the
     scaled row off columns col+1..c1-1. With P the swaps, the panel's rows
@@ -278,6 +291,8 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list) -> in
             row = M[pivot].copy()
             M[pivot] = M[rank]
             M[rank] = row
+            if order is not None:
+                order[[rank, pivot]] = order[[pivot, rank]]
         top = M[rank, col + 1 : c1]
         top *= pow(int(column[0]), -1, p)
         top %= p
@@ -322,75 +337,91 @@ def _sub_mul_mod_p(C, A, B, p: int):
     np.remainder(C, p, out=C)
 
 
-def rank_profile_mod_p(matrix, p: int, *, overwrite: bool = False) -> list[int]:
+class ColumnSource(NamedTuple):
+    """A matrix of `shape` whose columns fetch(slice(c0, c1)) returns, as a
+    new int64 array that the caller may overwrite, so an elimination builds
+    only the columns it reaches."""
+    shape: tuple[int, int]
+    fetch: Callable[[slice], np.ndarray]
+
+
+def rank_profile_mod_p(matrix, p: int) -> list[int]:
     """Column rank profile over Z/p: the pivot columns of a left-to-right
     Gaussian elimination, in increasing order.
 
     They are the lexicographically first independent columns, so the rank
     of the first k columns is the number of pivots below k.
 
-    The elimination runs on an int64 copy of matrix, so the argument is left
-    as it was. With overwrite=True, an int64 ndarray argument is eliminated
-    in place instead (any other argument is still copied): its entries are
-    then reduced mod p and left in the elimination's state, so only a
-    caller that never reads the matrix again may pass it.
+    matrix is a ColumnSource or a two-dimensional array, which is left as it
+    was: its columns are copied a panel at a time, and a panel's entries
+    are reduced mod p as it is fetched.
 
-    The elimination is left-looking: a column is touched only once the
-    elimination reaches it, and it stops at rank == rows. A matrix of at most
+    The elimination is left-looking: a column is fetched only once the
+    elimination reaches it, and it stops at rank == rows, so no column past
+    that panel is built, copied or held. A matrix of at most
     _SINGLE_PANEL_ENTRIES entries takes the loop over a first panel of
     rows + _panel_width(p) columns, enough for rank == rows unless more than
     _panel_width(p) of them are dependent; a larger one starts with a panel
     of _panel_width(p) columns. Either goes on in panels of _panel_width(p)
-    columns. After a panel with pivot columns q and pivot rows top..rank-1,
-    the rows below hold L21 in q, and A21 A11^-1 = L21 L11^-1, with L11^-1
-    from one swap-free run of the loop on [L11 | I]; that multiplier
-    replaces L21 in place, so later whole-row swaps carry it. Each new
-    panel's columns are caught up from every earlier panel, oldest first, to
-    A22 - A21 A11^-1 A12 by BLAS, A12 being the earlier pivot rows in the
-    panel's columns. Only the rows whose L21 row is nonzero take part, and a
-    panel with none adds no update. The panel then holds exactly the values
-    one pass of the loop over every column leaves there, so every pivot is
-    the same.
+    columns. Each panel is its own array, its rows put in the order of the
+    swaps made so far as it is fetched. After a panel with pivot columns q
+    and pivot rows top..rank-1, the rows below hold L21 in q, and
+    A21 A11^-1 = L21 L11^-1, with L11^-1 from one swap-free run of the loop
+    on [L11 | I]; the panel keeps only that multiplier, as its own array
+    whose rows take every later swap. Each new panel is caught up from
+    every earlier one, oldest first, to A22 - A21 A11^-1 A12 by BLAS, A12
+    being the earlier pivot rows in the panel's columns. Only the rows whose
+    L21 row is nonzero take part, and a panel with none keeps no
+    multiplier. The panel then holds exactly the values one pass of the loop
+    over every column leaves there, so every pivot is the same.
     """
-    M = np.asarray(matrix, dtype=np.int64) if overwrite else np.array(matrix, dtype=np.int64)
-    if M.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    if M.size == 0:
+    if not isinstance(matrix, ColumnSource):
+        A = np.asarray(matrix)
+        if A.ndim != 2:
+            raise ValueError("matrix must be two-dimensional")
+        matrix = ColumnSource(A.shape, lambda columns: A[:, columns].astype(np.int64))
+    rows, cols = matrix.shape
+    if rows * cols == 0:
         return []
-    if M.view(np.uint64).max() >= p:  # a negative entry reads as 2^63 or more
-        M %= p
-    rows, cols = M.shape
     width = _panel_width(p)
-    c1 = min(cols, rows + width if M.size <= _SINGLE_PANEL_ENTRIES else width)
-    pivots = []
-    rank = _eliminate_panel(M, p, 0, 0, c1, pivots)
-    top, earlier = 0, []
-    while rank < rows and c1 < cols:
-        q, k = pivots[top:], rank - top
-        L21 = M[rank:, q]
+    c0, c1 = 0, min(cols, rows + width if rows * cols <= _SINGLE_PANEL_ENTRIES else width)
+    # order[i]: the row of the matrix that row i of the elimination holds
+    rank, pivots, earlier, order = 0, [], [], np.arange(rows)
+    while True:
+        P = matrix.fetch(slice(c0, c1))
+        if P.view(np.uint64).max() >= p:  # a negative entry reads as 2^63 or more
+            P %= p
+        if rank:
+            P = P[order]
+        # oldest first: an earlier panel's pivot rows, its A12, lie below
+        # every panel before it and take their catch-ups first
+        for t, L in earlier:
+            b = t + L.shape[1]
+            live = L.any(axis=1).nonzero()[0]
+            block = P[b + live]
+            _sub_mul_mod_p(block, L[live], P[t:b], p)
+            P[b + live] = block
+        top, q, moved = rank, [], np.arange(rows)
+        rank = _eliminate_panel(P, p, rank, 0, c1 - c0, q, moved)
+        pivots += [c0 + c for c in q]
+        if rank == rows or c1 == cols:
+            return pivots
+        if (moved != np.arange(rows)).any():
+            order = order[moved]
+            for t, L in earlier:
+                L[...] = L[moved[t + L.shape[1]:] - t - L.shape[1]]
+        L21, k = P[rank:, q], rank - top
         live = L21.any(axis=1).nonzero()[0]
         if live.size:
             # L11 has a nonzero diagonal, so the loop takes its rows in order
-            inverse = np.concatenate([np.tril(M[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
+            inverse = np.concatenate([np.tril(P[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
             _eliminate_panel(inverse, p, 0, 0, 2 * k, [])
             # 0 - L21 (-L11^-1) = L21 L11^-1
             mult = np.zeros((live.size, k), dtype=np.int64)
             _sub_mul_mod_p(mult, L21[live], -inverse[:, k:] % p, p)
             L21[live] = mult
-            M[rank:, q] = L21
-            earlier.append((top, rank, q))
+            earlier.append((top, L21))
         c0, c1 = c1, min(c1 + width, cols)
-        # oldest first: an earlier panel's pivot rows, its A12, lie below
-        # every panel before it and take their catch-ups first
-        for t, b, q in earlier:
-            mult = M[b:, q]
-            live = mult.any(axis=1).nonzero()[0]
-            block = M[b + live, c0:c1]
-            _sub_mul_mod_p(block, mult[live], M[t:b, c0:c1], p)
-            M[b + live, c0:c1] = block
-        top = rank
-        rank = _eliminate_panel(M, p, rank, c0, c1, pivots)
-    return pivots
 
 
 def rank_mod_p(matrix, p: int) -> int:
@@ -399,15 +430,18 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 # peak bytes of build plus elimination per matrix entry, by tracemalloc. The
-# trial loop eliminates the matrix it built in place: with panels, the matrix
-# and a panel's catch-up buffers come to 1.2 times it (684x1645, and 571x990
-# and 540x861 of the tests' triangle reference); on a first panel of every
-# column the loop's temporaries of the block below each pivot and numpy's
-# fixed iteration buffers (about 0.2 MB) take it to 1.6 at 120x441, 1.8 at
-# 75x494, 2.0 at 60x479 and 3.4 at 189x21, where those buffers weigh most. A
-# call that keeps the copy adds one matrix: 2.2 times in panels, up to 4.4 on
-# the smallest. Five matrices cover every case, and the build alone, which
-# peaks at 1.07 to 2.3 times the matrix.
+# trial loop builds only the panels its elimination reaches, and each panel
+# keeps only its multipliers once done: with every column reached (a
+# repeated row keeps the rank below the rows) the peak is 0.37 of the whole
+# matrix at 684x1645, 0.45 and 0.54 at 571x990 and 540x861 of the tests'
+# triangle reference; on a first panel of every column, 0.90 at 60x479, 1.01
+# at 75x494, 1.65 at 120x441 and 2.6 at 189x21, where the loop's
+# temporaries and numpy's fixed iteration buffers (about 0.2 MB) weigh most.
+# A caller's built array is copied a panel at a time on top of itself: 1.4
+# to 1.5 times it in panels, up to 3.6 on the smallest. Five matrices cover
+# every case, and the build alone, which peaks at 1.03 to 2.1 times the
+# matrix. How many columns the kernel will reach is not known before it
+# runs, so the guard counts them all.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
@@ -522,16 +556,24 @@ def _killed(a: int, b: int, origin: int) -> int:
     return t * (b + 1) + (J - t) * origin - (J * (J - 1) - t * (t - 1)) // 2
 
 
-def _bi_columns(deg: BiDegree, origin: int):
-    """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major."""
-    j, l = np.divmod(np.arange(deg.cells), deg.b + 1)
-    kept = j + l >= origin
-    return j[kept], l[kept]
+def _bi_columns(deg: BiDegree, origin: int, columns: slice = slice(None)):
+    """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major,
+    those at `columns` of them. They are b + 1 - max(0, origin - j) at each j
+    from max(0, origin - b), generated j by j, so a column range costs its
+    own size and one entry per j."""
+    j = np.arange(max(0, origin - deg.b), deg.a + 1)
+    ends = np.cumsum(deg.b + 1 - np.maximum(origin - j, 0))
+    c = np.arange(*columns.indices(int(ends[-1]) if ends.size else 0))
+    at = np.searchsorted(ends, c, side="right")
+    # the first kept l at j is b + 1 less the columns left there
+    return j[at], c - ends[at] + deg.b + 1
 
 
-def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0) -> np.ndarray:
+def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0,
+                         columns: slice = slice(None)) -> np.ndarray:
     """One row per derivative condition against the monomials x^j y^l of the
-    bidegree (a, b) box that an origin-fold point at (0, 0) leaves.
+    bidegree (a, b) box that an origin-fold point at (0, 0) leaves, those at
+    `columns` of them.
 
     A point of multiplicity m contributes the rows (c,e) with c+e <= m-1:
     the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
@@ -539,11 +581,11 @@ def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0
     so hf_biproj_row puts one point there and builds only the others' rows,
     the runs of _bi_row, on the columns j + l >= origin; origin = 0 keeps
     every column. The columns run j-major, so the columns with j <= a' are a
-    prefix for each a' <= a, which hf_biproj_row reads smaller a off. The
-    build takes no temporary that grows with a point's rows times the
-    columns (see conditions_matrix).
+    prefix for each a' <= a, which hf_biproj_row reads smaller a off, and
+    its trials build them a panel at a time. The build takes no temporary
+    that grows with a point's rows times the columns (see conditions_matrix).
     """
-    return conditions_matrix(points, runs, *_bi_columns(deg, origin), p)
+    return conditions_matrix(points, runs, *_bi_columns(deg, origin, columns), p)
 
 
 def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
@@ -564,10 +606,12 @@ def _plane_columns(d: int, corners):
     return np.repeat(np.arange(width), per_j), k
 
 
-def plane_conditions_matrix(d: int, corners, runs, points, p: int) -> np.ndarray:
+def plane_conditions_matrix(d: int, corners, runs, points, p: int, *,
+                            columns: slice = slice(None)) -> np.ndarray:
     """Conditions of the runs of require_plane_fits, a plane scheme's points
     other than its corners, on the degree-d forms that the corners
-    (alpha, beta) leave, _plane_columns, in the chart x0 = 1.
+    (alpha, beta) leave, those at `columns` of _plane_columns, in the chart
+    x0 = 1.
 
     points holds one chart point per point of the runs, in order, and one
     more: the general points, then one per point on the distinguished line
@@ -579,7 +623,8 @@ def plane_conditions_matrix(d: int, corners, runs, points, p: int) -> np.ndarray
     general = sum(n for _, n, on_line in runs if not on_line)
     *points, (slope, _) = points
     points = points[:general] + [(x, x) for x, _ in points[general:]]
-    return conditions_matrix(points, runs, *_plane_columns(d, corners), p, slope=slope)
+    j, k = _plane_columns(d, corners)
+    return conditions_matrix(points, runs, j[columns], k[columns], p, slope=slope)
 
 
 def require_plane_fits(d: int, corners, general, line=()) -> list:
@@ -595,25 +640,26 @@ def require_plane_fits(d: int, corners, general, line=()) -> list:
     return runs
 
 
-def _max_ranks(tags, count, build, bounds, cfg: OracleConfig) -> dict[int, int]:
+def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int, int]:
     """For each cut c in bounds, the max over trials of the rank of the first
     c columns.
 
     Trial t draws count points, sample_support(derive_seed(cfg.seed, *tags,
-    t), count, cfg.prime), and eliminates build(points), the conditions
-    matrix on them; the rank of its first c columns is the number of pivots
-    before column c. bounds[c] is the model's upper bound on that rank on
-    any support, at most the rows: no trial passes it, so once every value
-    reaches its bound the trials stop, and each value is the one all
-    cfg.trials would give.
+    t), count, cfg.prime), and hands the kernel the conditions matrix of the
+    runs on them, over the widest cut's columns, as a ColumnSource: the
+    kernel builds the columns c0..c1-1 by build(points, slice(c0, c1)) as
+    it reaches them, and no others. The rank of the first c columns is the
+    number of pivots before column c. bounds[c] is the model's upper bound
+    on that rank on any support, at most the rows: no trial passes it, so
+    once every value reaches its bound the trials stop, and each value is
+    the one all cfg.trials would give.
     """
     best = dict.fromkeys(bounds, 0)
+    cols = max(bounds)
+    rows = _require_fits(runs, cols)
     for trial in range(cfg.trials):
-        M = build(sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime))
-        # no one else holds the matrix: eliminate it in place, and free it
-        # before the next trial builds its own
-        pivots = rank_profile_mod_p(M, cfg.prime, overwrite=True)
-        del M
+        points = sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime)
+        pivots = rank_profile_mod_p(ColumnSource((rows, cols), partial(build, points)), cfg.prime)
         best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
         if best == bounds:
             break
@@ -689,9 +735,9 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     # two cells share a cut only when no column of it is left, and then both
     # bounds are 0
     bounds = {cut[a]: min(_rank_bound((a + 1,) * (b + 1), runs), cut[a]) for a in cells}
-    ranks = _max_ranks(("bi", b, mults), sum(n for _, n, _ in runs),
-                       lambda points: bi_conditions_matrix(deg, runs, points, cfg.prime,
-                                                           origin=origin),
+    ranks = _max_ranks(("bi", b, mults), sum(n for _, n, _ in runs), runs,
+                       lambda points, columns: bi_conditions_matrix(
+                           deg, runs, points, cfg.prime, origin=origin, columns=columns),
                        bounds, cfg)
     return {a: killed[a] + ranks[cut[a]] for a in cells}
 
@@ -757,9 +803,9 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     levels = [min(width, d + 1 - k) for k in range(height)]
     bound = _rank_bound(levels, runs, range(d + 1, 0, -1))
     # one point per point of the runs, and one more for the direction across the line
-    return cols - _max_ranks(tags, sum(n for _, n, _ in runs) + 1,
-                             lambda points: plane_conditions_matrix(d, corners, runs, points,
-                                                                    cfg.prime),
+    return cols - _max_ranks(tags, sum(n for _, n, _ in runs) + 1, runs,
+                             lambda points, columns: plane_conditions_matrix(
+                                 d, corners, runs, points, cfg.prime, columns=columns),
                              {cols: bound}, cfg)[cols]
 
 

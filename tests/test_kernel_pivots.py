@@ -34,8 +34,8 @@ def record_calls(argv) -> list[dict]:
     calls = []
     kernel = oracle.rank_profile_mod_p
 
-    def recording(matrix, p, **kw):
-        pivots = kernel(matrix, p, **kw)
+    def recording(matrix, p):
+        pivots = kernel(matrix, p)
         calls.append({"shape": list(matrix.shape), "rank": len(pivots),
                       "sha256": hashlib.sha256(json.dumps(pivots).encode()).hexdigest()})
         return pivots
@@ -54,6 +54,46 @@ def test_every_pivot_list_is_unchanged():
     assert [entry["argv"] for entry in expected] == COMMANDS
     for entry in expected:
         assert record_calls(entry["argv"]) == entry["calls"], entry["argv"]
+
+
+def test_no_column_is_built_past_the_last_panel():
+    # every elimination of the four commands builds its columns a panel at a
+    # time as it reaches them, from column 0: up to the panel of its last
+    # pivot when the rank reaches the rows, and every column otherwise. The
+    # builder makes no column beyond those
+    kernel, builder = oracle.rank_profile_mod_p, oracle.conditions_matrix
+    width = oracle._panel_width(oracle.DEFAULT_PRIME)
+    for argv in COMMANDS:
+        seen, built = [], []
+
+        def recording(matrix, p):
+            fetched = []
+
+            def fetch(columns):
+                fetched.append((columns.start, columns.stop))
+                return matrix.fetch(columns)
+
+            pivots = kernel(oracle.ColumnSource(matrix.shape, fetch), p)
+            seen.append((matrix.shape, pivots, fetched))
+            return pivots
+
+        def building(*args, **kw):
+            M = builder(*args, **kw)
+            built.append(M.shape[1])
+            return M
+
+        with mock.patch("fatpoints.oracle.rank_profile_mod_p", recording), \
+                mock.patch("fatpoints.oracle.conditions_matrix", building):
+            assert replay(argv)["exit"] == 0, argv
+        for (rows, cols), pivots, fetched in seen:
+            first = min(cols, rows + width if rows * cols <= oracle._SINGLE_PANEL_ENTRIES else width)
+            ends = list(range(first, cols, width)) + [cols]
+            if rows * cols == 0:
+                ends = []
+            elif len(pivots) == rows:
+                ends = ends[: next(i for i, end in enumerate(ends) if end > pivots[-1]) + 1]
+            assert fetched == list(zip([0] + ends, ends)), (argv, rows, cols)
+        assert sum(built) == sum(stop - start for *_, fetched in seen for start, stop in fetched)
 
 
 def test_both_kernel_paths_are_recorded():

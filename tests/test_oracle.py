@@ -26,6 +26,7 @@ from fatpoints.oracle import (
     ALT_PRIME,
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
+    ColumnSource,
     OracleConfig,
     OracleConfigError,
     bi_conditions_matrix,
@@ -38,6 +39,7 @@ from fatpoints.oracle import (
     hf_biproj_row,
     hf_plane,
     hf_trace_line,
+    hf_uniform_cells,
     is_prime,
     plane_conditions_matrix,
     rank_mod_p,
@@ -487,10 +489,14 @@ class TestBlockedElimination:
             assert row[a] == hf_uniform(BiDegree(a, 40), pts).value, a
 
 
-def first_column(view) -> int:
-    """The column of its base matrix at which a two-dimensional view starts."""
-    base = view.base
-    return (view.ctypes.data - base.ctypes.data) // base.itemsize % base.shape[1]
+def recording_source(M, fetched: list) -> ColumnSource:
+    """M as a column source that appends the range of each panel it copies
+    out to fetched."""
+    def fetch(columns):
+        fetched.append(range(*columns.indices(M.shape[1])))
+        return M[:, columns].copy()
+
+    return ColumnSource(M.shape, fetch)
 
 
 class TestLeftLooking:
@@ -498,18 +504,15 @@ class TestLeftLooking:
     the rows whose multiplier row is nonzero."""
 
     @staticmethod
-    def record_updates(monkeypatch) -> list:
+    def record_updates(monkeypatch, fetched=None) -> list:
         """Patch _sub_mul_mod_p to record, for each call that catches a panel
-        up, the columns of the kernel's matrix it writes: those of A12, a view
-        of that matrix. A multiplier's call, whose B is L11^-1, records None."""
+        up, the columns it writes: those of the panel last fetched, whose
+        rows A12 are a view of it, from fetched when a recording_source is
+        eliminated. A multiplier's call, whose B is L11^-1, records None."""
         calls = []
 
         def recording(C, A, B, p):
-            if B.base is None:
-                calls.append(None)
-            else:
-                start = first_column(B)
-                calls.append(range(start, start + B.shape[1]))
+            calls.append(None if B.base is None else fetched[-1] if fetched else True)
             _sub_mul_mod_p(C, A, B, p)
 
         monkeypatch.setattr("fatpoints.oracle._sub_mul_mod_p", recording)
@@ -521,13 +524,16 @@ class TestLeftLooking:
         points = sample_support(derive_seed(0, "bi", 40, mults, 0), 20, p)
         M = bi_conditions_matrix(BiDegree(40, 40), chart_runs(mults), points, p)
         assert M.shape == (720, 1681)
-        calls = self.record_updates(monkeypatch)
-        pivots = rank_profile_mod_p(M, p)
+        fetched = []
+        calls = self.record_updates(monkeypatch, fetched)
+        pivots = rank_profile_mod_p(recording_source(M, fetched), p)
         assert pivots == list(range(720))  # the multipliers live in these columns
         written = [cols for cols in calls if cols is not None]
         assert written and max(cols.stop for cols in written) == 768
-        # twelve panels: each caught up from every earlier one
+        # twelve panels: each caught up from every earlier one, and none
+        # past them copied out
         assert len(written) == 11 * 12 // 2
+        assert fetched == [range(c, c + 64) for c in range(0, 768, 64)]
 
     def test_golden_row_makes_no_update(self, monkeypatch):
         p = DEFAULT_PRIME
@@ -582,50 +588,63 @@ def traced_peak(call):
 
 
 LARGE_CELL_BYTES = 720 * 1681 * 8  # the large cell's int64 matrix on the whole box
-ORIGIN_CELL_BYTES = 684 * 1645 * 8  # and with one point at the origin
+REACHED_BYTES = 684 * 704 * 8  # and with one point at the origin, its columns the kernel reaches
 
 
 class TestOwnership:
-    """The trial loop gives the kernel the matrix it has just built, with
-    overwrite=True: eliminated in place, with no copy, and dropped before
-    the next trial builds its own. Every other caller keeps the copy."""
+    """The kernel fetches each panel as it reaches it. The trial loop hands
+    it a ColumnSource that builds those columns on the trial's support, and
+    a caller's array is copied a panel at a time and left as it was, so no
+    trial builds or holds a column its elimination never reaches."""
 
     @pytest.mark.parametrize("cutoff", [None, 0], ids=["single_panel", "blocked"])
-    def test_overwrite_gives_the_same_pivots(self, cutoff, monkeypatch):
+    def test_source_gives_the_same_pivots(self, cutoff, monkeypatch):
         p = DEFAULT_PRIME
         if cutoff is not None:
             monkeypatch.setattr("fatpoints.oracle._SINGLE_PANEL_ENTRIES", cutoff)
         matrices = (structured_matrices(random.Random(13), p) + blocked_cases(p)
                     + unreduced_matrices(p))
         for M in matrices:
+            before = M.copy()
             expected = rank_profile_mod_p(M, p)
-            owned = M.copy()
-            assert rank_profile_mod_p(owned, p, overwrite=True) == expected, M.shape
-            # every matrix but the zero one is written into
-            assert np.array_equal(owned, M) == (not M.any()), M.shape
+            fetched = []
+            # the unreduced matrices' panels come out unreduced too
+            assert rank_profile_mod_p(recording_source(M, fetched), p) == expected, M.shape
+            assert (M == before).all(), M.shape
+            # panels in order from column 0, each fetched once
+            assert [cols.start for cols in fetched] == [0] + [cols.stop for cols in fetched[:-1]]
 
     def test_large_cell_peaks_near_its_matrix(self):
         # build and elimination of the 684 x 1645 matrix, which certifies on
-        # its first trial; with a copy in the kernel the peak reads 2.2
+        # its first trial at column 704 of 1645: peaks near those columns
+        # alone (with the whole matrix built and eliminated in place it read
+        # 1.2 times 684 x 1645, 2.2 with a copy)
         ranks, peak = traced_peak(lambda: hf_biproj_row(40, (40,), (8,) * 20))
         assert ranks == {40: 720}
-        assert peak <= 1.3 * ORIGIN_CELL_BYTES, peak / ORIGIN_CELL_BYTES
+        assert peak <= 1.3 * REACHED_BYTES, peak / REACHED_BYTES
+
+    def test_wide_cell_peaks_near_its_reached_columns(self):
+        # a 684 x 14605 matrix, 80 MB whole, that certifies at column 832
+        ranks, peak = traced_peak(lambda: hf_biproj_row(120, (120,), (8,) * 20))
+        assert ranks == {120: 720}
+        assert peak <= 1.3 * 684 * 832 * 8, peak / (684 * 832 * 8)
 
     def test_no_trial_matrix_outlives_its_elimination(self, eliminations):
         # the large cell's build with its last row a copy of its first: the
-        # rank stays below the rows, so every trial runs, and the peak stays
-        # near one matrix only if each is freed before the next is built
-        # (2.0 if it is not)
+        # rank stays below the rows, so every trial runs through every
+        # column, and the peak stays near one matrix only if each trial's
+        # panels are freed before the next is built (2.0 if they are not)
         p, mults, deg = DEFAULT_PRIME, (8,) * 20, BiDegree(40, 40)
 
-        def build(points):
-            M = bi_conditions_matrix(deg, chart_runs(mults), points, p)
+        def build(points, columns):
+            M = bi_conditions_matrix(deg, chart_runs(mults), points, p, columns=columns)
             M[-1] = M[0]
             return M
 
         cfg = OracleConfig()
         ranks, peak = traced_peak(
-            lambda: oracle_module._max_ranks(("bi", 40, mults), 20, build, {deg.cells: 720}, cfg))
+            lambda: oracle_module._max_ranks(("bi", 40, mults), 20, chart_runs(mults), build,
+                                             {deg.cells: 720}, cfg))
         assert ranks == {deg.cells: 719}
         assert eliminations == [(720, 1681)] * cfg.trials
         assert peak <= 1.3 * LARGE_CELL_BYTES, peak / LARGE_CELL_BYTES
@@ -670,12 +689,20 @@ class TestConditionsMatrix:
             return M
 
         monkeypatch.setattr("fatpoints.oracle.conditions_matrix", checked)
+        # each matrix built whole too, not only the panels the kernel reaches
+        kernel, eliminated = oracle_module.rank_profile_mod_p, []
+
+        def built_whole(matrix, p):
+            eliminated.append(whole(matrix).shape)
+            return kernel(matrix, p)
+
+        monkeypatch.setattr(oracle_module, "rank_profile_mod_p", built_whole)
         # the widest matrix of each verify call of the benchmark's scan,
         # m 2..6 and s 1..10 at a 5, b m
         for m in range(2, 7):
             for s in range(1, 11):
                 hf_biproj_row(m, (5,), (m,) * s, fast_oracle)
-        assert len(shapes) == 50 and (189, 21) in shapes
+        assert len(eliminated) == 50 and (189, 21) in shapes
         # every golden-table row, at its widest unknown cell
         table_region(5, 5, 25, 18, fast_oracle)
         assert (60, 479) in shapes
@@ -883,17 +910,23 @@ def one_page_names(shape):
     return shape if conditions_bytes(max(rows, 1), cols) > 4096 else None
 
 
+def whole(matrix):
+    """What the kernel is handed, built whole: an array, or every column of
+    a ColumnSource."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.fetch(slice(None))
+
+
 def built_shapes(call, *args):
-    """The shapes of the conditions matrices that call(*args) builds."""
+    """The shapes of the conditions matrices that call(*args) eliminates,
+    each built whole."""
     shapes = []
-    builder = oracle_module.conditions_matrix
+    kernel = oracle_module.rank_profile_mod_p
 
-    def kept(*margs, **kw):
-        M = builder(*margs, **kw)
-        shapes.append(M.shape)
-        return M
+    def kept(matrix, p):
+        shapes.append(whole(matrix).shape)
+        return kernel(matrix, p)
 
-    with mock.patch.object(oracle_module, "conditions_matrix", kept):
+    with mock.patch.object(oracle_module, "rank_profile_mod_p", kept):
         call(*args)
     return shapes
 
@@ -1057,6 +1090,31 @@ class TestBiModel:
         cfg = OracleConfig(seed=seed)
         expected = all_trials_row(a_max, b, mults, cfg)
         assert hf_biproj_row(b, range(a_max, -1, -1), mults, cfg) == dict(enumerate(expected))
+
+    def test_columns_are_the_box_less_what_the_origin_kills(self):
+        # generated j by j against the mask of the box, j-major, for origins
+        # from 0 to past a + b + 1, and each column range its slice of them
+        for a in range(8):
+            for b in range(8):
+                j, l = np.divmod(np.arange((a + 1) * (b + 1)), b + 1)
+                for origin in range(a + b + 3):
+                    keep = j + l >= origin
+                    kept = j[keep], l[keep]
+                    n = len(kept[0])
+                    for c0, c1 in [(None, None), (0, 1), (1, n), (n // 2, n // 2 + 3), (n, n)]:
+                        got = oracle_module._bi_columns(BiDegree(a, b), origin, slice(c0, c1))
+                        assert all(np.array_equal(g, k[c0:c1]) for g, k in zip(got, kept)), (
+                            a, b, origin, c0, c1)
+        # one column left of the (30000000, 0) box costs its own size, not
+        # the 30000001 of the box (715 MB when masked off it)
+        (j, l), peak = traced_peak(lambda: oracle_module._bi_columns(BiDegree(30000000, 0),
+                                                                    30000000))
+        assert j.tolist() == [30000000] and l.tolist() == [0]
+        assert peak < 2**20
+        cells, peak = traced_peak(lambda: hf_uniform_cells([(30000000, 0)],
+                                                           UniformFatPoints(1, 30000000)))
+        assert cells == {(30000000, 0): 30000000}
+        assert peak < 2**20
 
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 30))
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -1224,9 +1282,9 @@ def eliminations(monkeypatch):
     calls = []
     kernel = oracle_module.rank_profile_mod_p
 
-    def counted(M, p, **kw):
+    def counted(M, p):
         calls.append(M.shape)
-        return kernel(M, p, **kw)
+        return kernel(M, p)
 
     monkeypatch.setattr(oracle_module, "rank_profile_mod_p", counted)
     return calls
@@ -1272,9 +1330,9 @@ class TestEarlyStop:
         drawn = []
         kernel = oracle_module.rank_profile_mod_p
 
-        def kept(M, p, **kw):
-            drawn.append(M.copy())
-            return kernel(M, p, **kw)
+        def kept(M, p):
+            drawn.append(whole(M))
+            return kernel(M, p)
 
         monkeypatch.setattr(oracle_module, "rank_profile_mod_p", kept)
         # a defective cell, so every trial runs
@@ -1393,9 +1451,9 @@ def handed(call, *args):
     bounds = {}
     loop = oracle_module._max_ranks
 
-    def kept(tags, count, build, cut_bounds, cfg):
+    def kept(tags, count, runs, build, cut_bounds, cfg):
         bounds.update(cut_bounds)
-        return loop(tags, count, build, cut_bounds, cfg)
+        return loop(tags, count, runs, build, cut_bounds, cfg)
 
     with mock.patch.object(oracle_module, "_max_ranks", kept):
         return call(*args), bounds

@@ -1,7 +1,7 @@
 """Structure checks on the package source: no module-level function or class,
 and no method or property of a class, that nothing in src/ calls, no random
-generator outside oracle.sample_support, no kernel call with overwrite=
-outside the trial loop, no size check in oracle.py outside its one guard
+generator outside oracle.sample_support, no overwrite= anywhere and no
+column source handed to the kernel outside the trial loop, no size check in oracle.py outside its one guard
 over runs and no fat point's profile outside the rules that state them, no
 import beyond the standard library and numpy, numpy only in oracle.py, no
 command-line option that README.md does not name, and no name that the
@@ -116,18 +116,33 @@ def test_one_guard_over_runs():
                      ("oracle:require_plane_fits", "fat_profile")}
 
 
-def overwriting_calls(src: Path = SRC) -> set[tuple[str, str]]:
-    """(module:function, callee) for every call in src/*.py that passes
-    overwrite= by keyword."""
-    return {(scope, name) for scope, name, call in scoped_calls(src)
-            if any(kw.arg == "overwrite" for kw in call.keywords)}
+def overwrite_names(src: Path = SRC) -> set[str]:
+    """module:line for every call in src/*.py that passes overwrite= by
+    keyword and every function that takes an argument named overwrite."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and any(kw.arg == "overwrite" for kw in node.keywords):
+                found.add(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.arg) and node.arg == "overwrite":
+                found.add(f"{path.stem}:{node.lineno}")
+    return found
 
 
-def test_only_the_trial_loop_hands_over_its_matrix():
-    # the kernel eliminates an overwrite=True argument in place; only the
-    # trial loop's matrix, just built and never read again, may go that way,
-    # since any other caller might still read its matrix or a view of it
-    assert overwriting_calls() == {("oracle:_max_ranks", "rank_profile_mod_p")}
+def test_only_the_trial_loop_hands_over_a_column_source():
+    # the kernel copies a caller's array a panel at a time and never writes
+    # into it, so nothing hands a matrix over with overwrite=. A
+    # ColumnSource builds the columns the kernel reaches on a trial's
+    # support: only the trial loop makes one and hands it over, and the
+    # kernel makes one around a caller's array. rank_mod_p hands on what
+    # it is given, and only the line model calls it, with an array
+    assert overwrite_names() == set()
+    calls = scoped_calls()
+    assert {scope for scope, name, _ in calls if name == "ColumnSource"} == {
+        "oracle:_max_ranks", "oracle:rank_profile_mod_p"}
+    assert {scope for scope, name, _ in calls if name == "rank_profile_mod_p"} == {
+        "oracle:_max_ranks", "oracle:rank_mod_p"}
+    assert {scope for scope, name, _ in calls if name == "rank_mod_p"} == {"oracle:hf_trace_line"}
 
 
 def imported_modules(src: Path = SRC) -> set[tuple[str, str]]:
