@@ -652,17 +652,18 @@ def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int,
     number of pivots before column c. bounds[c] is the model's upper bound
     on that rank on any support, at most the rows: no trial passes it, so
     once every value reaches its bound the trials stop, and each value is
-    the one all cfg.trials would give.
+    the one all cfg.trials would give. When every bound is 0 there is
+    nothing to eliminate, and no trial draws.
     """
     best = dict.fromkeys(bounds, 0)
     cols = max(bounds)
     rows = _require_fits(runs, cols)
     for trial in range(cfg.trials):
+        if best == bounds:
+            break
         points = sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime)
         pivots = rank_profile_mod_p(ColumnSource((rows, cols), partial(build, points)), cfg.prime)
         best = {c: max(r, bisect_left(pivots, c)) for c, r in best.items()}
-        if best == bounds:
-            break
     return best
 
 

@@ -702,7 +702,8 @@ class TestConditionsMatrix:
         for m in range(2, 7):
             for s in range(1, 11):
                 hf_biproj_row(m, (5,), (m,) * s, fast_oracle)
-        assert len(eliminated) == 50 and (189, 21) in shapes
+        # at s = 1 the origin's point is alone, and nothing is eliminated
+        assert len(eliminated) == 45 and (189, 21) in shapes
         # every golden-table row, at its widest unknown cell
         table_region(5, 5, 25, 18, fast_oracle)
         assert (60, 479) in shapes
@@ -858,7 +859,7 @@ class TestSizeGuard:
         assert eliminations == [(30, 9)]
         assert peak < 2**20
         # corners of multiplicity 2000 and no other point: no row against
-        # 2001 x 2001 forms of degree 4000
+        # 2001 x 2001 forms of degree 4000, so nothing to eliminate
         cols = 2001**2
         tracemalloc.start()
         try:
@@ -866,7 +867,7 @@ class TestSizeGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eliminations[1:] == [(0, cols)]
+        assert eliminations[1:] == []
         assert peak <= conditions_bytes(1, cols), peak / conditions_bytes(1, cols)
 
     def test_horace_verify_refuses_its_conclusion_first(self, monkeypatch, eliminations):
@@ -958,14 +959,16 @@ class TestGuardCountsItsBuilder:
     def test_bidegree_rows(self, cells, b, mults):
         cfg = OracleConfig()
         counts = Counter(mults)
-        [shape] = built_shapes(hf_biproj_row, b, cells, mults, OracleConfig(trials=1))
-        assert refused_shape(_bi_row, b, cells, counts.items(), cfg) == one_page_names(shape)
         # every point but the origin's, with its rows of order at most a + b,
-        # on the columns the origin leaves
+        # on the columns the origin leaves; with no row or no column left
+        # there is nothing to eliminate, and nothing is built
         a = max(cells)
         origin, others = origin_split(mults)
-        assert shape == (sum(binom(min(m, a + b + 1) + 1, 2) for m in others),
-                         (a + 1) * (b + 1) - box_killed(a, b, origin))
+        shape = (sum(binom(min(m, a + b + 1) + 1, 2) for m in others),
+                 (a + 1) * (b + 1) - box_killed(a, b, origin))
+        built = built_shapes(hf_biproj_row, b, cells, mults, OracleConfig(trials=1))
+        assert built == ([shape] if shape[0] * shape[1] else [])
+        assert refused_shape(_bi_row, b, cells, counts.items(), cfg) == one_page_names(shape)
 
     @given(plane_corners, st.lists(st.integers(0, 10), max_size=3),
            st.lists(tall_line_profiles, max_size=3))
@@ -1026,10 +1029,12 @@ class TestGuardCountsItsBuilder:
         assert plane.shape[1] == bi.shape[1]
         assert plane.shape[0] <= bi.shape[0]
         row = deg.normalized
-        [(rows, cols)] = built_shapes(hf_biproj_row, row.b, (row.a,), (m,) * s,
-                                      OracleConfig(trials=1))
-        assert conditions_bytes(max(rows, 1), cols) <= conditions_bytes(max(len(plane), 1),
-                                                                         plane.shape[1])
+        shapes = built_shapes(hf_biproj_row, row.b, (row.a,), (m,) * s, OracleConfig(trials=1))
+        # nothing is built when no other point or no column is left
+        assert len(shapes) == (s > 1 and m <= a + b)
+        for rows, cols in shapes:
+            assert conditions_bytes(max(rows, 1), cols) <= conditions_bytes(max(len(plane), 1),
+                                                                             plane.shape[1])
         cfg = OracleConfig(trials=1)
         assert refused_shape(check_reduction, deg, pts, cfg) == one_page_names(plane.shape)
 
@@ -1407,15 +1412,30 @@ class TestEarlyStop:
         assert len(eliminations) == oracle.trials
 
     def test_plane_scheme(self, oracle, eliminations):
-        # one 6-fold corner imposes its 21 conditions on degree-10 forms
+        # one 6-fold corner imposes its 21 conditions on degree-10 forms,
+        # all of them by the monomials it kills: no row is left to eliminate
         assert hf_plane(10, PlaneScheme(6, 0), oracle) == binom(12, 2) - binom(7, 2)
-        assert len(eliminations) == 1
+        assert len(eliminations) == 0
         # four collinear points impose only three conditions on conics, and
         # the bound counts only three: their rows at (x, 0) are zero off the
         # three columns 1, x, x^2, so the rank certifies on its first trial
         scheme = PlaneScheme(0, 0, (), (SliceProfile((1,)),) * 4)
         assert hf_plane(2, scheme, oracle) == 3
-        assert len(eliminations) == 2
+        assert len(eliminations) == 1
+
+    def test_nothing_to_eliminate_takes_no_draw(self, oracle, eliminations, monkeypatch):
+        # every bound is 0 when the origin's point kills every column of the
+        # cut or no other point has a row: the values are the columns
+        # killed, with no support drawn (199999 points took 0.7 s to draw)
+        expected = {0: box_killed(0, 3, 5), 4: box_killed(4, 3, 5)}
+        sample = mock.Mock(wraps=sample_support)
+        monkeypatch.setattr("fatpoints.oracle.sample_support", sample)
+        assert hf_biproj_row(2, (2,), (10,) * 200000, oracle) == {2: 9}
+        assert hf_biproj_row(3, (0, 4), (5,), oracle) == expected
+        assert hf_biproj_row(2, (3,), (0, 0, 0), oracle) == {3: 0}
+        assert hf_plane(4, PlaneScheme(1, 1), oracle) == 13
+        sample.assert_not_called()
+        assert eliminations == []
 
     def test_row_reads_only_its_cells(self, oracle, eliminations):
         # m = 4, s = 9: the closed defective-family cell (14, 5) sits among
