@@ -646,20 +646,22 @@ def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int,
 
     Trial t draws count points, sample_support(derive_seed(cfg.seed, *tags,
     t), count, cfg.prime), and hands the kernel the conditions matrix of the
-    runs on them, over the widest cut's columns, as a ColumnSource: the
-    kernel builds the columns c0..c1-1 by build(points, slice(c0, c1)) as
-    it reaches them, and no others. The rank of the first c columns is the
-    number of pivots before column c. bounds[c] is the model's upper bound
-    on that rank on any support, at most the rows: no trial passes it, so
-    once every value reaches its bound the trials stop, and each value is
-    the one all cfg.trials would give. When every bound is 0 there is
-    nothing to eliminate, and no trial draws.
+    runs on them, over the columns of the widest cut still below its bound,
+    as a ColumnSource: the kernel builds the columns c0..c1-1 by
+    build(points, slice(c0, c1)) as it reaches them, and no others. The
+    rank of the first c columns is the number of pivots before column c.
+    bounds[c] is the model's upper bound on that rank on any support, at
+    most the rows: no trial passes it, so a cut at its bound cannot move,
+    and once every value reaches its bound the trials stop. The cuts are
+    prefixes, so each value is the one all cfg.trials on every column would
+    give. When every bound is 0 there is nothing to eliminate, and no trial
+    draws.
     """
     best = dict.fromkeys(bounds, 0)
-    cols = max(bounds)
-    rows = _require_fits(runs, cols)
+    rows = _require_fits(runs, max(bounds))
     for trial in range(cfg.trials):
-        if best == bounds:
+        cols = max((c for c in bounds if best[c] < bounds[c]), default=0)
+        if not cols:
             break
         points = sample_support(derive_seed(cfg.seed, *tags, trial), count, cfg.prime)
         pivots = rank_profile_mod_p(ColumnSource((rows, cols), partial(build, points)), cfg.prime)

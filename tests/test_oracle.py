@@ -1322,6 +1322,11 @@ class TestEarlyStop:
         # certify every cell of both orientations on trial 1, and rows 6 and
         # 7 hold the defective cells (9, 6), (10, 6), (11, 6), (8, 7), (9, 7)
         assert len(eliminations) == 11 + 2 * oracle.trials
+        # after trial 1 every other cell of rows 6 and 7 is at its bound, so
+        # the later trials read only up to the cut of (11, 6), 12 * 7 less
+        # the 15 columns the origin kills, and of (9, 7), 10 * 8 - 15
+        assert eliminations[:6] == [(60, 26 * 7 - 15)] + [(60, 69)] * 2 + [(60, 26 * 8 - 15)] + [
+            (60, 65)] * 2
         rows = {r: all_trials_row(25, r, [5] * 5, oracle) for r in range(6, 19)}
         resolved = 0
         for b, cells in enumerate(grid):
