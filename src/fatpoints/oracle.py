@@ -269,9 +269,9 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order
     The one elimination loop: every panel of rank_profile_mod_p, and
     [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers. Each
     pivot is the first nonzero entry at or below row `rank`, and its whole
-    row is swapped up, as is its entry of order when given. The pivot keeps
-    its value and the rest of its row, up
-    to c1, is scaled by the pivot's inverse. Each row below keeps its entry
+    row is swapped up, as is its entry of `order` when given. The pivot
+    keeps its value and the rest of its row, up to c1, is scaled by the
+    pivot's inverse. Each row below keeps its entry
     in the pivot column, the multiplier, and takes that multiple of the
     scaled row off columns col+1..c1-1. With P the swaps, the panel's rows
     from `rank` on then hold P A = L U: L on and below the pivots of the
@@ -391,12 +391,11 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
         P = matrix.fetch(slice(c0, c1))
         if P.view(np.uint64).max() >= p:  # a negative entry reads as 2^63 or more
             P %= p
-        if rank:
+        if rank:  # no row is swapped before the first pivot
             P = P[order]
         # oldest first: an earlier panel's pivot rows, its A12, lie below
         # every panel before it and take their catch-ups first
-        for t, L in earlier:
-            b = t + L.shape[1]
+        for t, b, L in earlier:
             live = L.any(axis=1).nonzero()[0]
             block = P[b + live]
             _sub_mul_mod_p(block, L[live], P[t:b], p)
@@ -407,9 +406,10 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
         if rank == rows or c1 == cols:
             return pivots
         if (moved != np.arange(rows)).any():
+            # rows swap only from top on, below every earlier panel's pivots
             order = order[moved]
-            for t, L in earlier:
-                L[...] = L[moved[t + L.shape[1]:] - t - L.shape[1]]
+            for t, b, L in earlier:
+                L[...] = L[moved[b:] - b]
         L21, k = P[rank:, q], rank - top
         live = L21.any(axis=1).nonzero()[0]
         if live.size:
@@ -420,7 +420,7 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             mult = np.zeros((live.size, k), dtype=np.int64)
             _sub_mul_mod_p(mult, L21[live], -inverse[:, k:] % p, p)
             L21[live] = mult
-            earlier.append((top, L21))
+            earlier.append((top, rank, L21))
         c0, c1 = c1, min(c1 + width, cols)
 
 
