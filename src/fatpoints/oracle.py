@@ -98,9 +98,9 @@ ColumnSource, whose fetch builds those columns on the trial's support, so no
 trial builds or holds a column past the last panel its elimination reaches:
 the large cell's trial builds 684 x 704 of its 684 x 1645, a golden-table
 row 60 x 124 of 60 x 479. Each panel is its own array, and once it is done
-it keeps only its multipliers, so the kernel holds at most the panel it is
-on and a triangle of multipliers. A caller's array is copied a panel at a
-time and left as it was.
+only its multipliers are kept, in one array of rows x min(rows, cols) for
+every panel; the kernel writes only its part below the pivots. A caller's
+array is copied a panel at a time and left as it was.
 """
 
 import hashlib
@@ -367,8 +367,9 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     swaps made so far as it is fetched. After a panel with pivot columns q
     and pivot rows top..rank-1, the rows below hold L21 in q, and
     A21 A11^-1 = L21 L11^-1, with L11^-1 from one swap-free run of the loop
-    on [L11 | I]; the panel keeps only that multiplier, as its own array
-    whose rows take every later swap. Each new panel is caught up from
+    on [L11 | I]; of the panel only that multiplier is kept, in the columns
+    top..rank-1 of one array of multipliers for every panel, whose rows take
+    every later swap. Each new panel is caught up from
     every earlier one, oldest first, to A22 - A21 A11^-1 A12 by BLAS, A12
     being the earlier pivot rows in the panel's columns. Only the rows whose
     L21 row is nonzero take part, and a panel with none keeps no
@@ -387,6 +388,9 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     c0, c1 = 0, min(cols, rows + width if rows * cols <= _SINGLE_PANEL_ENTRIES else width)
     # order[i]: the row of the matrix that row i of the elimination holds
     rank, pivots, earlier, order = 0, [], [], np.arange(rows)
+    # L[b:, t:b]: the multipliers L21 L11^-1 of the panel with pivot rows
+    # t..b-1, in the pivot order; one array for every panel that has any
+    L = None
     while True:
         P = matrix.fetch(slice(c0, c1))
         if P.view(np.uint64).max() >= p:  # a negative entry reads as 2^63 or more
@@ -395,21 +399,21 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             P = P[order]
         # oldest first: an earlier panel's pivot rows, its A12, lie below
         # every panel before it and take their catch-ups first
-        for t, b, L in earlier:
-            live = L.any(axis=1).nonzero()[0]
+        for t, b in earlier:
+            mult = L[b:, t:b]
+            live = mult.any(axis=1).nonzero()[0]
             block = P[b + live]
-            _sub_mul_mod_p(block, L[live], P[t:b], p)
+            _sub_mul_mod_p(block, mult[live], P[t:b], p)
             P[b + live] = block
         top, q, moved = rank, [], np.arange(rows)
         rank = _eliminate_panel(P, p, rank, 0, c1 - c0, q, moved)
         pivots += [c0 + c for c in q]
         if rank == rows or c1 == cols:
             return pivots
-        if (moved != np.arange(rows)).any():
-            # rows swap only from top on, below every earlier panel's pivots
-            order = order[moved]
-            for t, b, L in earlier:
-                L[...] = L[moved[b:] - b]
+        order = order[moved]
+        # rows swap only from top on, below every earlier panel's pivots
+        if earlier and (moved[top:] != np.arange(top, rows)).any():
+            L[top:, :top] = L[moved[top:], :top]
         L21, k = P[rank:, q], rank - top
         live = L21.any(axis=1).nonzero()[0]
         if live.size:
@@ -420,7 +424,10 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             mult = np.zeros((live.size, k), dtype=np.int64)
             _sub_mul_mod_p(mult, L21[live], -inverse[:, k:] % p, p)
             L21[live] = mult
-            earlier.append((top, rank, L21))
+            if L is None:
+                L = np.empty((rows, min(rows, cols)), dtype=np.int64)
+            L[rank:, top:rank] = L21
+            earlier.append((top, rank))
         c0, c1 = c1, min(c1 + width, cols)
 
 
@@ -430,18 +437,18 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 # peak bytes of build plus elimination per matrix entry, by tracemalloc. The
-# trial loop builds only the panels its elimination reaches, and each panel
-# keeps only its multipliers once done: with every column reached (a
-# repeated row keeps the rank below the rows) the peak is 0.37 of the whole
-# matrix at 684x1645, 0.45 and 0.54 at 571x990 and 540x861 of the tests'
-# triangle reference; on a first panel of every column, 0.90 at 60x479, 1.01
-# at 75x494, 1.65 at 120x441 and 2.6 at 189x21, where the loop's
-# temporaries and numpy's fixed iteration buffers (about 0.2 MB) weigh most.
-# A caller's built array is copied a panel at a time on top of itself: 1.4
-# to 1.5 times it in panels, up to 3.6 on the smallest. Five matrices cover
-# every case, and the build alone, which peaks at 1.03 to 2.1 times the
-# matrix. How many columns the kernel will reach is not known before it
-# runs, so the guard counts them all.
+# trial loop builds only the panels its elimination reaches, and of each
+# panel keeps only its multipliers, in one array of rows x min(rows, cols):
+# with every column reached (a repeated row keeps the rank below the rows)
+# the peak is 0.65 of the whole matrix at 684x1645, 0.85 and 0.98 at 571x990
+# and 540x861 of the tests' triangle reference; on a first panel of every
+# column, 0.97 at 60x479, 1.09 at 75x494, 1.65 at 120x441 and 2.6 at 189x21,
+# where the loop's temporaries and numpy's fixed iteration buffers (about
+# 0.2 MB) weigh most. A caller's built array is copied a panel at a time on
+# top of itself: 1.65 to 1.93 times it in panels, up to 3.6 on the smallest.
+# Five matrices cover every case, and the build alone, which peaks at 1.03
+# to 2.1 times the matrix. How many columns the kernel will reach is not
+# known before it runs, so the guard counts them all.
 _PEAK_BYTES_PER_ENTRY = 5 * 8
 
 
