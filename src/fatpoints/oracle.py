@@ -292,7 +292,7 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order
             M[pivot] = M[rank]
             M[rank] = row
             if order is not None:
-                order[[rank, pivot]] = order[[pivot, rank]]
+                order[rank], order[pivot] = order[pivot], order[rank]
         top = M[rank, col + 1 : c1]
         top *= pow(int(column[0]), -1, p)
         top %= p
@@ -405,9 +405,10 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             block = P[b + live]
             _sub_mul_mod_p(block, mult[live], P[t:b], p)
             P[b + live] = block
-        top, q, moved = rank, [], np.arange(rows)
+        # the swaps matter only to a later panel
+        top, q, moved = rank, [], np.arange(rows) if c1 < cols else None
         rank = _eliminate_panel(P, p, rank, 0, c1 - c0, q, moved)
-        pivots += [c0 + c for c in q]
+        pivots += [c0 + c for c in q] if c0 else q
         if rank == rows or c1 == cols:
             return pivots
         order = order[moved]
@@ -568,12 +569,13 @@ def _bi_columns(deg: BiDegree, origin: int, columns: slice = slice(None)):
     those at `columns` of them. They are b + 1 - max(0, origin - j) at each j
     from max(0, origin - b), generated j by j, so a column range costs its
     own size and one entry per j."""
-    j = np.arange(max(0, origin - deg.b), deg.a + 1)
-    ends = np.cumsum(deg.b + 1 - np.maximum(origin - j, 0))
+    j0 = max(0, origin - deg.b)
+    ends = np.cumsum(np.minimum(np.arange(j0 + deg.b + 1 - origin, deg.a + deg.b + 2 - origin),
+                                deg.b + 1))
     c = np.arange(*columns.indices(int(ends[-1]) if ends.size else 0))
     at = np.searchsorted(ends, c, side="right")
     # the first kept l at j is b + 1 less the columns left there
-    return j[at], c - ends[at] + deg.b + 1
+    return at + j0, c - ends[at] + deg.b + 1
 
 
 def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0,
