@@ -217,20 +217,14 @@ def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]
 def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
     """D[..., c, j] = d^c/dt^c t^j mod p at each t of coords, for c < orders
     and j <= max_exp, one table filled for every t at once by two
-    recurrences: row 0 holds the powers, doubled as t^(n+i) = t^i t^n with
-    t^n = t^(n-1) t, and row c holds d^c t^j = j d^(c-1) t^(j-1) for j >= c
-    and zero below. A panel of a trial's columns fills its own table, so
-    the powers take log2(max_exp) steps rather than max_exp.
+    recurrences: row 0 holds the powers, t^j = t^(j-1) t, and row c holds
+    d^c t^j = j d^(c-1) t^(j-1) for j >= c and zero below.
     """
     coords = np.asarray(coords, dtype=np.int64) % p
     D = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
     D[..., 0, 0] = 1
-    n = 1
-    while n <= max_exp:
-        step = min(n, max_exp + 1 - n)
-        power = D[..., 0, n - 1] * coords % p
-        D[..., 0, n : n + step] = D[..., 0, :step] * power[..., None] % p
-        n += step
+    for j in range(1, max_exp + 1):
+        D[..., 0, j] = D[..., 0, j - 1] * coords % p
     for c in range(1, orders):
         D[..., c, c:] = D[..., c - 1, c - 1 : max_exp] * np.arange(c, max_exp + 1) % p
     return D
@@ -369,12 +363,12 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     A21 A11^-1 = L21 L11^-1, with L11^-1 from one swap-free run of the loop
     on [L11 | I]; of the panel only that multiplier is kept, in the columns
     top..rank-1 of one array of multipliers for every panel, whose rows take
-    every later swap. Each new panel is caught up from
-    every earlier one, oldest first, to A22 - A21 A11^-1 A12 by BLAS, A12
-    being the earlier pivot rows in the panel's columns. Only the rows whose
-    L21 row is nonzero take part, and a panel with none keeps no
-    multiplier. The panel then holds exactly the values one pass of the loop
-    over every column leaves there, so every pivot is the same.
+    every later swap. Each new panel is caught up from every earlier one,
+    oldest first, to A22 - A21 A11^-1 A12 by BLAS, A12 being the earlier
+    pivot rows in the panel's columns. Only the rows whose L21 row is
+    nonzero take part, and a panel with none keeps no multiplier. The panel
+    then holds exactly the values one pass of the loop over every column
+    leaves there, so every pivot is the same.
     """
     if not isinstance(matrix, ColumnSource):
         A = np.asarray(matrix)

@@ -619,13 +619,14 @@ class TestOwnership:
         # its first trial at column 704 of 1645: peaks near those columns
         # alone, 1.5 times them with the 684 x 684 array of multipliers (with
         # the whole matrix built and eliminated in place it read 1.2 times
-        # 684 x 1645, 3.3 times the columns reached)
+        # 684 x 1645, 2.8 times the columns reached)
         ranks, peak = traced_peak(lambda: hf_biproj_row(40, (40,), (8,) * 20))
         assert ranks == {40: 720}
         assert peak <= 1.6 * REACHED_BYTES, peak / REACHED_BYTES
 
     def test_wide_cell_peaks_near_its_reached_columns(self):
         # a 684 x 14605 matrix, 80 MB whole, that certifies at column 832
+        # (built whole it read 18 times those columns)
         ranks, peak = traced_peak(lambda: hf_biproj_row(120, (120,), (8,) * 20))
         assert ranks == {120: 720}
         assert peak <= 1.6 * 684 * 832 * 8, peak / (684 * 832 * 8)
