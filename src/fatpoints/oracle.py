@@ -560,16 +560,16 @@ def _killed(a: int, b: int, origin: int) -> int:
 
 def _bi_columns(deg: BiDegree, origin: int, columns: slice = slice(None)):
     """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major,
-    those at `columns` of them. They are b + 1 - max(0, origin - j) at each j
-    from max(0, origin - b), generated j by j, so a column range costs its
-    own size and one entry per j."""
+    those at `columns` of them. They are min(b + 1, b + 1 - origin + j) at
+    each j from max(0, origin - b), generated j by j, so a column range
+    costs its own size and one entry per j."""
+    b1 = deg.b + 1
     j0 = max(0, origin - deg.b)
-    ends = np.cumsum(np.minimum(np.arange(j0 + deg.b + 1 - origin, deg.a + deg.b + 2 - origin),
-                                deg.b + 1))
+    ends = np.minimum(np.arange(j0 + b1 - origin, deg.a + 1 + b1 - origin), b1).cumsum()
     c = np.arange(*columns.indices(int(ends[-1]) if ends.size else 0))
-    at = np.searchsorted(ends, c, side="right")
-    # the first kept l at j is b + 1 less the columns left there
-    return at + j0, c - ends[at] + deg.b + 1
+    at = ends.searchsorted(c, "right")
+    # the first kept l at j is b + 1 less the columns kept there
+    return at + j0, c + b1 - ends[at]
 
 
 def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0,
