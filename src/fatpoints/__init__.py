@@ -16,7 +16,6 @@ from .core import (
 from .formulas import (
     defective_family,
     hf_m_ge_b,
-    hf_triple,
     hf_uniform,
     table_region,
 )

@@ -1,15 +1,20 @@
 """Closed-form Hilbert functions, their dispatch, and the table fill.
 
-The known regions and their values:
+`hf_uniform` tries the known regions in this order (bidegree normalized so
+a >= b):
 
-* m = 1: simple points always impose independent conditions.
-* b <= m (bidegree normalized so a >= b): the low-bidegree theorem. Each
-  point contributes C(m+1,2) - C(m-b,2) conditions, capped by the space
-  dimension, except one odd-s family where the count drops by C(c+2,2).
-* m = 2, b >= 3: min((a+1)(b+1), 3s) with no exceptions.
-* m = 3: complete classification, four exceptional families plus one
-  sporadic cell.
-* m >= 4, b > m: open, except one infinite defective family (defect 1).
+1. b <= m: the low-bidegree theorem (`hf_m_ge_b`). Each point contributes
+   C(m+1,2) - C(m-b,2) conditions, capped by the space dimension, except
+   one odd-s family where the count drops by C(c+2,2).
+2. The one known infinite defective family (`defective_family`), defect 1.
+3. m <= 3: min((a+1)(b+1), s C(m+1,2)), no other exceptions. Simple points
+   always impose independent conditions; double points above b = 2 and
+   triple points above b = 3 do too, off the family.
+4. Otherwise unknown.
+
+So the triple-point function is complete: its b <= 3 cells are the
+low-bidegree theorem, odd-s families included, and its sporadic cell (5, 4)
+at s = 5 is the defective family's m = 3 member.
 
 Unknown is a first-class answer, never a guess; the oracle can fill those
 cells on request.
@@ -58,28 +63,6 @@ def hf_m_ge_b(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
     return hf_value(value, deg, pts)
 
 
-def hf_triple(deg: BiDegree, s: int) -> HFValue:
-    """Complete Hilbert function for triple points (m = 3), any bidegree."""
-    deg = deg.normalized
-    a, b = deg.a, deg.b
-    pts = UniformFatPoints(s, 3)
-    cap = deg.cells
-    if b == 0:
-        # bidegree (a, 0) forms see only the 3 pure-x conditions per point
-        value = min(a + 1, 3 * s)
-    elif b == 1 and 5 * s < 2 * (a + 1):
-        value = 5 * s
-    elif s % 2 == 1 and (a, b) in {(2 * s - 1, 2), ((3 * (s - 1)) // 2, 3)}:
-        value = cap - 1
-    elif s % 2 == 1 and (a, b) == ((3 * (s - 1)) // 2 + 1, 3):
-        value = 6 * s - 1
-    elif (s, a, b) == (5, 5, 4):
-        value = 29
-    else:
-        value = min(cap, 6 * s)
-    return hf_value(value, deg, pts)
-
-
 def defective_family(deg: BiDegree, pts: UniformFatPoints) -> HFValue | None:
     """The one known infinite defective family above the low-bidegree region.
 
@@ -98,21 +81,20 @@ def defective_family(deg: BiDegree, pts: UniformFatPoints) -> HFValue | None:
 def hf_uniform(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
     """Dispatch to the closed form covering (deg, pts), if any.
 
+    In order: b <= m is the low-bidegree theorem, then the defective
+    family, then m <= 3 is the parameter count min((a+1)(b+1), s C(m+1,2)).
     Returns an HFValue with known=False and value=None on the open region
     (m >= 4, min(a, b) > m, off the defective family).
     """
     deg = deg.normalized
-    m = pts.m
-    if m == 1:
-        return hf_value(min(deg.cells, pts.s), deg, pts)
-    if deg.b <= m:
+    if deg.b <= pts.m:
         return hf_m_ge_b(deg, pts)
-    if m == 2:
-        return hf_value(min(deg.cells, 3 * pts.s), deg, pts)
-    if m == 3:
-        return hf_triple(deg, pts.s)
     family = defective_family(deg, pts)
-    return family if family is not None else hf_value(None, deg, pts, known=False)
+    if family is not None:
+        return family
+    if pts.m <= 3:
+        return hf_value(min(deg.cells, pts.degree), deg, pts)
+    return hf_value(None, deg, pts, known=False)
 
 
 def table_region(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from fatpoints.cli import main
 from fatpoints.core import BiDegree, UniformFatPoints, binom
-from fatpoints.formulas import hf_triple, hf_uniform
+from fatpoints.formulas import hf_uniform
 from fatpoints.horace import (
     castelnuovo_check,
     diff_slice,
@@ -61,7 +61,7 @@ def test_criterion_2_triple_points_vs_oracle():
     for a in range(1, 13):
         for b in range(1, 13):
             for s in range(1, 13):
-                formula = hf_triple(BiDegree(a, b), s).value
+                formula = hf_uniform(BiDegree(a, b), UniformFatPoints(s, 3)).value
                 A, B = max(a, b), min(a, b)
                 if (B, s) not in cache:
                     # one row holds every A: hf_biproj(A, B) is its entry A

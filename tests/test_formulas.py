@@ -8,7 +8,6 @@ from fatpoints.core import BiDegree, Source, UniformFatPoints, binom, hf_value
 from fatpoints.formulas import (
     defective_family,
     hf_m_ge_b,
-    hf_triple,
     hf_uniform,
     table_region,
 )
@@ -54,25 +53,25 @@ class TestMGeB:
 
 class TestTriple:
     def test_theorem_cells(self):
-        assert val(hf_triple(BiDegree(5, 4), 5)) == 29
-        assert val(hf_triple(BiDegree(3, 3), 3)) == 15
-        assert val(hf_triple(BiDegree(4, 3), 3)) == 17
-        assert val(hf_triple(BiDegree(9, 1), 3)) == 15
-        assert val(hf_triple(BiDegree(2, 2), 1)) == 6
+        assert val(hf_uniform(BiDegree(5, 4), UniformFatPoints(5, 3))) == 29
+        assert val(hf_uniform(BiDegree(3, 3), UniformFatPoints(3, 3))) == 15
+        assert val(hf_uniform(BiDegree(4, 3), UniformFatPoints(3, 3))) == 17
+        assert val(hf_uniform(BiDegree(9, 1), UniformFatPoints(3, 3))) == 15
+        assert val(hf_uniform(BiDegree(2, 2), UniformFatPoints(1, 3))) == 6
 
     def test_row_two_family(self):
         # s odd, (a, b) = (2s-1, 2)
-        assert val(hf_triple(BiDegree(9, 2), 5)) == 29
-        assert val(hf_triple(BiDegree(13, 2), 7)) == 41
+        assert val(hf_uniform(BiDegree(9, 2), UniformFatPoints(5, 3))) == 29
+        assert val(hf_uniform(BiDegree(13, 2), UniformFatPoints(7, 3))) == 41
 
     def test_normalizes(self):
-        assert val(hf_triple(BiDegree(4, 5), 5)) == 29
+        assert val(hf_uniform(BiDegree(4, 5), UniformFatPoints(5, 3))) == 29
 
     @given(st.integers(0, 100), st.integers(0, 3), st.integers(0, 50))
     @settings(max_examples=400, derandomize=True)
     def test_agrees_with_m_ge_b_low_columns(self, a, b, s):
         deg = BiDegree(max(a, b), min(a, b))
-        lhs = hf_triple(deg, s).value
+        lhs = hf_uniform(deg, UniformFatPoints(s, 3)).value
         rhs = hf_m_ge_b(deg, UniformFatPoints(s, 3)).value
         assert lhs == rhs
 
@@ -111,7 +110,8 @@ class TestUniformDispatch:
         assert hf_uniform(BiDegree(4, 9), pts) == hf_value(min(deg.cells, 2), deg, pts)
         pts = UniformFatPoints(2, 4)
         assert hf_uniform(deg, pts) == hf_m_ge_b(deg, pts)
-        assert hf_uniform(deg, UniformFatPoints(2, 3)) == hf_triple(deg, 2)
+        pts = UniformFatPoints(2, 3)
+        assert hf_uniform(deg, pts) == hf_value(min(deg.cells, 6 * 2), deg, pts)
         pts = UniformFatPoints(2, 2)
         assert hf_uniform(deg, pts) == hf_value(min(deg.cells, 3 * 2), deg, pts)
 
@@ -170,6 +170,13 @@ class TestReferenceParity:
                             continue
                         hf = hf_uniform(BiDegree(a, b), UniformFatPoints(s, m))
                         assert hf.value == expected, (m, s, a, b)
+        # a taller triple-point strip: the odd-s families past s = 12
+        for s in range(0, 31):
+            pts = UniformFatPoints(s, 3)
+            for a in range(0, 31):
+                for b in range(0, 31):
+                    hf = hf_uniform(BiDegree(a, b), pts)
+                    assert hf.value == reference_dispatch(3, s, a, b), (3, s, a, b)
 
 
 class TestHighColumnRoutes:
