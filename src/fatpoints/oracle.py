@@ -561,12 +561,14 @@ def _killed(a: int, b: int, origin: int) -> int:
 def _bi_columns(deg: BiDegree, origin: int, columns: slice = slice(None)):
     """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major,
     those at `columns` of them. They are min(b + 1, b + 1 - origin + j) at
-    each j from max(0, origin - b), generated j by j, so a column range
-    costs its own size and one entry per j."""
+    each j from max(0, origin - b), at least one, so column c lies at some
+    j <= j0 + c and a column range costs its own size and one entry per j up
+    to its last column's."""
     b1 = deg.b + 1
     j0 = max(0, origin - deg.b)
-    ends = np.minimum(np.arange(j0 + b1 - origin, deg.a + 1 + b1 - origin), b1).cumsum()
-    c = np.arange(*columns.indices(int(ends[-1]) if ends.size else 0))
+    c = np.arange(*columns.indices(deg.cells - _killed(deg.a, deg.b, origin)))
+    reach = min(deg.a + 1, j0 + int(c.max(initial=-1)) + 1)
+    ends = np.minimum(np.arange(j0 + b1 - origin, reach + b1 - origin), b1).cumsum()
     at = ends.searchsorted(c, "right")
     # the first kept l at j is b + 1 less the columns kept there
     return at + j0, c + b1 - ends[at]

@@ -1122,6 +1122,12 @@ class TestBiModel:
                                                            UniformFatPoints(1, 30000000)))
         assert cells == {(30000000, 0): 30000000}
         assert peak < 2**20
+        # and the first 65 columns of that box at origin 1, a first panel of
+        # a one-row matrix, cost their own size, not one entry per j of it
+        (j, l), peak = traced_peak(lambda: oracle_module._bi_columns(BiDegree(30000000, 0),
+                                                                    1, slice(0, 65)))
+        assert j.tolist() == list(range(1, 66)) and l.tolist() == [0] * 65
+        assert peak < 2**20
 
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 30))
     @settings(max_examples=300, derandomize=True, deadline=None)
