@@ -466,8 +466,10 @@ def require_memory(need: int, subject: str, purpose: str):
 def _require_fits(runs, cols: int) -> int:
     """The runs' rows, the one count behind a size check; a ValueError if too large."""
     rows = sum(n * sum(widths) for widths, n, _ in runs)
-    # a matrix with no rows still allocates its column index arrays
-    require_memory(conditions_bytes(max(rows, 1), cols),
+    # a matrix with no rows still allocates its column index arrays, and a
+    # row call with no columns still holds its points' multiplicities, 8
+    # bytes a point, which one column's 40 bytes a row cover
+    require_memory(conditions_bytes(max(rows, 1), max(cols, 1)),
                    f"a {rows} x {cols} conditions matrix", "to eliminate")
     return rows
 

@@ -910,7 +910,7 @@ def refused_shape(guard, *args):
 def one_page_names(shape):
     """What a guard that counts a matrix of this shape names under one page."""
     rows, cols = shape
-    return shape if conditions_bytes(max(rows, 1), cols) > 4096 else None
+    return shape if conditions_bytes(max(rows, 1), max(cols, 1)) > 4096 else None
 
 
 def whole(matrix):
