@@ -46,8 +46,11 @@ for plane degree d and a segment for the line. Each model states its rows
 once, as runs (widths, count, on_line) of equal width profile clamped to
 the rows that can be nonzero, and that one list feeds the size guard
 _require_fits, the only row count, the rank bound and the builder. The
-builder fills one derivative table for all points together, row 0 by the
-powers t^j = t^(j-1) t and row c by d^c t^j = j d^(c-1) t^(j-1). Each run
+builder fills one derivative table per axis for all points together, over
+the exponents its columns use on that axis: row 0 by the powers t^j =
+t^(j-1) t from t^j0, which repeated squaring gives, and row c by d^c t^j =
+j d^(c-1) t^(j-1), with j0 the derivative orders less one below the axis's
+smallest exponent, so a panel of a wide row costs its own width. Each run
 takes one gather of its x factors straight into its rows, one multiply per
 level by the y factor and one remainder, all in place. The bidegree model
 is one run and the plane model a few, so the builder's Python-level work
@@ -214,20 +217,36 @@ def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]
     return tuple(zip(xs, ys))
 
 
-def _derivative_tables(coords, orders: int, max_exp: int, p: int) -> np.ndarray:
-    """D[..., c, j] = d^c/dt^c t^j mod p at each t of coords, for c < orders
-    and j <= max_exp, one table filled for every t at once by two
-    recurrences: row 0 holds the powers, t^j = t^(j-1) t, and row c holds
-    d^c t^j = j d^(c-1) t^(j-1) for j >= c and zero below.
+def _derivative_tables(coords, orders: int, starts, width: int, p: int) -> np.ndarray:
+    """D[k, ..., c, i] = d^c/dt^c t^j mod p at each t of coords[k], for
+    j = starts[k] + i, i < width and c < orders: one table per axis k,
+    filled for every t at once by two recurrences. Row 0 holds the powers,
+    t^j = t^(j-1) t from t^starts[k], and row c holds d^c t^j = j d^(c-1)
+    t^(j-1), so it is left zero at its first c places: d^c t^j is zero for
+    j < c, and a table that starts above t^0 starts orders - 1 below the
+    smallest exponent read from it.
     """
     coords = np.asarray(coords, dtype=np.int64) % p
-    D = np.zeros(coords.shape + (orders, max_exp + 1), dtype=np.int64)
-    D[..., 0, 0] = 1
-    for j in range(1, max_exp + 1):
-        D[..., 0, j] = D[..., 0, j - 1] * coords % p
+    D = np.zeros(coords.shape + (orders, width), dtype=np.int64)
+    D[..., 0, 0] = _powers(coords, starts, p) if any(starts) else 1
+    for i in range(1, width):
+        D[..., 0, i] = D[..., 0, i - 1] * coords % p
+    # the exponent j of each place i of each axis's table
+    exps = np.add.outer(starts, np.arange(width))[:, None]
     for c in range(1, orders):
-        D[..., c, c:] = D[..., c - 1, c - 1 : max_exp] * np.arange(c, max_exp + 1) % p
+        D[..., c, c:] = D[..., c - 1, c - 1 : width - 1] * exps[..., c:] % p
     return D
+
+
+def _powers(coords, starts, p: int) -> np.ndarray:
+    """t^starts[k] mod p at each t of coords[k], by repeated squaring."""
+    out = np.ones_like(coords)
+    base, e = coords.copy(), np.array(starts)[:, None]
+    while e.any():
+        out = np.where(e & 1, out * base % p, out)
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 # A matrix of at most this many entries starts with a first panel of
@@ -488,13 +507,16 @@ def conditions_matrix(points, runs, xexp, yexp, p: int, *, slope: int = 0) -> np
     profile (m, ..., 1); a point on the line takes its SliceProfile widths.
     Rows run point by point, then by level, then by c.
 
-    The derivative tables DX and DY of all points are one table, filled
-    together by two recurrences: t^j = t^(j-1) t for the powers in row 0,
-    and d^c t^j = j d^(c-1) t^(j-1) for row c, zero where j < c. The rows of
-    a chart run are written in place in the preallocated matrix: one gather
-    puts the x factor d^c x^j of every row (c, e) of the run straight into
-    it, each level is then multiplied by its y factor d^e y^l, and one
-    remainder reduces the run. The temporaries are the run's x table, one
+    The derivative tables DX and DY of all points span the x and the y
+    exponents of the columns, each from orders - 1 below its axis's smallest
+    exponent, the lowest power a row of derivative order below orders reads,
+    to its largest. They are filled together by two recurrences: t^j =
+    t^(j-1) t from t^j0 for the powers in row 0, and d^c t^j = j d^(c-1)
+    t^(j-1) for row c, zero where j < c. The rows of a chart run are
+    written in place in the preallocated matrix: one gather puts the x
+    factor d^c x^j of every row (c, e) of the run straight into it, each
+    level is then multiplied by its y factor d^e y^l, and one remainder
+    reduces the run. The temporaries are the run's x table, one
     row of DX per row of a point, and the y factor of a level, one row per
     point; no temporary grows with the rows of a point times the columns.
     On the line, d_u^c d_v^e = (d_x + d_y)^c (d_x + slope d_y)^e is
@@ -515,8 +537,11 @@ def conditions_matrix(points, runs, xexp, yexp, p: int, *, slope: int = 0) -> np
     xexp, yexp = (np.broadcast_to(e, shape) for e in (xexp, yexp))
     # a row d_u^c d_v^e takes derivatives of order up to c + e in x and in y
     orders = max(w + e for widths, _, _ in runs for e, w in enumerate(widths))
-    DX, DY = _derivative_tables(np.transpose(coords), orders,
-                                int(max(xexp.max(), yexp.max())), p)
+    starts = [max(0, int(e.min()) - orders + 1) for e in (xexp, yexp)]
+    width = max(int(xexp.max()) - starts[0], int(yexp.max()) - starts[1]) + 1
+    DX, DY = _derivative_tables(np.transpose(coords), orders, starts, width, p)
+    if any(starts):
+        xexp, yexp = xexp - starts[0], yexp - starts[1]
     r = i = 0
     for widths, n, on_the_line in runs:
         size = sum(widths)

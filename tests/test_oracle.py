@@ -784,6 +784,25 @@ class TestConditionsMatrix:
             assert M.shape == shape
             assert peak <= bound * M.nbytes, (shape, peak / M.nbytes)
 
+    def test_tables_span_only_the_exponents_of_the_columns(self):
+        # the one column x^300000 that a 300000-fold origin leaves of the
+        # (300000, 0) box reads t^300000 of the one point drawn, not the
+        # powers t^0 .. t^300000 of both its coordinates (about 7 MB)
+        cells, peak = traced_peak(lambda: hf_biproj_row(0, (300000,), (300000, 1)))
+        assert cells == {300000: 300001}
+        assert peak < 2**20
+        # tables that start above t^0 on both axes, off and on the line
+        p = DEFAULT_PRIME
+        profiles = [fat_profile(3), (2, 1), (3, 2)]
+        points = list(sample_support(4, 3, p))
+        xexp, yexp = np.arange(40, 46)[:, None], np.arange(30, 33)
+        for on_line in (0, 2):
+            M = conditions_matrix(points, profile_runs(profiles, on_line), xexp, yexp, p,
+                                  slope=7)
+            reference = reference_conditions_matrix(points, profiles, xexp, yexp, p,
+                                                    on_line=on_line, slope=7)
+            assert np.array_equal(M, reference), on_line
+
     def test_reduction_holds_on_a_grid(self, fast_oracle):
         # every corner is a chart point now, with or without on-line points
         for a in range(1, 6):
