@@ -9,6 +9,11 @@ ZeroDivisionError) from ending in a traceback. FATPOINTS_PRIME and
 FATPOINTS_SEED preload the corresponding flags; explicit flags win. The
 integer flags other than --m must be nonnegative when parsed; --m may be
 any integer and is validated later, by UniformFatPoints.
+
+Each call builds its parser anew and adds the arguments of the command it
+runs only: every command is registered with its help line, so the help,
+usage and error text are those of the parser with every command's
+arguments, and a first token that names no command gets that parser.
 """
 
 import argparse
@@ -240,57 +245,81 @@ def cmd_horace(args) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _hf_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "a", "b", "m", "s")
+    parser.add_argument("--mode", choices=["auto", "formula", "oracle"], default="auto")
+    parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    _oracle_args(parser)
+
+
+def _table_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "m", "s", "amax", "bmax")
+    parser.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    parser.add_argument("--mark-defective", action="store_true",
+                        help="append * to defective cells in text output")
+    parser.add_argument("--oracle-unknown", action="store_true",
+                        help="resolve unknown cells with the rank oracle (marked ?)")
+    _oracle_args(parser)
+
+
+def _verify_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "m", "s", "amax", "bmax")
+    _oracle_args(parser)
+
+
+def _defects_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "m", "s", "amax", "bmax")
+    parser.add_argument("--format", choices=["text", "csv", "json"], default="text")
+
+
+def _reduce_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "a", "b", "m", "s")
+    _oracle_args(parser)
+
+
+def _horace_arguments(parser: argparse.ArgumentParser):
+    _int_args(parser, "a", "b", "s")
+    _oracle_args(parser)
+
+
+# each command's help line, handler and arguments, in the order help lists them
+COMMANDS = {
+    "hf": ("one Hilbert-function value", cmd_hf, _hf_arguments),
+    "table": ("grid of values, b rows by a columns", cmd_table, _table_arguments),
+    "verify": ("compare formulas against the oracle", cmd_verify, _verify_arguments),
+    "defects": ("list defective cells in a rectangle", cmd_defects, _defects_arguments),
+    "reduce": ("show the plane model and confirm it", cmd_reduce, _reduce_arguments),
+    "horace": ("run the two-step trace for triple points", cmd_horace, _horace_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, each registered with its help line; only
+    `command`'s arguments are added when it names a command, and every
+    command's otherwise.
+
+    The top-level parser has no option but -h, so an argument list whose
+    first token names a command is always dispatched to that command, and
+    the help, usage and error text, which list the registered names, are
+    the same as with every command's arguments added.
+    """
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Hilbert functions of equal-multiplicity fat points on "
                     "the doubly ruled quadric, with an exact rank oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_hf = sub.add_parser("hf", help="one Hilbert-function value")
-    _int_args(p_hf, "a", "b", "m", "s")
-    p_hf.add_argument("--mode", choices=["auto", "formula", "oracle"], default="auto")
-    p_hf.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    _oracle_args(p_hf)
-    p_hf.set_defaults(func=cmd_hf)
-
-    p_table = sub.add_parser("table", help="grid of values, b rows by a columns")
-    _int_args(p_table, "m", "s", "amax", "bmax")
-    p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p_table.add_argument("--mark-defective", action="store_true",
-                         help="append * to defective cells in text output")
-    p_table.add_argument("--oracle-unknown", action="store_true",
-                         help="resolve unknown cells with the rank oracle (marked ?)")
-    _oracle_args(p_table)
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="compare formulas against the oracle")
-    _int_args(p_verify, "m", "s", "amax", "bmax")
-    _oracle_args(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_defects = sub.add_parser("defects", help="list defective cells in a rectangle")
-    _int_args(p_defects, "m", "s", "amax", "bmax")
-    p_defects.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p_defects.set_defaults(func=cmd_defects)
-
-    p_reduce = sub.add_parser("reduce", help="show the plane model and confirm it")
-    _int_args(p_reduce, "a", "b", "m", "s")
-    _oracle_args(p_reduce)
-    p_reduce.set_defaults(func=cmd_reduce)
-
-    p_horace = sub.add_parser("horace", help="run the two-step trace for triple points")
-    _int_args(p_horace, "a", "b", "s")
-    _oracle_args(p_horace)
-    p_horace.set_defaults(func=cmd_horace)
-
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command not in COMMANDS or command == name:
+            add_arguments(subparser)
+            subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -7,11 +8,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from fatpoints.cli import RECORD_KEYS, main
+from fatpoints.cli import RECORD_KEYS, build_parser, main
 from fatpoints.formulas import _TABLE_BYTES_PER_CELL
 from fatpoints.horace import verify_chain
 from fatpoints.oracle import hf_biproj_row
@@ -635,3 +637,58 @@ class TestEnvironment:
                      "--mode", "oracle"])
         assert code == 2
         capsys.readouterr()
+
+
+CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())
+VERIFY_ARGV = ["verify", "--m", "2", "--s", "1", "--amax", "1", "--bmax", "1"]
+VERIFY_OPTIONS = ["--m", "--s", "--amax", "--bmax", "--trials", "--seed", "--prime"]
+COMMANDS = ["hf", "table", "verify", "defects", "reduce", "horace"]
+
+
+@contextmanager
+def added_arguments(monkeypatch):
+    """The arguments added to each parser in the block, by prog, help aside."""
+    added = {}
+    original = argparse.ArgumentParser.add_argument
+
+    def recording(self, *names, **kwargs):
+        if names != ("-h", "--help"):
+            added.setdefault(self.prog, []).extend(names)
+        return original(self, *names, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "add_argument", recording)
+        yield added
+
+
+class TestParserPerCommand:
+    def test_a_call_adds_its_own_commands_arguments_only(self, capsys, monkeypatch):
+        with added_arguments(monkeypatch) as added:
+            assert main(VERIFY_ARGV) == 0
+        assert capsys.readouterr().out == "4/4 cells confirmed\n"
+        assert added == {"fatpoints verify": VERIFY_OPTIONS}
+
+    def test_argv_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fatpoints"] + VERIFY_ARGV)
+        with added_arguments(monkeypatch) as added:
+            assert main() == 0
+        assert capsys.readouterr().out == "4/4 cells confirmed\n"
+        assert added == {"fatpoints verify": VERIFY_OPTIONS}
+
+    def test_a_first_token_naming_no_command_adds_every_command(self, capsys, monkeypatch):
+        with added_arguments(monkeypatch) as every:
+            build_parser()
+        assert list(every) == [f"fatpoints {name}" for name in COMMANDS]
+        assert every["fatpoints verify"] == VERIFY_OPTIONS
+        for argv in (["-h", "verify"], ["bogus"], []):
+            with added_arguments(monkeypatch) as added, pytest.raises(SystemExit):
+                main(argv)
+            capsys.readouterr()
+            assert added == every, argv
+
+    @pytest.mark.parametrize("argv", [entry["argv"] for entry in CORPUS["entries"]
+                                      if not entry["argparse"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_command_parser_parses_as_the_whole_parser(self, argv):
+        # every corpus command that parses, func included
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
