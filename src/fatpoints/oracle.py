@@ -228,7 +228,9 @@ def _derivative_tables(coords, orders: int, starts, width: int, p: int) -> np.nd
     """
     coords = np.asarray(coords, dtype=np.int64) % p
     D = np.zeros(coords.shape + (orders, width), dtype=np.int64)
-    D[..., 0, 0] = _powers(coords, starts, p) if any(starts) else 1
+    # pow takes t^starts[k] by repeated squaring
+    D[..., 0, 0] = ([[pow(t, j, p) for t in axis] for axis, j in zip(coords.tolist(), starts)]
+                    if any(starts) else 1)
     for i in range(1, width):
         D[..., 0, i] = D[..., 0, i - 1] * coords % p
     # the exponent j of each place i of each axis's table
@@ -236,17 +238,6 @@ def _derivative_tables(coords, orders: int, starts, width: int, p: int) -> np.nd
     for c in range(1, orders):
         D[..., c, c:] = D[..., c - 1, c - 1 : width - 1] * exps[..., c:] % p
     return D
-
-
-def _powers(coords, starts, p: int) -> np.ndarray:
-    """t^starts[k] mod p at each t of coords[k], by repeated squaring."""
-    out = np.ones_like(coords)
-    base, e = coords.copy(), np.array(starts)[:, None]
-    while e.any():
-        out = np.where(e & 1, out * base % p, out)
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 # A matrix of at most this many entries starts with a first panel of
