@@ -293,7 +293,7 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, each registered with its help line; only
     `command`'s arguments are added when it names a command, and every
     command's otherwise.
