@@ -663,7 +663,8 @@ def require_plane_fits(d: int, corners, general, line=()) -> list:
     return runs
 
 
-def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int, int]:
+def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig, *,
+               tighten=None) -> dict[int, int]:
     """For each cut c in bounds, the max over trials of the rank of the first
     c columns.
 
@@ -675,7 +676,11 @@ def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int,
     rank of the first c columns is the number of pivots before column c.
     bounds[c] is the model's upper bound on that rank on any support, at
     most the rows: no trial passes it, so a cut at its bound cannot move,
-    and once every value reaches its bound the trials stop. The cuts are
+    and once every value reaches its bound the trials stop. A cut's bound
+    comes from one of two rules: the rows (_rank_bound), or, where tighten
+    is given, tighten(c), a second bound on any support that the loop asks
+    for once, after trial 0, and only for the cuts still below their rows;
+    hf_biproj_row's is the curve steps of _curve_bound. The cuts are
     prefixes, so each value is the one all cfg.trials on every column would
     give. When every bound is 0 there is nothing to eliminate, and no trial
     draws.
@@ -683,6 +688,9 @@ def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig) -> dict[int,
     best = dict.fromkeys(bounds, 0)
     rows = _require_fits(runs, max(bounds))
     for trial in range(cfg.trials):
+        if trial == 1 and tighten is not None:
+            bounds = {c: min(bound, tighten(c)) if best[c] < bound else bound
+                      for c, bound in bounds.items()}
         cols = max((c for c in bounds if best[c] < bounds[c]), default=0)
         if not cols:
             break
@@ -739,6 +747,41 @@ def _rank_bound(levels, runs, caps=()) -> int:
     return min(rows, sum(levels))
 
 
+def _curve_bound(a: int, b: int, m: int, s: int, memo: dict) -> int:
+    """An upper bound, on any support, on the rank of the conditions of s
+    m-fold points on the bidegree (a, b) box, by curve steps; memo holds the
+    bounds already found for this s, keyed by (a, b, m).
+
+    It starts from min((a+1)(b+1), s C(m+1, 2)), the columns or the rows.
+    Let L = (a, b; m^s) and E = (alpha, beta; mu^s) with (alpha+1)(beta+1) >
+    s C(mu+1, 2). The forms of bidegree (alpha, beta) outnumber the
+    conditions of s mu-fold points, so a nonzero one, F, vanishes to order
+    mu at the s points on every support. Multiplying by F embeds the ideal
+    of L - E = (a-alpha, b-beta; (m-mu)^s) in the ideal of L, so the ideal of
+    L has dimension at least cells(L - E) - rank(L - E), and
+    rank(L) <= cells(L) - cells(L - E) + bound(L - E). This is the residual
+    exact sequence of the Horace steps, with a curve where they take a line.
+    For each mu <= m and beta <= b, alpha is the least such, and the step
+    is taken when alpha <= a and L.E = a beta + b alpha - s m mu < 0, where
+    F's curve is a fixed part of L. At (9, 6) with five 5-fold points, C^4 D
+    lies in the ideal, C the (2, 1) curve and D the (1, 2) curve through
+    the points, and the bound is the rank, 69.
+    """
+    key = (a, b, m)
+    if key not in memo:
+        cells = (a + 1) * (b + 1)
+        bound = min(cells, s * binom(m + 1, 2))
+        for mu in range(1, m + 1):
+            conditions = s * binom(mu + 1, 2)
+            for beta in range(b + 1):
+                alpha = conditions // (beta + 1)
+                if alpha <= a and a * beta + b * alpha < s * m * mu:
+                    bound = min(bound, cells - (a - alpha + 1) * (b - beta + 1)
+                                + _curve_bound(a - alpha, b - beta, m - mu, s, memo))
+        memo[key] = bound
+    return memo[key]
+
+
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
@@ -761,10 +804,14 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     # two cells share a cut only when no column of it is left, and then both
     # bounds are 0
     bounds = {cut[a]: min(_rank_bound((a + 1,) * (b + 1), runs), cut[a]) for a in cells}
+    tighten = None
+    if len(set(mults)) == 1:
+        at, memo = {cut[a]: a for a in cells}, {}
+        tighten = lambda c: _curve_bound(at[c], b, origin, len(mults), memo) - killed[at[c]]
     ranks = _max_ranks(("bi", b, mults), sum(n for _, n, _ in runs), runs,
                        lambda points, columns: bi_conditions_matrix(
                            deg, runs, points, cfg.prime, origin=origin, columns=columns),
-                       bounds, cfg)
+                       bounds, cfg, tighten=tighten)
     return {a: killed[a] + ranks[cut[a]] for a in cells}
 
 

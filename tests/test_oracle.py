@@ -56,6 +56,7 @@ from reference_builder import (
     triangle_conditions,
     triangle_conditions_matrix,
 )
+from test_corpus import replay
 
 
 def profile_runs(profiles, on_line=0):
@@ -1322,10 +1323,17 @@ def eliminations(monkeypatch):
     return calls
 
 
+# five points, one of them 4-fold: at (9, 6) their rank is 67 against 70
+# rows. A row of unequal multiplicities keeps its row bounds, so a cell like
+# this one stays below its bound and takes every trial
+UNEQUAL = (5, 5, 5, 5, 4)
+
+
 class TestEarlyStop:
     """Trials stop once every requested rank reaches its model's bound: the
-    rows that can be nonzero on the cut's columns, capped by the cut. The
-    values must equal the max over every trial."""
+    rows that can be nonzero on the cut's columns, capped by the cut, or for
+    equal multiplicities the curve bound. The values must equal the max over
+    every trial."""
 
     def test_criterion_2_and_3_grids(self, oracle, eliminations):
         rows = 0
@@ -1345,15 +1353,12 @@ class TestEarlyStop:
 
     def test_golden_table_rows(self, oracle, eliminations):
         grid = table_region(5, 5, 25, 18, oracle)
-        # cell (a, b) is read off row min(a, b): 11 of the 13 oracle rows
-        # certify every cell of both orientations on trial 1, and rows 6 and
-        # 7 hold the defective cells (9, 6), (10, 6), (11, 6), (8, 7), (9, 7)
-        assert len(eliminations) == 11 + 2 * oracle.trials
-        # after trial 1 every other cell of rows 6 and 7 is at its bound, so
-        # the later trials read only up to the cut of (11, 6), 12 * 7 less
-        # the 15 columns the origin kills, and of (9, 7), 10 * 8 - 15
-        assert eliminations[:6] == [(60, 26 * 7 - 15)] + [(60, 69)] * 2 + [(60, 26 * 8 - 15)] + [
-            (60, 65)] * 2
+        # cell (a, b) is read off row min(a, b), and each of the 13 oracle
+        # rows certifies every cell of both orientations on trial 1, over
+        # the whole row: 26 * (b + 1) columns less the 15 the origin kills.
+        # The defective cells (9, 6), (10, 6), (11, 6), (8, 7) and (9, 7)
+        # stay below their rows and reach their curve bounds
+        assert eliminations == [(60, 26 * (b + 1) - 15) for b in range(6, 19)]
         rows = {r: all_trials_row(25, r, [5] * 5, oracle) for r in range(6, 19)}
         resolved = 0
         for b, cells in enumerate(grid):
@@ -1372,10 +1377,10 @@ class TestEarlyStop:
             return kernel(M, p)
 
         monkeypatch.setattr(oracle_module, "rank_profile_mod_p", kept)
-        # a defective cell, so every trial runs
-        assert hf_biproj(BiDegree(6, 9), [5] * 5, oracle) == 69
+        # a defective cell of unequal multiplicities, so every trial runs
+        assert hf_biproj(BiDegree(6, 9), UNEQUAL, oracle) == 67
         first, drawn[:] = drawn[:], []
-        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        assert hf_biproj(BiDegree(9, 6), UNEQUAL, oracle) == 67
         assert len(first) == len(drawn) == oracle.trials
         assert all(np.array_equal(M, N) for M, N in zip(first, drawn))
 
@@ -1433,15 +1438,19 @@ class TestEarlyStop:
         assert len(eliminations) == 1
 
     def test_defective_cell_takes_every_trial(self, oracle, eliminations):
-        # rank 69 below min(75, 70): never certified
-        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        # rank 67 below min(70, 70), and a row of unequal multiplicities has
+        # no curve bound: never certified
+        assert hf_biproj(BiDegree(9, 6), UNEQUAL, oracle) == 67
         assert len(eliminations) == oracle.trials
 
     def test_golden_row_waits_for_its_defective_cell(self, oracle, eliminations):
-        grid = table_region(5, 5, 25, 6, oracle)
-        assert grid[6][9].value == 69
-        # rows 0 to 5 are all closed forms, so row 6 is the only oracle row
-        assert len(eliminations) == oracle.trials
+        # the golden table's row 6 with one point a 4-fold one: (9, 6) and
+        # (10, 6) stay below their rows, so every trial runs, and after
+        # trial 1 the later trials read only up to the cut of (10, 6),
+        # 11 * 7 less the 15 columns the origin kills
+        row = hf_biproj_row(6, range(6, 26), UNEQUAL, oracle)
+        assert (row[9], row[10]) == (67, 69)
+        assert eliminations == [(55, 26 * 7 - 15)] + [(55, 11 * 7 - 15)] * (oracle.trials - 1)
 
     def test_plane_scheme(self, oracle, eliminations):
         # one 6-fold corner imposes its 21 conditions on degree-10 forms,
@@ -1499,16 +1508,20 @@ class TestEarlyStop:
 
 
 def handed(call, *args):
-    """call(*args) and the bounds it hands the trial loop, by cut."""
-    bounds = {}
+    """call(*args), the row bounds it hands the trial loop, by cut, and
+    those bounds tightened by the trial loop's tighten at every cut; with no
+    tighten, the row bounds again."""
+    bounds, tightened = {}, {}
     loop = oracle_module._max_ranks
 
-    def kept(tags, count, runs, build, cut_bounds, cfg):
+    def kept(tags, count, runs, build, cut_bounds, cfg, *, tighten=None):
         bounds.update(cut_bounds)
-        return loop(tags, count, runs, build, cut_bounds, cfg)
+        tightened.update({c: min(bound, tighten(c)) if tighten else bound
+                          for c, bound in cut_bounds.items()})
+        return loop(tags, count, runs, build, cut_bounds, cfg, tighten=tighten)
 
     with mock.patch.object(oracle_module, "_max_ranks", kept):
-        return call(*args), bounds
+        return call(*args), bounds, tightened
 
 
 def origin_split(mults):
@@ -1598,13 +1611,19 @@ class TestRankBound:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_bidegree_bound_holds(self, a_max, b, mults):
         # each cut's bound and rank drop by the columns the origin kills
+        # and a row of equal multiplicities may tighten its bounds by its
+        # curve steps, never below a rank, and no other row may
         cfg = OracleConfig()
         ranks = all_trials_row(a_max, b, mults, cfg)
-        row, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
+        row, bounds, tightened = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
         origin = origin_split(mults)[0]
         for a, rank in enumerate(ranks):
             dead = box_killed(a, b, origin)
-            assert bounds[(a + 1) * (b + 1) - dead] + dead == box_reference(a, b, mults) >= rank, a
+            cut = (a + 1) * (b + 1) - dead
+            assert bounds[cut] + dead == box_reference(a, b, mults) >= rank, a
+            assert bounds[cut] >= tightened[cut] >= rank - dead, a
+        if len(set(mults)) != 1:
+            assert tightened == bounds
         assert row == dict(enumerate(ranks))
 
     @given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3),
@@ -1614,11 +1633,12 @@ class TestRankBound:
         cfg = OracleConfig()
         scheme = PlaneScheme(corner_a, corner_b, tuple(general), tuple(on_line))
         value = all_trials_plane(d, scheme, cfg)
-        got, bounds = handed(hf_plane, d, scheme, cfg)
+        got, bounds, tightened = handed(hf_plane, d, scheme, cfg)
         cols = plane_columns(d, scheme)
         # with no column left there is nothing to bound, and no trial
         assert bounds.keys() == ({cols} if cols else set())
         assert bounds.get(cols, 0) >= cols - value
+        assert tightened == bounds  # the plane model has no curve bound
         assert got == value
 
     @given(st.integers(0, 6), st.integers(0, 4), st.lists(st.integers(0, 5), max_size=4),
@@ -1635,13 +1655,13 @@ class TestRankBound:
         # leaves unless it leaves the cut no column
         cfg = OracleConfig(trials=1)
         p = cfg.prime
-        _, bounds = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
+        _, bounds, _ = handed(hf_biproj_row, b, range(a_max + 1), mults, cfg)
         origin, others = origin_split(mults)
         M = bi_conditions_matrix(BiDegree(a_max, b), chart_runs(others),
                                  sample_support(1, len(others), p), p, origin=origin)
         assert bounds == {cut: rows_on_cut(M, cut) for cut in bounds}
         scheme = PlaneScheme(corner_a, corner_b, tuple(general))
-        _, bounds = handed(hf_plane, d, scheme, cfg)
+        _, bounds, _ = handed(hf_plane, d, scheme, cfg)
         M = plane_matrix(d, scheme, sample_support(1, len(general) + 1, p), p)
         cols = M.shape[1]
         assert bounds == ({cols: rows_on_cut(M, cols)} if cols else {})
@@ -1664,6 +1684,65 @@ class TestRankBound:
             assert rank_mod_p(M[levels == e], p) <= max(d - e + 1, 0), e
 
 
+class TestCurveBound:
+    """_curve_bound, the rank bound of equal multiplicities by curve steps:
+    no trial on any support passes it, it meets the defective cells, and the
+    trial loop asks for it only when a cut is left below its rows."""
+
+    def test_by_hand(self, oracle, eliminations):
+        # five 5-fold points at (9, 6): 70 columns and 75 rows. The (2, 1)
+        # forms outnumber the 5 conditions of simple points, so a curve C
+        # passes through them, and so does a (1, 2) curve D; C^4 D, of
+        # bidegree (9, 6), vanishes to order 5 at every point: one step
+        # takes E = (2, 1; 1^5) off, with L.E = 9 + 12 - 25 < 0, down to
+        # (7, 5; 4^5), where the same curves give C^3 D. Each ideal has a
+        # dimension of at least 1, so the rank is at most 69, and it is 69
+        assert oracle_module._curve_bound(9, 6, 5, 5, {}) == 69
+        assert oracle_module._curve_bound(7, 5, 4, 5, {}) == 47
+        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        assert len(eliminations) == 1
+        # with no curve step the bound is the rows or the columns
+        assert oracle_module._curve_bound(12, 7, 5, 5, {}) == 75
+        assert oracle_module._curve_bound(3, 2, 5, 5, {}) == 12
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_defective_family(self, m, oracle, eliminations):
+        # a = (2m-1)(m-2), b = m+1 and s = 4m-7 general m-fold points: the
+        # family's closed form, and its one cell certifies on trial 1
+        a, b, s = (2 * m - 1) * (m - 2), m + 1, 4 * m - 7
+        value = hf_uniform(BiDegree(a, b), UniformFatPoints(s, m)).value
+        assert value < min((a + 1) * (b + 1), s * binom(m + 1, 2))
+        assert oracle_module._curve_bound(a, b, m, s, {}) == value
+        assert hf_biproj(BiDegree(a, b), [m] * s, oracle) == value
+        assert len(eliminations) == 1
+
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 10), st.integers(0, 14))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_meets_every_rank_below_the_rows(self, m, s, b, a_max):
+        # never below the max over every trial, and equal to it wherever
+        # that is below the rows: m 1-6, s 1-12, b <= 10 and a <= 14 hold
+        # 142 such cells, and the bound meets each
+        ranks = all_trials_row(a_max, b, [m] * s, OracleConfig())
+        memo = {}
+        for a, rank in enumerate(ranks):
+            bound = oracle_module._curve_bound(a, b, m, s, memo)
+            assert bound >= rank, a
+            if rank < box_reference(a, b, [m] * s):
+                assert bound == rank, a
+
+    def test_certified_rows_never_ask_for_it(self, oracle, monkeypatch):
+        # the bound is asked for after trial 1, only for cuts still below
+        # their rows: a cell and a verify scan that certify on trial 1 take
+        # no curve step at all
+        curve = mock.Mock(wraps=oracle_module._curve_bound)
+        monkeypatch.setattr(oracle_module, "_curve_bound", curve)
+        assert hf_biproj(BiDegree(12, 7), [5] * 5, oracle) == 75
+        assert replay(["verify", "--m", "6", "--s", "10", "--amax", "5", "--bmax", "6"])["exit"] == 0
+        curve.assert_not_called()
+        assert hf_biproj(BiDegree(9, 6), [5] * 5, oracle) == 69
+        curve.assert_called()
+
+
 def record_points(monkeypatch, name, index):
     """Patch the oracle's builder `name` to keep, call by call, the points it
     receives as its argument at `index`."""
@@ -1684,10 +1763,10 @@ class TestDraw:
 
     def test_bidegree_row(self, oracle, monkeypatch):
         calls = record_points(monkeypatch, "bi_conditions_matrix", 2)
-        mults = (5,) * 5
-        # defective cells, so every trial runs; one point sits at the origin
-        # and the other four are drawn
-        assert hf_biproj_row(6, (9, 10), mults, oracle) == {9: 69, 10: 72}
+        mults = UNEQUAL
+        # defective cells of unequal multiplicities, so every trial runs;
+        # one 5-fold point sits at the origin and the other four are drawn
+        assert hf_biproj_row(6, (9, 10), mults, oracle) == {9: 67, 10: 69}
         assert calls == [list(sample_support(derive_seed(oracle.seed, "bi", 6, mults, t),
                                              4, oracle.prime)) for t in range(oracle.trials)]
 
