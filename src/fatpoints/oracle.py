@@ -7,12 +7,17 @@ integer polynomial of degree far below p in the coordinates, so each trial
 returns the generic rank except with probability bounded by degree/p; taking
 the maximum over trials only sharpens this. Both the bidegree and the plane
 model run their trials through _max_ranks, which draws each trial's support
-and stops the trials once every rank reaches its model's bound, so
-cfg.trials is an upper bound. The bound, _rank_bound, counts the rows that
-can be nonzero on the cut's columns on any support, those of each level on
-a line at most the trace count there, capped by the cut; no trial passes
-it, so no later trial could raise the maximum. Agreement under a second
-prime and under distinct seeds is part of the test suite.
+and stops the trials once every rank reaches its bound, so cfg.trials is an
+upper bound. A bound comes from one of two rules, and no trial on any
+support passes either, so no later trial could raise the maximum. The rows,
+_rank_bound, count the rows that can be nonzero on the cut's columns, those
+of each level on a line at most the trace count there, capped by the cut.
+The curve steps, _curve_bound, hold for a bidegree row of equal
+multiplicities: a form that vanishes to a lower order at every point exists
+on every support, and multiplying by it embeds a smaller box's ideal in the
+cell's. They are computed only for a cut still below its rows after the
+first trial. Agreement under a second prime and under distinct seeds is
+part of the test suite.
 
 Everything is deterministic, and every model draws its support the same way:
 sample_support(derive_seed(master seed, *tags, trial index), count, p), with
@@ -791,11 +796,14 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     _killed(a, b, m0) columns of the box plus the rank of the other points'
     rows on the columns left with j <= a: a prefix of the (max(cells), b)
     matrix, whose columns run j-major, so one elimination per trial gives
-    every cell. The origin's rows are its own term in the _rank_bound of the
-    box, so each cut's bound drops by the same count and stays sharp.
-    Exactly the cells asked for are returned, keyed by a, and only they can
-    hold the trials up: the trials stop once each has reached its bound. The
-    support does not depend on the cells.
+    every cell. Each cut's bound is its rows, _rank_bound, and when every
+    multiplicity is equal, for a cut still below that after the first
+    trial, also its curve steps, _curve_bound, which the trial loop asks
+    for then, with one memo for the row. The origin's rows are its own term
+    in either bound on the box, so each cut's bound drops by the same count
+    and stays sharp. Exactly the cells asked for are returned, keyed by a,
+    and only they can hold the trials up: the trials stop once each has
+    reached its bound. The support does not depend on the cells.
     """
     mults, cells = tuple(mults), tuple(cells)
     deg, runs, origin = _bi_row(b, cells, [(m, len(list(g))) for m, g in groupby(mults)], cfg)
