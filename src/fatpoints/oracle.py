@@ -115,7 +115,7 @@ import hashlib
 import math
 import os
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -823,15 +823,59 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     return {a: killed[a] + ranks[cut[a]] for a in cells}
 
 
+class _Boxes:
+    """The boxes whose values a row call has returned, and their transposes,
+    as two staircases over the rows b of a call, in increasing order:
+    least[i], the least a of an independent box (a, b') with b' <= b_i, its
+    value the degree, and most[i], the greatest a of a free box (a, b') with
+    b' >= b_i, its value its cells. A rank seen on any support is at most
+    the generic rank, so a box at the degree has independent conditions,
+    and so does every box around it; a box at its cells has no form, and
+    neither does any box inside it. Each staircase is monotone, so adding a
+    box stops at the first row it does not move, and a lookup is one index.
+    """
+
+    def __init__(self, rows, degree: int):
+        self.rows, self.degree = list(rows), degree
+        self.least, self.most = [math.inf] * len(self.rows), [-1] * len(self.rows)
+
+    def add(self, a: int, b: int, value: int):
+        for x, y in ((a, b), (b, a)):
+            if value == self.degree:
+                for i in range(bisect_left(self.rows, y), len(self.rows)):
+                    if self.least[i] <= x:
+                        break
+                    self.least[i] = x
+            if value == (a + 1) * (b + 1):
+                for i in range(bisect_right(self.rows, y) - 1, -1, -1):
+                    if self.most[i] >= x:
+                        break
+                    self.most[i] = x
+
+    def value(self, a: int, i: int) -> int | None:
+        """The value of the box (a, b_i) if a box added settles it, else None."""
+        if self.least[i] <= a:
+            return self.degree
+        if self.most[i] >= a:
+            return (a + 1) * (self.rows[i] + 1)
+        return None
+
+
 def hf_uniform_cells(cells, pts: UniformFatPoints,
                      cfg: OracleConfig = DEFAULT_CONFIG) -> dict[tuple[int, int], int]:
     """Generic Hilbert-function values of s general m-fold points at each
     bidegree (a, b) in cells, keyed by (a, b).
 
     HF(a, b) = HF(b, a), so each cell is read off the row of min(a, b) at
-    max(a, b): one hf_biproj_row call per row, asked for the cells of both
-    orientations at once. Every row is checked from (s, m) before the s
-    multiplicities exist and before the first elimination.
+    max(a, b). Every row is checked from (s, m) before the s multiplicities
+    exist and before the first elimination. The rows are then visited from
+    the outside in, the largest b first, then the smallest, and so on, and
+    each hf_biproj_row call is asked only for the cells that no box returned
+    so far settles by containment: a box around one whose value is the
+    degree s C(m+1, 2), or inside one whose value is its cells, has the
+    same kind of value, in either orientation (_Boxes). A row with no cell
+    left takes no call. Every settled value is exact, so the values are the
+    ones a call per row would give.
     """
     normal = {(a, b): BiDegree(a, b).normalized for a, b in cells}
     rows = {}
@@ -842,9 +886,18 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
         _bi_row(b, row, [(pts.m, pts.s)], cfg)
     if not rows:
         return {}
-    mults = (pts.m,) * pts.s
-    ranks = {b: hf_biproj_row(b, row, mults, cfg) for b, row in rows.items()}
-    return {cell: ranks[deg.b][deg.a] for cell, deg in normal.items()}
+    mults, boxes, values = (pts.m,) * pts.s, _Boxes(rows, pts.degree), {}
+    for k in range(len(rows)):
+        i = -1 - k // 2 if k % 2 == 0 else k // 2
+        b = boxes.rows[i]
+        for a in rows[b]:
+            values[a, b] = boxes.value(a, i)
+        asked = [a for a in rows[b] if values[a, b] is None]
+        if asked:
+            for a, value in hf_biproj_row(b, asked, mults, cfg).items():
+                values[a, b] = value
+                boxes.add(a, b, value)
+    return {cell: values[deg.a, deg.b] for cell, deg in normal.items()}
 
 
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

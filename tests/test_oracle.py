@@ -1353,12 +1353,17 @@ class TestEarlyStop:
 
     def test_golden_table_rows(self, oracle, eliminations):
         grid = table_region(5, 5, 25, 18, oracle)
-        # cell (a, b) is read off row min(a, b), and each of the 13 oracle
-        # rows certifies every cell of both orientations on trial 1, over
-        # the whole row: 26 * (b + 1) columns less the 15 the origin kills.
-        # The defective cells (9, 6), (10, 6), (11, 6), (8, 7) and (9, 7)
-        # stay below their rows and reach their curve bounds
-        assert eliminations == [(60, 26 * (b + 1) - 15) for b in range(6, 19)]
+        # cell (a, b) is read off row min(a, b), and the rows go from the
+        # outside in: 18, whose cells are all 75, the degree, and 6, whose
+        # cells from (12, 6) on are too, so every cell around (12, 6) or
+        # (6, 12) is 75 and asks for no row. Row 7 is asked for (7..11, 7)
+        # and row 8 for (8, 8) and (9, 8); (8, 8) is 75, so rows 9..17 take
+        # no call. Each call certifies on trial 1 up to its widest cell a:
+        # (a + 1) (b + 1) columns less the 15 the origin kills. The
+        # defective cells (9, 6), (10, 6), (11, 6), (8, 7) and (9, 7) stay
+        # below their rows and reach their curve bounds
+        assert eliminations == [(60, (a + 1) * (b + 1) - 15)
+                                for a, b in [(25, 18), (25, 6), (11, 7), (9, 8)]]
         rows = {r: all_trials_row(25, r, [5] * 5, oracle) for r in range(6, 19)}
         resolved = 0
         for b, cells in enumerate(grid):
