@@ -709,8 +709,8 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     """(max(cells), b), the widest bidegree of a row of points given in order
     as (multiplicity, count) pairs; the runs hf_biproj_row builds there, each
     point but the first of largest multiplicity m0, which sits at the origin,
-    with its rows of order at most a + b, those above vanishing on the box;
-    and m0. Raises a ValueError unless the cells are nonnegative, the prime
+    with its rows of order at most a + b and of level at most b, those of a
+    higher order or level vanishing on the box; and m0. Raises a ValueError unless the cells are nonnegative, the prime
     exceeds the degree and m0, and the runs fit in physical memory on the
     columns the origin leaves. From the pairs alone, so a caller can check a
     row before its multiplicities exist."""
@@ -722,7 +722,7 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     origin = max((m for m, n in pairs if n), default=0)
     cfg.require_degree(origin)
     at = next((i for i, (m, n) in enumerate(pairs) if n and m == origin), None)
-    runs = [(fat_profile(min(m, deg.a + b + 1)), n - (i == at), False)
+    runs = [(fat_profile(min(m, deg.a + b + 1))[: b + 1], n - (i == at), False)
             for i, (m, n) in enumerate(pairs) if n > (i == at)]
     _require_fits(runs, deg.cells - _killed(deg.a, b, origin))
     return deg, runs, origin

@@ -432,11 +432,12 @@ class TestOversizedPointCount:
     # 10^7 points of multiplicity 5 are 1.5 * 10^8 rows: the first row's
     # matrix is refused from (s, m), before the 80 MB tuple of multiplicities
     # the bidegree matrix leaves out the rows of the point at the origin and
-    # the 15 columns it kills (5 on a row b = 0); reduce refuses by its plane
-    # side, every point's rows against the whole box
+    # the 15 columns it kills (5 on a row b = 0, where each other point keeps
+    # only its 5 rows of level 0); reduce refuses by its plane side, every
+    # point's rows against the whole box
     @pytest.mark.parametrize("argv, rows, cols", [
         (["hf", "--a", "8", "--b", "7", "--m", "5", "--mode", "oracle"], 149999985, 57),
-        (["verify", "--m", "5", "--amax", "8", "--bmax", "7"], 149999985, 4),
+        (["verify", "--m", "5", "--amax", "8", "--bmax", "7"], 49999995, 4),
         (["reduce", "--a", "8", "--b", "7", "--m", "5"], 150000000, 72),
         (["table", "--m", "5", "--amax", "8", "--bmax", "7", "--oracle-unknown"], 149999985, 48),
     ], ids=["hf", "verify", "reduce", "table"])

@@ -975,18 +975,21 @@ class TestGuardCountsItsBuilder:
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=3), st.integers(0, 8),
            st.lists(st.integers(0, 6), max_size=5))
-    # multiplicities above a + b + 1 keep their rows of order a + b only
+    # multiplicities above a + b + 1 keep their rows of order a + b only,
+    # and those above b + 1 their rows of level b only
     @example([2], 3, [2_000_000_000, 2_000_000_000, 4])
+    @example([20], 0, [10, 10])
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_bidegree_rows(self, cells, b, mults):
         cfg = OracleConfig()
         counts = Counter(mults)
-        # every point but the origin's, with its rows of order at most a + b,
-        # on the columns the origin leaves; with no row or no column left
-        # there is nothing to eliminate, and nothing is built
+        # every point but the origin's, with its rows of order at most a + b
+        # and of level at most b, on the columns the origin leaves; with no
+        # row or no column left there is nothing to eliminate, and nothing
+        # is built
         a = max(cells)
         origin, others = origin_split(mults)
-        shape = (sum(binom(min(m, a + b + 1) + 1, 2) for m in others),
+        shape = (sum(min(m, a + b + 1) - e for m in others for e in range(min(m, b + 1))),
                  (a + 1) * (b + 1) - box_killed(a, b, origin))
         built = built_shapes(hf_biproj_row, b, cells, mults, OracleConfig(trials=1))
         assert built == ([shape] if shape[0] * shape[1] else [])
@@ -1426,16 +1429,17 @@ class TestEarlyStop:
 
     def test_certified_only_under_the_model_bound(self, oracle, eliminations):
         # one of two 6-fold points sits at the origin and kills 6 + 5 + 4 of
-        # the 63 columns of (20, 2); the other gives 21 rows against the 48
-        # left, but only its rows (c, e) with e <= 2 meet them: 6 + 5 + 4.
-        # min(rows, cols) = 21 would run every trial
+        # the 63 columns of (20, 2); the other has 21 conditions against the
+        # 48 left, but only its rows (c, e) with e <= 2 meet them, 6 + 5 + 4,
+        # and only those are built. A bound of min(21, 48) over all its
+        # conditions would run every trial
         assert hf_biproj_row(2, (20,), (6, 6), oracle) == {20: 30}
-        assert eliminations == [(21, 48)]
+        assert eliminations == [(15, 48)]
         # conics double at two points of the line are the line doubled: 6
         # rows, but the 4 at level 0 meet only the 3 columns 1, x, x^2
         scheme = PlaneScheme(0, 0, (), (SliceProfile.fat_point(2),) * 2)
         assert hf_plane(2, scheme, oracle) == 1
-        assert eliminations == [(21, 48), (6, 6)]
+        assert eliminations == [(15, 48), (6, 6)]
 
     def test_certified_cell_takes_one_elimination(self, oracle, eliminations):
         # 5 points of multiplicity 5 give 75 rows, and the rank reaches them
