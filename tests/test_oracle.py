@@ -1752,6 +1752,94 @@ class TestCurveBound:
         curve.assert_called()
 
 
+def settled_by(boxes, a, b, degree):
+    """How the boxes (x, y, value) returned so far settle the cell (a, b), by
+    a plain search over them and their transposes: "independent" around a
+    box at the degree, else "free" inside a box at its cells, else None."""
+    both = [(x, y, value) for x, y, value in boxes] + [(y, x, value) for x, y, value in boxes]
+    if any(value == degree and x <= a and y <= b for x, y, value in both):
+        return "independent"
+    if any(value == (x + 1) * (y + 1) and x >= a and y >= b for x, y, value in both):
+        return "free"
+    return None
+
+
+def asked_rows(call, *args):
+    """call(*args), and each hf_biproj_row call it makes, in order, as
+    (b, the cells asked, the values returned)."""
+    calls = []
+    row = oracle_module.hf_biproj_row
+
+    def kept(b, cells, mults, cfg):
+        values = row(b, cells, mults, cfg)
+        calls.append((b, tuple(cells), values))
+        return values
+
+    with mock.patch.object(oracle_module, "hf_biproj_row", kept):
+        return call(*args), calls
+
+
+class TestContainment:
+    """hf_uniform_cells asks no row for a cell that a box returned before
+    settles: one around a box whose value is the degree, or inside one whose
+    value is its cells, in either orientation. The settled values are the
+    ones each cell's own row gives."""
+
+    @given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 7), st.integers(0, 7),
+           st.sampled_from([1, 3]), st.sampled_from([0, 7]))
+    @example(5, 5, 7, 7, 3, 0)  # the golden table's corner, inside the free box (7, 7)
+    @example(2, 9, 5, 2, 3, 0)  # every cell inside the free box (5, 2)
+    @example(1, 3, 7, 7, 1, 0)  # around the independent boxes (2, 0) and (1, 1)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_equals_each_cell_alone(self, m, s, a_max, b_max, trials, seed):
+        cfg = OracleConfig(trials=trials, seed=seed)
+        cells = [(a, b) for b in range(b_max + 1) for a in range(a_max + 1)]
+        got = hf_uniform_cells(cells, UniformFatPoints(s, m), cfg)
+        assert got == {(a, b): hf_biproj(BiDegree(a, b), (m,) * s, cfg) for a, b in cells}
+
+    @pytest.mark.parametrize("call, args, rows, rule", [
+        (table_region, (5, 5, 25, 18, OracleConfig()),
+         [(18, tuple(range(18, 26))), (6, tuple(range(6, 26))), (7, tuple(range(7, 12))),
+          (8, (8, 9))], "independent"),
+        (replay, (["verify", "--m", "2", "--s", "9", "--amax", "5", "--bmax", "2"],),
+         [(2, (2, 3, 4, 5))], "free"),
+    ], ids=["golden_table", "verify"])
+    def test_no_asked_cell_is_settled(self, call, args, rows, rule):
+        # the golden table's rows 9..17 and the cells of rows 7 and 8 from
+        # (12, 7) and (10, 8) on lie around a box of value 75; verify's rows
+        # 0 and 1 lie inside (5, 2), whose value is its 18 cells
+        degree = 75 if call is table_region else 27
+        _, calls = asked_rows(call, *args)
+        assert [(b, cells) for b, cells, _ in calls] == rows
+        seen = []
+        for b, cells, values in calls:
+            assert all(settled_by(seen, a, b, degree) is None for a in cells), b
+            seen += [(a, b, value) for a, value in values.items()]
+        normal = {(a, b) for b in range(6, 19) for a in range(b, 26)} if call is table_region \
+            else {(a, b) for b in range(3) for a in range(b, 6)}
+        asked = {(a, b) for b, cells, _ in calls for a in cells}
+        assert {settled_by(seen, a, b, degree) for a, b in normal - asked} == {rule}
+
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 3)),
+                    max_size=12),
+           st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_staircases_agree_with_a_search(self, boxes, rows):
+        # values 0 and 1 stand for the degree, 20, and the box's cells; the
+        # other two are neither
+        rows, seen = sorted(rows), []
+        staircases = oracle_module._Boxes(rows, 20)
+        for x, y, kind in boxes:
+            value = (20, (x + 1) * (y + 1), 7, 0)[kind]
+            staircases.add(x, y, value)
+            seen.append((x, y, value))
+        for i, b in enumerate(rows):
+            for a in range(b, 13):
+                rule = settled_by(seen, a, b, 20)
+                value = {"independent": 20, "free": (a + 1) * (b + 1), None: None}[rule]
+                assert staircases.value(a, i) == value, (a, b)
+
+
 def record_points(monkeypatch, name, index):
     """Patch the oracle's builder `name` to keep, call by call, the points it
     receives as its argument at `index`."""
