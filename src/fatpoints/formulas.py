@@ -108,12 +108,14 @@ def table_region(
 
     Unknown cells are resolved by the rank oracle when a configuration is
     given (tagged source=ORACLE), and left value-less otherwise. The oracle
-    is asked for exactly the unknown cells, each read off the row of
+    is handed exactly the unknown cells, each read off the row of
     min(a, b), so a cell and its transpose share that row's trials, which
-    stop once its cells reach their bounds; the values are the ones all
-    trials would give. A table whose cells would not fit in physical memory
-    is refused with a ValueError before its first row, and an oracle row
-    that would not fit before the first elimination.
+    stop once its cells reach their bounds; a cell around a box whose value
+    is the degree, or inside a box whose value is its cells, is settled by
+    that box and asks no row. The values are the ones all trials would give.
+    A table whose cells would not fit in physical memory is refused with a
+    ValueError before its first row, and an oracle row that would not fit
+    before the first elimination.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")

@@ -30,7 +30,15 @@ every smaller a through its column rank profile. Swapping the two factors
 keeps general points general, so HF(a, b) = HF(b, a), and every cell is read
 off the row of min(a, b): hf_uniform_cells groups the cells of a table, a
 verify rectangle or a single cell by that row, so a cell and its transpose
-share one elimination per trial and one support in every command.
+share one elimination per trial and one support in every command. A cell
+can also be known from a box that contains it or that it contains, with no
+row of its own. A rank seen on any support is at most the generic rank, so
+a box whose rank is the degree s C(m+1, 2) has independent conditions, and
+so does every box around it; a box whose rank is its cells has no form, and
+neither does any box inside it. hf_uniform_cells visits the rows from the
+outside in, the largest b first, then the smallest, and asks each only for
+the cells that no box it has returned settles this way, in either
+orientation: the golden table asks 4 of its 13 rows.
 
 The bidegree model puts the first point of largest multiplicity m0 at the
 origin and draws the other s - 1: PGL(2) x PGL(2) takes any point to
@@ -709,11 +717,11 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     """(max(cells), b), the widest bidegree of a row of points given in order
     as (multiplicity, count) pairs; the runs hf_biproj_row builds there, each
     point but the first of largest multiplicity m0, which sits at the origin,
-    with its rows of order at most a + b and of level at most b, those of a
-    higher order or level vanishing on the box; and m0. Raises a ValueError unless the cells are nonnegative, the prime
-    exceeds the degree and m0, and the runs fit in physical memory on the
-    columns the origin leaves. From the pairs alone, so a caller can check a
-    row before its multiplicities exist."""
+    with its rows of order at most a + b and of level at most b, the others
+    vanishing on the box; and m0. Raises a ValueError unless the cells are
+    nonnegative, the prime exceeds the degree and m0, and the runs fit in
+    physical memory on the columns the origin leaves. From the pairs alone,
+    so a caller can check a row before its multiplicities exist."""
     cells = tuple(cells)
     if not cells or min(cells) < 0:
         raise ValueError(f"cells must be nonempty and nonnegative, got {cells}")
@@ -852,7 +860,7 @@ class _Boxes:
                         break
                     self.most[i] = x
 
-    def value(self, a: int, i: int) -> int | None:
+    def settled(self, a: int, i: int) -> int | None:
         """The value of the box (a, b_i) if a box added settles it, else None."""
         if self.least[i] <= a:
             return self.degree
@@ -888,10 +896,10 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
         return {}
     mults, boxes, values = (pts.m,) * pts.s, _Boxes(rows, pts.degree), {}
     for k in range(len(rows)):
-        i = -1 - k // 2 if k % 2 == 0 else k // 2
+        i = len(rows) - 1 - k // 2 if k % 2 == 0 else k // 2
         b = boxes.rows[i]
         for a in rows[b]:
-            values[a, b] = boxes.value(a, i)
+            values[a, b] = boxes.settled(a, i)
         asked = [a for a in rows[b] if values[a, b] is None]
         if asked:
             for a, value in hf_biproj_row(b, asked, mults, cfg).items():

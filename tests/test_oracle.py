@@ -1837,7 +1837,7 @@ class TestContainment:
             for a in range(b, 13):
                 rule = settled_by(seen, a, b, 20)
                 value = {"independent": 20, "free": (a + 1) * (b + 1), None: None}[rule]
-                assert staircases.value(a, i) == value, (a, b)
+                assert staircases.settled(a, i) == value, (a, b)
 
 
 def record_points(monkeypatch, name, index):
