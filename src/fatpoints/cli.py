@@ -10,10 +10,10 @@ FATPOINTS_SEED preload the corresponding flags; explicit flags win. The
 integer flags other than --m must be nonnegative when parsed; --m may be
 any integer and is validated later, by UniformFatPoints.
 
-Each call builds its parser anew and adds the arguments of the command it
-runs only: every command is registered with its help line, so the help,
-usage and error text are those of the parser with every command's
-arguments, and a first token that names no command gets that parser.
+Each call builds its parser anew and registers only the command it runs,
+with that command's arguments; its help, usage and error text are those of
+the parser of every command, and a first token that names no command gets
+that parser.
 """
 
 import argparse
@@ -294,24 +294,29 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, each registered with its help line; only
-    `command`'s arguments are added when it names a command, and every
-    command's otherwise.
+    """The parser of `command` alone when it names a command, and of every
+    command otherwise.
 
     The top-level parser has no option but -h, so an argument list whose
     first token names a command is always dispatched to that command, and
-    the help, usage and error text, which list the registered names, are
-    the same as with every command's arguments added.
+    only that command's help, usage and error text can be printed, except
+    the top-level usage line, which reports arguments the command left over.
+    A one-command build keeps that line by naming every command in the
+    subparsers' metavar. The full build keeps argparse's default metavar:
+    with an explicit one, argparse would name the missing or invalid
+    command by the metavar instead of by its dest, `command`.
     """
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Hilbert functions of equal-multiplicity fat points on "
                     "the doubly ruled quadric, with an exact rank oracle.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
     for name, (help_text, func, add_arguments) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if command not in COMMANDS or command == name:
+        if not one or command == name:
+            subparser = sub.add_parser(name, help=help_text)
             add_arguments(subparser)
             subparser.set_defaults(func=func)
     return parser

@@ -662,6 +662,13 @@ def added_arguments(monkeypatch):
         yield added
 
 
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    """The parsers registered under `parser`'s subcommands, by name."""
+    (action,) = [action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestParserPerCommand:
     def test_a_call_adds_its_own_commands_arguments_only(self, capsys, monkeypatch):
         with added_arguments(monkeypatch) as added:
@@ -693,3 +700,27 @@ class TestParserPerCommand:
     def test_command_parser_parses_as_the_whole_parser(self, argv):
         # every corpus command that parses, func included
         assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_parser_registers_that_command_only(self, command):
+        assert list(subcommands(build_parser(command))) == [command]
+
+    def test_the_whole_parser_registers_every_command_in_order(self):
+        assert list(subcommands(build_parser())) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_parser_has_the_whole_parsers_usage(self, command):
+        assert build_parser(command).format_usage() == build_parser().format_usage()
+
+    def test_a_call_constructs_two_parsers(self, capsys, monkeypatch):
+        progs = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(VERIFY_ARGV) == 0
+        assert capsys.readouterr().out == "4/4 cells confirmed\n"
+        assert progs == ["fatpoints", "fatpoints verify"]
