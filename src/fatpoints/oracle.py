@@ -876,19 +876,20 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
 
     HF(a, b) = HF(b, a), so each cell is read off the row of min(a, b) at
     max(a, b). Every row is checked from (s, m) before the s multiplicities
-    exist and before the first elimination. The rows are then visited from
-    the outside in, the largest b first, then the smallest, and so on, and
-    each hf_biproj_row call is asked only for the cells that no box returned
-    so far settles by containment: a box around one whose value is the
+    exist and before the first elimination; a negative cell fails its row's
+    check with a ValueError. The rows are then visited from the outside in,
+    the largest b first, then the smallest, and so on, and each
+    hf_biproj_row call is asked only for the cells that no box returned so
+    far settles by containment: a box around one whose value is the
     degree s C(m+1, 2), or inside one whose value is its cells, has the
     same kind of value, in either orientation (_Boxes). A row with no cell
     left takes no call. Every settled value is exact, so the values are the
     ones a call per row would give.
     """
-    normal = {(a, b): BiDegree(a, b).normalized for a, b in cells}
+    normal = {(a, b): (max(a, b), min(a, b)) for a, b in cells}
     rows = {}
-    for deg in normal.values():
-        rows.setdefault(deg.b, set()).add(deg.a)
+    for a, b in normal.values():
+        rows.setdefault(b, set()).add(a)
     rows = {b: sorted(rows[b]) for b in sorted(rows)}
     for b, row in rows.items():
         _bi_row(b, row, [(pts.m, pts.s)], cfg)
@@ -905,7 +906,7 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
             for a, value in hf_biproj_row(b, asked, mults, cfg).items():
                 values[a, b] = value
                 boxes.add(a, b, value)
-    return {cell: values[deg.a, deg.b] for cell, deg in normal.items()}
+    return {cell: values[key] for cell, key in normal.items()}
 
 
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:

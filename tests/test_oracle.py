@@ -1797,6 +1797,14 @@ class TestContainment:
         got = hf_uniform_cells(cells, UniformFatPoints(s, m), cfg)
         assert got == {(a, b): hf_biproj(BiDegree(a, b), (m,) * s, cfg) for a, b in cells}
 
+    @pytest.mark.parametrize("negative", [(-1, 2), (2, -1), (-1, -1), (0, -3)])
+    def test_a_negative_cell_is_refused_before_any_row(self, negative):
+        cells = [(3, 3), (5, 1), negative, (0, 0)]
+        with mock.patch.object(oracle_module, "hf_biproj_row") as row, \
+             pytest.raises(ValueError, match="nonnegative"):
+            hf_uniform_cells(cells, UniformFatPoints(5, 3), OracleConfig())
+        row.assert_not_called()
+
     @pytest.mark.parametrize("call, args, rows, rule", [
         (table_region, (5, 5, 25, 18, OracleConfig()),
          [(18, tuple(range(18, 26))), (6, tuple(range(6, 26))), (7, tuple(range(7, 12))),
