@@ -52,22 +52,23 @@ box, so the bound drops by it too and stays sharp. The golden table's widest
 matrix is 60x479 (75x494 on the whole box) and the large cell's 684x1645
 (720x1681).
 
-All three models share one builder, conditions_matrix: derivative conditions
-at chart points against a set of exponent columns, the monomials of the box
-that the origin leaves for bidegree (a, b), the monomials the corners leave
-for plane degree d and a segment for the line. Each model states its rows
-once, as runs (widths, count, on_line) of equal width profile clamped to
-the rows that can be nonzero, and that one list feeds the size guard
-_require_fits, the only row count, the rank bound and the builder. The
-builder fills one derivative table per axis for all points together, over
-the exponents its columns use on that axis: row 0 by the powers t^j =
-t^(j-1) t from t^j0, which repeated squaring gives, and row c by d^c t^j =
-j d^(c-1) t^(j-1), with j0 the derivative orders less one below the axis's
-smallest exponent, so a panel of a wide row costs its own width. Each run
-takes one gather of its x factors straight into its rows, one multiply per
-level by the y factor and one remainder, all in place. The bidegree model
-is one run and the plane model a few, so the builder's Python-level work
-does not grow with the number of points.
+All three models share one builder, conditions_matrix, of derivative
+conditions at chart points, and one column rule, _band: the monomials x^j y^k
+of a box with low <= j + k <= high, j-major, which _below counts. They are
+the (a+1) x (b+1) box from the origin's multiplicity up for bidegree (a, b),
+the box the corners leave up to d for plane degree d, and a box of height 1
+for the line. Each model states its rows once, as runs (widths, count,
+on_line) of equal width profile clamped to the rows that can be nonzero, and
+that one list feeds the size guard _require_fits, the only row count, the
+rank bound and the builder. The builder fills one derivative table per axis
+for all points together, over the exponents its columns use on that axis:
+row 0 by the powers t^j = t^(j-1) t from t^j0, which repeated squaring
+gives, and row c by d^c t^j = j d^(c-1) t^(j-1), with j0 the derivative
+orders less one below the axis's smallest exponent, so a panel of a wide row
+costs its own width. Each run takes one gather of its x factors straight
+into its rows, one multiply per level by the y factor and one remainder, all
+in place. The bidegree model is one run and the plane model a few, so the
+builder's Python-level work does not grow with the number of points.
 
 The plane model puts its corners at Q1 = [0:1:0] and Q2 = [0:0:1] and its
 distinguished line at y = x, which avoids both: PGL(3) takes any two points
@@ -579,49 +580,50 @@ def conditions_matrix(points, runs, xexp, yexp, p: int, *, slope: int = 0) -> np
     return out
 
 
-def _killed(a: int, b: int, origin: int) -> int:
-    """The monomials x^j y^l of the (a, b) box with j + l < origin: the
-    columns that an origin-fold point at (0, 0) kills, and its rows that are
-    nonzero on the box: min(b + 1, origin - j) at each j < J = min(a + 1,
-    origin), the first t of them b + 1 and the rest origin - j."""
-    J = min(a + 1, origin)
-    t = min(J, max(0, origin - b))
-    return t * (b + 1) + (J - t) * origin - (J * (J - 1) - t * (t - 1)) // 2
+def _below(width: int, height: int, t: int) -> int:
+    """The monomials x^j y^k of the width x height box with j + k < t:
+    min(height, t - j) at each j < J = min(width, t), the first f of them
+    height and the rest t - j."""
+    J = min(width, t)
+    f = min(J, max(0, t - height + 1))
+    return f * height + (J - f) * t - (J * (J - 1) - f * (f - 1)) // 2
 
 
-def _bi_columns(deg: BiDegree, origin: int, columns: slice = slice(None)):
-    """The exponents (j, l) of the (a, b) box with j + l >= origin, j-major,
-    those at `columns` of them. They are min(b + 1, b + 1 - origin + j) at
-    each j from max(0, origin - b), at least one, so column c lies at some
-    j <= j0 + c and a column range costs its own size and one entry per j up
-    to its last column's."""
-    b1 = deg.b + 1
-    j0 = max(0, origin - deg.b)
-    c = np.arange(*columns.indices(deg.cells - _killed(deg.a, deg.b, origin)))
-    reach = min(deg.a + 1, j0 + int(c.max(initial=-1)) + 1)
-    ends = np.minimum(np.arange(j0 + b1 - origin, reach + b1 - origin), b1).cumsum()
+def _band(width: int, height: int, low: int, high: int, columns: slice = slice(None)):
+    """The exponents (j, k) of the width x height box with low <= j + k <=
+    high, j-major, those at `columns` of them: every model's columns. They
+    are at least one at each j from max(0, low - height + 1) up to the last,
+    so column c lies at some j <= j0 + c and a column range costs its own
+    size and one entry per j up to its last column's."""
+    j0 = max(0, low - height + 1)
+    c = np.arange(*columns.indices(max(0, _below(width, height, high + 1)
+                                           - _below(width, height, low))))
+    j = np.arange(j0, min(width, j0 + int(c.max(initial=-1)) + 1))
+    stop = np.minimum(height, high + 1 - j)
+    ends = (stop - np.maximum(0, low - j)).cumsum()
     at = ends.searchsorted(c, "right")
-    # the first kept l at j is b + 1 less the columns kept there
-    return at + j0, c + b1 - ends[at]
+    # the band at j ends at k = stop - 1, its ends[at]-th column
+    return at + j0, c + stop[at] - ends[at]
 
 
 def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0,
                          columns: slice = slice(None)) -> np.ndarray:
-    """One row per derivative condition against the monomials x^j y^l of the
-    bidegree (a, b) box that an origin-fold point at (0, 0) leaves, those at
-    `columns` of them.
+    """One row per derivative condition against the columns of the bidegree
+    (a, b) box that an origin-fold point at (0, 0) leaves, _band(a + 1,
+    b + 1, origin, a + b), those at `columns` of them.
 
     A point of multiplicity m contributes the rows (c,e) with c+e <= m-1:
     the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
     At (0, 0) those rows are the coefficients of x^j y^l with j + l < m,
     so hf_biproj_row puts one point there and builds only the others' rows,
-    the runs of _bi_row, on the columns j + l >= origin; origin = 0 keeps
-    every column. The columns run j-major, so the columns with j <= a' are a
-    prefix for each a' <= a, which hf_biproj_row reads smaller a off, and
-    its trials build them a panel at a time. The build takes no temporary
-    that grows with a point's rows times the columns (see conditions_matrix).
+    the runs of _bi_row; origin = 0 keeps every column. The band runs
+    j-major, so the columns with j <= a' are a prefix for each a' <= a,
+    which hf_biproj_row reads smaller a off, and its trials build them a
+    panel at a time. The build takes no temporary that grows with a point's
+    rows times the columns (see conditions_matrix).
     """
-    return conditions_matrix(points, runs, *_bi_columns(deg, origin, columns), p)
+    return conditions_matrix(points, runs, *_band(deg.a + 1, deg.b + 1, origin, deg.a + deg.b,
+                                                  columns), p)
 
 
 def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
@@ -629,25 +631,17 @@ def _plane_box(d: int, corner_a: int, corner_b: int) -> tuple[int, int, int]:
     that the corners leave. In the chart x0 = 1, x^j y^k has order d - j at
     Q1 = [0:1:0] and d - k at Q2 = [0:0:1], so they are the box j < width =
     d - alpha + 1, k < height = d - beta + 1, alpha and beta clamped to
-    d + 1, less the binom(width + height - d - 1, 2) of degree above d."""
+    d + 1, cut at j + k <= d: _band(width, height, 0, d)."""
     width, height = (d + 1 - min(m, d + 1) for m in (corner_a, corner_b))
-    return width, height, width * height - binom(width + height - d - 1, 2)
-
-
-def _plane_columns(d: int, corners):
-    """The exponents (j, k) of _plane_box, j-major: min(height, d + 1 - j) at each j."""
-    width, height, count = _plane_box(d, *corners)
-    per_j = np.minimum(height, d + 1 - np.arange(width))
-    k = np.arange(count) - np.repeat(np.cumsum(per_j) - per_j, per_j)
-    return np.repeat(np.arange(width), per_j), k
+    return width, height, _below(width, height, d + 1)
 
 
 def plane_conditions_matrix(d: int, corners, runs, points, p: int, *,
                             columns: slice = slice(None)) -> np.ndarray:
     """Conditions of the runs of require_plane_fits, a plane scheme's points
     other than its corners, on the degree-d forms that the corners
-    (alpha, beta) leave, those at `columns` of _plane_columns, in the chart
-    x0 = 1.
+    (alpha, beta) leave, those at `columns` of the _band of their _plane_box,
+    in the chart x0 = 1.
 
     points holds one chart point per point of the runs, in order, and one
     more: the general points, then one per point on the distinguished line
@@ -659,8 +653,8 @@ def plane_conditions_matrix(d: int, corners, runs, points, p: int, *,
     general = sum(n for _, n, on_line in runs if not on_line)
     *points, (slope, _) = points
     points = points[:general] + [(x, x) for x, _ in points[general:]]
-    j, k = _plane_columns(d, corners)
-    return conditions_matrix(points, runs, j[columns], k[columns], p, slope=slope)
+    width, height, _ = _plane_box(d, *corners)
+    return conditions_matrix(points, runs, *_band(width, height, 0, d, columns), p, slope=slope)
 
 
 def require_plane_fits(d: int, corners, general, line=()) -> list:
@@ -668,7 +662,8 @@ def require_plane_fits(d: int, corners, general, line=()) -> list:
     count) pairs in order and one point on the line per widths in line, each
     kept to its rows of order at most d, the others vanishing on degree-d
     forms; refused with a ValueError, before any scheme or support exists,
-    when too large for memory on the _plane_box of corners (alpha, beta)."""
+    when too large for memory on the band that corners (alpha, beta) leave,
+    the count of _plane_box."""
     runs = [(fat_profile(min(m, d + 1)), n, False) for m, n in general]
     clamped = (tuple(min(w, d + 1 - e) for e, w in enumerate(widths[: d + 1])) for widths in line)
     runs += [(widths, len(list(run)), True) for widths, run in groupby(clamped)]
@@ -732,7 +727,7 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     at = next((i for i, (m, n) in enumerate(pairs) if n and m == origin), None)
     runs = [(fat_profile(min(m, deg.a + b + 1))[: b + 1], n - (i == at), False)
             for i, (m, n) in enumerate(pairs) if n > (i == at)]
-    _require_fits(runs, deg.cells - _killed(deg.a, b, origin))
+    _require_fits(runs, deg.cells - _below(deg.a + 1, b + 1, origin))
     return deg, runs, origin
 
 
@@ -801,9 +796,9 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     The first point of largest multiplicity m0 sits at the origin, where its
     rows are the coefficients of the monomials it kills, and the trials draw
     the other len(mults) - 1 points. The rank on the (a, b) box is then the
-    _killed(a, b, m0) columns of the box plus the rank of the other points'
-    rows on the columns left with j <= a: a prefix of the (max(cells), b)
-    matrix, whose columns run j-major, so one elimination per trial gives
+    _below(a + 1, b + 1, m0) columns of the box below the band plus the rank
+    of the other points' rows on the band's columns with j <= a: a prefix of
+    the (max(cells), b) matrix, j-major, so one elimination per trial gives
     every cell. Each cut's bound is its rows, _rank_bound, and when every
     multiplicity is equal, for a cut still below that after the first
     trial, also its curve steps, _curve_bound, which the trial loop asks
@@ -815,7 +810,7 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
     """
     mults, cells = tuple(mults), tuple(cells)
     deg, runs, origin = _bi_row(b, cells, [(m, len(list(g))) for m, g in groupby(mults)], cfg)
-    killed = {a: _killed(a, b, origin) for a in cells}
+    killed = {a: _below(a + 1, b + 1, origin) for a in cells}
     cut = {a: (a + 1) * (b + 1) - killed[a] for a in cells}
     # two cells share a cut only when no column of it is left, and then both
     # bounds are 0
@@ -926,11 +921,11 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
 
     The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1], where each of their
     conditions is the coefficient of one monomial. So the value is the
-    number of monomials they leave, _plane_box, less the max over trials of
-    the rank of the other points' conditions on those, the runs of
-    require_plane_fits: 0, with no draw, when they leave none. The trials
-    stop once the rank reaches its _rank_bound, whose line caps d - e + 1
-    are the trace count on y = x.
+    number of monomials they leave, the band of _plane_box, less the max
+    over trials of the rank of the other points' conditions on those, the
+    runs of require_plane_fits: 0, with no draw, when they leave none. The
+    trials stop once the rank reaches its _rank_bound, whose line caps
+    d - e + 1 are the trace count on y = x.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -970,7 +965,7 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     _require_fits(runs, d + 1)  # before the columns exist
     p = cfg.prime
     support = sample_support(derive_seed(cfg.seed, "line", d, lengths), len(lengths), p)
-    M = conditions_matrix([(x, 0) for x, _ in support], runs, np.arange(d + 1), 0, p)
+    M = conditions_matrix([(x, 0) for x, _ in support], runs, *_band(d + 1, 1, 0, d), p)
     got = d + 1 - rank_mod_p(M, p)
     if got != expected:
         raise ArithmeticError(

@@ -1064,6 +1064,26 @@ class TestGuardCountsItsBuilder:
         assert refused_shape(check_reduction, deg, pts, cfg) == one_page_names(plane.shape)
 
 
+class TestBand:
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 26), st.integers(-1, 26),
+           st.slices(150))
+    @example(6, 5, 3, 6, slice(2, 9))  # cut at both ends, as no model cuts
+    @example(12, 12, 1, 20, slice(None, None, -3))
+    @example(1, 12, 4, 7, slice(None))  # one column of the box
+    @example(12, 1, 4, 7, slice(1, None, 2))  # one row
+    @example(5, 5, 7, 3, slice(None))  # high below low: no column
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_is_the_masked_box(self, width, height, low, high, columns):
+        # the band and its counts against the box masked at both ends, j-major
+        j, k = np.divmod(np.arange(width * height), max(height, 1))
+        keep = (low <= j + k) & (j + k <= high)
+        assert oracle_module._below(width, height, low) == int((j + k < low).sum())
+        assert oracle_module._below(width, height, high + 1) == int((j + k <= high).sum())
+        got_j, got_k = oracle_module._band(width, height, low, high, columns)
+        assert np.array_equal(got_j, j[keep][columns])
+        assert np.array_equal(got_k, k[keep][columns])
+
+
 class TestBiModel:
     def test_examples(self, oracle):
         assert hf_biproj(BiDegree(2, 2), [3], oracle) == 6
@@ -1132,13 +1152,12 @@ class TestBiModel:
                     kept = j[keep], l[keep]
                     n = len(kept[0])
                     for c0, c1 in [(None, None), (0, 1), (1, n), (n // 2, n // 2 + 3), (n, n)]:
-                        got = oracle_module._bi_columns(BiDegree(a, b), origin, slice(c0, c1))
+                        got = oracle_module._band(a + 1, b + 1, origin, a + b, slice(c0, c1))
                         assert all(np.array_equal(g, k[c0:c1]) for g, k in zip(got, kept)), (
                             a, b, origin, c0, c1)
         # one column left of the (30000000, 0) box costs its own size, not
         # the 30000001 of the box (715 MB when masked off it)
-        (j, l), peak = traced_peak(lambda: oracle_module._bi_columns(BiDegree(30000000, 0),
-                                                                    30000000))
+        (j, l), peak = traced_peak(lambda: oracle_module._band(30000001, 1, 30000000, 30000000))
         assert j.tolist() == [30000000] and l.tolist() == [0]
         assert peak < 2**20
         cells, peak = traced_peak(lambda: hf_uniform_cells([(30000000, 0)],
@@ -1147,8 +1166,8 @@ class TestBiModel:
         assert peak < 2**20
         # and the first 65 columns of that box at origin 1, a first panel of
         # a one-row matrix, cost their own size, not one entry per j of it
-        (j, l), peak = traced_peak(lambda: oracle_module._bi_columns(BiDegree(30000000, 0),
-                                                                    1, slice(0, 65)))
+        (j, l), peak = traced_peak(lambda: oracle_module._band(30000001, 1, 1, 30000000,
+                                                              slice(0, 65)))
         assert j.tolist() == list(range(1, 66)) and l.tolist() == [0] * 65
         assert peak < 2**20
 
@@ -1156,7 +1175,7 @@ class TestBiModel:
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_killed_in_closed_form(self, a, b, origin):
         # origin up to 30, past a + b + 1 for every box drawn
-        assert oracle_module._killed(a, b, origin) == box_killed(a, b, origin)
+        assert oracle_module._below(a + 1, b + 1, origin) == box_killed(a, b, origin)
 
     def test_subscheme_monotonicity(self, fast_oracle):
         rng = random.Random(99)
@@ -1205,18 +1224,35 @@ class TestPlaneModel:
         assert eliminations == []
 
     def test_columns_are_the_triangle_less_what_the_corners_kill(self):
-        # the box, j-major, against the degree-d triangle masked by the
-        # corners, for every corner up to d + 2
+        # the band of the box, j-major, against the degree-d triangle masked
+        # by the corners, for every corner up to d + 2, and each column range
+        # its slice of them
         for d in range(30):
             j, k = np.triu_indices(d + 1)
             k -= j
             for alpha in range(d + 3):
                 for beta in range(d + 3):
                     keep = (j <= d - min(alpha, d + 1)) & (k <= d - min(beta, d + 1))
-                    got_j, got_k = oracle_module._plane_columns(d, (alpha, beta))
-                    assert np.array_equal(got_j, j[keep]), (d, alpha, beta)
-                    assert np.array_equal(got_k, k[keep]), (d, alpha, beta)
-                    assert oracle_module._plane_box(d, alpha, beta)[2] == keep.sum()
+                    width, height, count = oracle_module._plane_box(d, alpha, beta)
+                    n = int(keep.sum())
+                    for c0, c1 in [(None, None), (0, 1), (1, n), (n // 2, n // 2 + 3), (n, n)]:
+                        got_j, got_k = oracle_module._band(width, height, 0, d, slice(c0, c1))
+                        assert np.array_equal(got_j, j[keep][c0:c1]), (d, alpha, beta, c0, c1)
+                        assert np.array_equal(got_k, k[keep][c0:c1]), (d, alpha, beta, c0, c1)
+                    assert count == n
+
+    def test_a_panel_of_a_wide_plane_costs_its_own_size(self):
+        # the first 65 columns at d = 3000, a first panel of a one-row
+        # matrix, are built j by j up to their last j, not out of the
+        # 4.5 million columns of the triangle (68.8 MB)
+        p = DEFAULT_PRIME
+        runs = require_plane_fits(3000, (0, 0), [(1, 1)])
+        points = list(sample_support(0, 2, p))
+        M, peak = traced_peak(lambda: plane_conditions_matrix(3000, (0, 0), runs, points, p,
+                                                              columns=slice(0, 65)))
+        (x, y), _ = points
+        assert M.tolist() == [[pow(y, k, p) for k in range(65)]]
+        assert peak < 2**20
 
     def test_degree_zero_and_multiplicity_zero(self, oracle):
         # the constants: kept by no point, killed by any; a point of
@@ -1283,7 +1319,8 @@ def plane_tags(d, scheme):
 
 def plane_columns(d, scheme):
     """The number of monomials of degree d that the scheme's corners leave."""
-    return len(oracle_module._plane_columns(d, (scheme.corner_a, scheme.corner_b))[0])
+    width, height, _ = oracle_module._plane_box(d, scheme.corner_a, scheme.corner_b)
+    return len(oracle_module._band(width, height, 0, d)[0])
 
 
 def all_trials_plane(d, scheme, cfg):

@@ -3,6 +3,7 @@ and no method or property of a class, that nothing in src/ calls, no random
 generator outside oracle.sample_support, no overwrite= anywhere and no
 column source handed to the kernel outside the trial loop, no size check in oracle.py outside its one guard
 over runs and no fat point's profile outside the rules that state them, no
+conditions matrix on columns other than a _band, no
 import beyond the standard library and numpy, numpy only in oracle.py, no
 command-line option that README.md does not name, and no name that the
 benchmark's tracer wraps missing from its home module."""
@@ -143,6 +144,17 @@ def test_only_the_trial_loop_hands_over_a_column_source():
     assert {scope for scope, name, _ in calls if name == "rank_profile_mod_p"} == {
         "oracle:_max_ranks", "oracle:rank_mod_p"}
     assert {scope for scope, name, _ in calls if name == "rank_mod_p"} == {"oracle:hf_trace_line"}
+
+
+def test_one_column_rule():
+    # every model's columns are the band of a box that _band states once,
+    # j-major, and _below counts; a model with a column generator of its
+    # own could order or count its columns otherwise than its guard and bound
+    columns = {scope: ast.unparse(call.args[2]) for scope, name, call in scoped_calls()
+               if name == "conditions_matrix"}
+    assert set(columns) == {"oracle:bi_conditions_matrix", "oracle:plane_conditions_matrix",
+                            "oracle:hf_trace_line"}
+    assert all(arg.startswith("*_band(") for arg in columns.values()), columns
 
 
 def imported_modules(src: Path = SRC) -> set[tuple[str, str]]:
