@@ -5,10 +5,9 @@ Exit codes: 0 success or full agreement, 1 semantic disagreement (MISMATCH
 from verify or reduce, chain FAILED from horace) or any ArithmeticError, 2
 bad usage or configuration. No command reaches hf_trace_line, the one
 cross-check that raises ArithmeticError; exit 1 keeps any other (say a
-ZeroDivisionError) from ending in a traceback. FATPOINTS_PRIME and
-FATPOINTS_SEED preload the corresponding flags; explicit flags win. The
-integer flags other than --m must be nonnegative when parsed; --m may be
-any integer and is validated later, by UniformFatPoints.
+ZeroDivisionError) from ending in a traceback. The integer flags other
+than --m must be nonnegative when parsed; --m may be any integer and is
+validated later, by UniformFatPoints.
 
 Each call builds its parser anew and registers only the command it runs,
 with that command's arguments; its help, usage and error text are those of
@@ -30,7 +29,6 @@ from .oracle import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     OracleConfig,
-    OracleConfigError,
     check_reduction,
     hf_uniform_cells,
 )
@@ -58,24 +56,14 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise OracleConfigError(f"{name} must be an integer, got {raw!r}")
-
-
 def _oracle_args(parser: argparse.ArgumentParser):
     parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, metavar="N",
                         help="at most N rank trials per instance; stops once the rank "
                              "reaches the model's bound")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (default: FATPOINTS_SEED or 0)")
-    parser.add_argument("--prime", type=int, default=None,
-                        help="field prime (default: FATPOINTS_PRIME or 2^31-1)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="master seed (default: 0)")
+    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME,
+                        help="field prime (default: 2^31-1)")
 
 
 def _int_args(parser: argparse.ArgumentParser, *names: str):
@@ -86,9 +74,7 @@ def _int_args(parser: argparse.ArgumentParser, *names: str):
 
 
 def _oracle_config(args) -> OracleConfig:
-    seed = args.seed if args.seed is not None else _env_int("FATPOINTS_SEED", DEFAULT_SEED)
-    prime = args.prime if args.prime is not None else _env_int("FATPOINTS_PRIME", DEFAULT_PRIME)
-    return OracleConfig(prime=prime, trials=args.trials, seed=seed)
+    return OracleConfig(prime=args.prime, trials=args.trials, seed=args.seed)
 
 
 def _text_value(value) -> str:

@@ -37,8 +37,10 @@ a box whose rank is the degree s C(m+1, 2) has independent conditions, and
 so does every box around it; a box whose rank is its cells has no form, and
 neither does any box inside it. hf_uniform_cells visits the rows from the
 outside in, the largest b first, then the smallest, and asks each only for
-the cells that no box it has returned settles this way, in either
-orientation: the golden table asks 4 of its 13 rows.
+the cells that no box it has returned settles this way. Cells and boxes are
+both taken as a >= b, so one orientation covers both: a box around the
+transpose of such a box is also around the box, and one inside the
+transpose is also inside it. The golden table asks 4 of its 13 rows.
 
 The bidegree model puts the first point of largest multiplicity m0 at the
 origin and draws the other s - 1: PGL(2) x PGL(2) takes any point to
@@ -827,15 +829,18 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
 
 
 class _Boxes:
-    """The boxes whose values a row call has returned, and their transposes,
-    as two staircases over the rows b of a call, in increasing order:
-    least[i], the least a of an independent box (a, b') with b' <= b_i, its
-    value the degree, and most[i], the greatest a of a free box (a, b') with
-    b' >= b_i, its value its cells. A rank seen on any support is at most
-    the generic rank, so a box at the degree has independent conditions,
-    and so does every box around it; a box at its cells has no form, and
-    neither does any box inside it. Each staircase is monotone, so adding a
-    box stops at the first row it does not move, and a lookup is one index.
+    """The boxes whose values a row call has returned, as two staircases
+    over the rows b of a call, in increasing order: least[i], the least a
+    of an independent box (a, b') with b' <= b_i, its value the degree, and
+    most[i], the greatest a of a free box (a, b') with b' >= b_i, its value
+    its cells. A rank seen on any support is at most the generic rank, so a
+    box at the degree has independent conditions, and so does every box
+    around it; a box at its cells has no form, and neither does any box
+    inside it. Boxes are added, and cells looked up, with a >= b; for such a
+    cell a box around or inside its transpose is around or inside the cell
+    too, so no transpose is recorded. Each staircase is monotone, so adding
+    a box stops at the first row it does not move, and a lookup is one
+    index.
     """
 
     def __init__(self, rows, degree: int):
@@ -843,17 +848,16 @@ class _Boxes:
         self.least, self.most = [math.inf] * len(self.rows), [-1] * len(self.rows)
 
     def add(self, a: int, b: int, value: int):
-        for x, y in ((a, b), (b, a)):
-            if value == self.degree:
-                for i in range(bisect_left(self.rows, y), len(self.rows)):
-                    if self.least[i] <= x:
-                        break
-                    self.least[i] = x
-            if value == (a + 1) * (b + 1):
-                for i in range(bisect_right(self.rows, y) - 1, -1, -1):
-                    if self.most[i] >= x:
-                        break
-                    self.most[i] = x
+        if value == self.degree:
+            for i in range(bisect_left(self.rows, b), len(self.rows)):
+                if self.least[i] <= a:
+                    break
+                self.least[i] = a
+        if value == (a + 1) * (b + 1):
+            for i in range(bisect_right(self.rows, b) - 1, -1, -1):
+                if self.most[i] >= a:
+                    break
+                self.most[i] = a
 
     def settled(self, a: int, i: int) -> int | None:
         """The value of the box (a, b_i) if a box added settles it, else None."""
@@ -877,8 +881,10 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
     hf_biproj_row call is asked only for the cells that no box returned so
     far settles by containment: a box around one whose value is the
     degree s C(m+1, 2), or inside one whose value is its cells, has the
-    same kind of value, in either orientation (_Boxes). A row with no cell
-    left takes no call. Every settled value is exact, so the values are the
+    same kind of value (_Boxes). The cells are asked, and the boxes kept,
+    as (max(a, b), min(a, b)), and one orientation covers both: for a
+    cell with a >= b, a box around or inside the transpose of a box is
+    around or inside the box too. A row with no cell left takes no call. Every settled value is exact, so the values are the
     ones a call per row would give.
     """
     normal = {(a, b): (max(a, b), min(a, b)) for a, b in cells}

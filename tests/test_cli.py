@@ -16,7 +16,7 @@ import pytest
 from fatpoints.cli import RECORD_KEYS, build_parser, main
 from fatpoints.formulas import _TABLE_BYTES_PER_CELL
 from fatpoints.horace import verify_chain
-from fatpoints.oracle import hf_biproj_row
+from fatpoints.oracle import DEFAULT_PRIME, hf_biproj_row, hf_uniform_cells
 
 
 def run(capsys, *argv):
@@ -621,23 +621,28 @@ class TestRecordContract:
         assert got and got == [list(record.items()) for record in records]
 
 
-class TestEnvironment:
-    def test_env_seed_used_and_flag_wins(self, capsys, monkeypatch):
-        monkeypatch.setenv("FATPOINTS_SEED", "12345")
-        code, out_env = run(capsys, "hf", "--a", "4", "--b", "4", "--m", "5", "--s", "7",
-                            "--mode", "oracle", "--trials", "1")
-        assert code == 0
-        code, out_flag = run(capsys, "hf", "--a", "4", "--b", "4", "--m", "5", "--s", "7",
-                             "--mode", "oracle", "--trials", "1", "--seed", "99")
-        assert code == 0
-        assert "value = 25" in out_env and "value = 25" in out_flag
+class TestSeedAndPrime:
+    def test_flags_reach_the_oracle_and_the_environment_does_not(self, capsys, monkeypatch):
+        # the seed and the prime come from argv alone: the flags reach the
+        # OracleConfig, and a FATPOINTS_PRIME in the environment is not read
+        argv = ["hf", "--a", "4", "--b", "4", "--m", "5", "--s", "7", "--mode", "oracle",
+                "--trials", "1"]
+        configs = []
 
-    def test_env_bad_prime_exits_2(self, capsys, monkeypatch):
+        def kept(cells, pts, cfg):
+            configs.append(cfg)
+            return hf_uniform_cells(cells, pts, cfg)
+
+        monkeypatch.setattr("fatpoints.cli.hf_uniform_cells", kept)
+        code, out = run(capsys, *argv, "--seed", "99", "--prime", "2147483659")
+        assert code == 0 and "value = 25" in out
+        assert [(cfg.seed, cfg.prime) for cfg in configs] == [(99, 2147483659)]
+        code, plain = run(capsys, *argv)
+        assert code == 0
         monkeypatch.setenv("FATPOINTS_PRIME", "not-a-number")
-        code = main(["hf", "--a", "2", "--b", "2", "--m", "5", "--s", "3",
-                     "--mode", "oracle"])
-        assert code == 2
-        capsys.readouterr()
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == plain
+        assert [(cfg.seed, cfg.prime) for cfg in configs[1:]] == [(0, DEFAULT_PRIME)] * 2
 
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())

@@ -7,12 +7,12 @@ names each of them in CHANGES.md; regenerating the whole file to make a
 failure go away defeats the check. `PYTHONPATH=src python tests/test_corpus.py
 ARGV...` prints the entry for one command, to paste in.
 
-The replay unsets FATPOINTS_SEED and FATPOINTS_PRIME, pins COLUMNS for
-argparse and pins the physical memory the size guard compares against, so
-the refusal messages do not depend on the host. argparse's help and usage
-text depends on the Python minor version, so an entry that argparse ended
-(with --help or a usage error) has its text compared only on the version
-recorded in the file; its exit code is compared on every version.
+The replay pins COLUMNS for argparse and pins the physical memory the size
+guard compares against, so the refusal messages do not depend on the host.
+argparse's help and usage text depends on the Python minor version, so an
+entry that argparse ended (with --help or a usage error) has its text
+compared only on the version recorded in the file; its exit code is
+compared on every version.
 """
 
 import hashlib
@@ -42,10 +42,8 @@ def _sha256(text: str) -> str:
 def replay(argv) -> dict:
     """Run one command in process and describe its outputs as a corpus entry."""
     out, err = io.StringIO(), io.StringIO()
-    env = {key: value for key, value in os.environ.items()
-           if key not in ("FATPOINTS_SEED", "FATPOINTS_PRIME")} | {"COLUMNS": "80"}
     sysconf = os.sysconf
-    with mock.patch.dict(os.environ, env, clear=True), \
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
          mock.patch("os.sysconf", lambda name: PAGES.get(name) or sysconf(name)), \
          redirect_stdout(out), redirect_stderr(err):
         try:

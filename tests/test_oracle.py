@@ -1819,7 +1819,8 @@ def asked_rows(call, *args):
 class TestContainment:
     """hf_uniform_cells asks no row for a cell that a box returned before
     settles: one around a box whose value is the degree, or inside one whose
-    value is its cells, in either orientation. The settled values are the
+    value is its cells, in either orientation; cells and boxes are taken as
+    a >= b, where one orientation covers both. The settled values are the
     ones each cell's own row gives."""
 
     @given(st.integers(1, 6), st.integers(0, 12), st.integers(0, 7), st.integers(0, 7),
@@ -1871,10 +1872,12 @@ class TestContainment:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_staircases_agree_with_a_search(self, boxes, rows):
         # values 0 and 1 stand for the degree, 20, and the box's cells; the
-        # other two are neither
+        # other two are neither. Boxes are added as a >= b, as
+        # hf_uniform_cells adds them, and the search still looks both ways
         rows, seen = sorted(rows), []
         staircases = oracle_module._Boxes(rows, 20)
         for x, y, kind in boxes:
+            x, y = max(x, y), min(x, y)
             value = (20, (x + 1) * (y + 1), 7, 0)[kind]
             staircases.add(x, y, value)
             seen.append((x, y, value))

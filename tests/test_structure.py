@@ -4,6 +4,7 @@ generator outside oracle.sample_support, no overwrite= anywhere and no
 column source handed to the kernel outside the trial loop, no size check in oracle.py outside its one guard
 over runs and no fat point's profile outside the rules that state them, no
 conditions matrix on columns other than a _band, no
+environment variable read, no
 import beyond the standard library and numpy, numpy only in oracle.py, no
 command-line option that README.md does not name, and no name that the
 benchmark's tracer wraps missing from its home module."""
@@ -155,6 +156,14 @@ def test_one_column_rule():
     assert set(columns) == {"oracle:bi_conditions_matrix", "oracle:plane_conditions_matrix",
                             "oracle:hf_trace_line"}
     assert all(arg.startswith("*_band(") for arg in columns.values()), columns
+
+
+def test_no_environment_is_read():
+    # a run is a function of its argv: the seed, the prime and every other
+    # setting reach the program as flags or arguments, never from os.environ
+    found = {(path.name, match) for path in sorted(SRC.glob("*.py"))
+             for match in re.findall(r"environ|getenv", path.read_text())}
+    assert found == set()
 
 
 def imported_modules(src: Path = SRC) -> set[tuple[str, str]]:
