@@ -839,8 +839,7 @@ class _Boxes:
     inside it. Boxes are added, and cells looked up, with a >= b; for such a
     cell a box around or inside its transpose is around or inside the cell
     too, so no transpose is recorded. Each staircase is monotone, so adding
-    a box stops at the first row it does not move, and a lookup is one
-    index.
+    a box stops at the first row it does not move, and a lookup is one index.
     """
 
     def __init__(self, rows, degree: int):
@@ -882,10 +881,11 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
     far settles by containment: a box around one whose value is the
     degree s C(m+1, 2), or inside one whose value is its cells, has the
     same kind of value (_Boxes). The cells are asked, and the boxes kept,
-    as (max(a, b), min(a, b)), and one orientation covers both: for a
-    cell with a >= b, a box around or inside the transpose of a box is
-    around or inside the box too. A row with no cell left takes no call. Every settled value is exact, so the values are the
-    ones a call per row would give.
+    as (max(a, b), min(a, b)), and one orientation covers both: for a cell
+    with a >= b, a box around or inside the transpose of a box is around or
+    inside the box too. A row with no cell left takes no call. Every
+    settled value is exact, so the values are the ones a call per row would
+    give.
     """
     normal = {(a, b): (max(a, b), min(a, b)) for a, b in cells}
     rows = {}
