@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -71,6 +72,21 @@ def test_command_output_is_unchanged(entry):
 def test_corpus_has_no_duplicate_command():
     commands = [tuple(entry["argv"]) for entry in ENTRIES]
     assert len(commands) == len(set(commands))
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `fatpoints` line in the fenced block of README's
+    "Command line" section, its trailing comment dropped."""
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("fatpoints ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_every_readme_command_is_recorded(argv):
+    # a command README shows a user is pinned byte for byte like any other
+    assert argv in [entry["argv"] for entry in ENTRIES]
 
 
 if __name__ == "__main__":
