@@ -6,15 +6,19 @@ over runs and no fat point's profile outside the rules that state them, no
 conditions matrix on columns other than a _band, no
 environment variable read, no
 import beyond the standard library and numpy, numpy only in oracle.py, no
-command-line option that README.md does not name, and no name that the
-benchmark's tracer wraps missing from its home module."""
+command-line option that README.md does not name, no name that the
+benchmark's tracer wraps missing from its home module, and no private name
+that a docstring or comment of src/ cites, or `module.name` that README.md
+cites, missing from the package."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 from fatpoints.cli import build_parser
@@ -222,3 +226,47 @@ def test_every_traced_name_exists():
     # the tracer counts a name missing from its home module as 0, with only
     # a warning, so a rename in src/ would silently empty a layer
     assert traced_names_missing() == set()
+
+
+def module_level_names(src: Path = SRC) -> set[str]:
+    """The functions, classes and assigned names at module level in src/*.py."""
+    names = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
+
+
+def cited_private_names(src: Path = SRC) -> set[tuple[str, str]]:
+    """(module, name) for every private name _x that a docstring or comment
+    of src/*.py cites, bare or after a dot."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        prose = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef))]
+        prose += [token.string for token in tokenize.generate_tokens(io.StringIO(text).readline)
+                  if token.type == tokenize.COMMENT]
+        found.update((path.stem, name) for chunk in prose
+                     for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", chunk))
+    return found
+
+
+def test_every_cited_home_exists():
+    # an argument is stated once, where it is implemented, and every other
+    # copy names that home; a pointer to a name that is gone points nowhere
+    defined = module_level_names()
+    assert {(module, name) for module, name in cited_private_names()
+            if name not in defined} == set()
+    readme = (ROOT / "README.md").read_text()
+    modules = {path.stem for path in SRC.glob("*.py")}
+    cited = {(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)", readme)
+             if module in modules}
+    assert cited
+    assert {(module, name) for module, name in cited
+            if not hasattr(importlib.import_module(f"fatpoints.{module}"), name)} == set()
