@@ -7,12 +7,8 @@ bad usage or configuration. No command reaches hf_trace_line, the one
 cross-check that raises ArithmeticError; exit 1 keeps any other (say a
 ZeroDivisionError) from ending in a traceback. The integer flags other
 than --m must be nonnegative when parsed; --m may be any integer and is
-validated later, by UniformFatPoints.
-
-Each call builds its parser anew and registers only the command it runs,
-with that command's arguments; its help, usage and error text are those of
-the parser of every command, and a first token that names no command gets
-that parser.
+validated later, by UniformFatPoints. Each call builds the parser of the
+command it runs alone (build_parser).
 """
 
 import argparse
@@ -324,7 +320,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # no command reaches hf_trace_line; any ArithmeticError exits 1
+        # exit 1, as the module docstring says
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,5 @@
-"""Closed-form Hilbert functions, their dispatch, and the table fill.
-
-`hf_uniform` tries the known regions in this order (bidegree normalized so
-a >= b):
-
-1. b <= m: the low-bidegree theorem (`hf_m_ge_b`). Each point contributes
-   C(m+1,2) - C(m-b,2) conditions, capped by the space dimension, except
-   one odd-s family where the count drops by C(c+2,2).
-2. The one known infinite defective family (`defective_family`), defect 1.
-3. m <= 3: min((a+1)(b+1), s C(m+1,2)), no other exceptions. Simple points
-   always impose independent conditions; double points above b = 2 and
-   triple points above b = 3 do too, off the family.
-4. Otherwise unknown.
-
-So the triple-point function is complete: its b <= 3 cells are the
-low-bidegree theorem, odd-s families included, and its sporadic cell (5, 4)
-at s = 5 is the defective family's m = 3 member.
+"""Closed-form Hilbert functions, their dispatch, hf_uniform, which lists
+the known regions in order, and the table fill, table_region.
 
 Unknown is a first-class answer, never a guess; the oracle can fill those
 cells on request.
@@ -37,7 +22,7 @@ from .oracle import OracleConfig, hf_uniform_cells, require_memory
 # (m 1, s 9), 580 (m 2, s 4), 697 (m 2, s 9), 724 (m 3, s 5) and 865 (m 3,
 # s 8), because it also holds an oracle row, whose matrix of s m (m + 1) / 2
 # rows the oracle checks alone; the trial loop eliminates that matrix in
-# place, without the copy that took m 3, s 8 to 1249
+# place
 _TABLE_BYTES_PER_CELL = 1024
 
 
@@ -79,12 +64,20 @@ def defective_family(deg: BiDegree, pts: UniformFatPoints) -> HFValue | None:
 
 
 def hf_uniform(deg: BiDegree, pts: UniformFatPoints) -> HFValue:
-    """Dispatch to the closed form covering (deg, pts), if any.
+    """Dispatch to the closed form covering (deg, pts), if any, the bidegree
+    normalized so a >= b. In order:
 
-    In order: b <= m is the low-bidegree theorem, then the defective
-    family, then m <= 3 is the parameter count min((a+1)(b+1), s C(m+1,2)).
-    Returns an HFValue with known=False and value=None on the open region
-    (m >= 4, min(a, b) > m, off the defective family).
+    1. b <= m: the low-bidegree theorem (hf_m_ge_b).
+    2. The one known infinite defective family (defective_family), defect 1.
+    3. m <= 3: min((a+1)(b+1), s C(m+1,2)), no other exceptions. Simple
+       points always impose independent conditions; double points above
+       b = 2 and triple points above b = 3 do too, off the family.
+    4. Otherwise an HFValue with known=False and value=None: the open region
+       (m >= 4, min(a, b) > m, off the defective family).
+
+    So the triple-point function is complete: its b <= 3 cells are the
+    low-bidegree theorem, odd-s families included, and its sporadic cell
+    (5, 4) at s = 5 is the defective family's m = 3 member.
     """
     deg = deg.normalized
     if deg.b <= pts.m:
@@ -107,15 +100,11 @@ def table_region(
     """Grid of values, rows indexed by b from 0, columns by a from 0.
 
     Unknown cells are resolved by the rank oracle when a configuration is
-    given (tagged source=ORACLE), and left value-less otherwise. The oracle
-    is handed exactly the unknown cells, each read off the row of
-    min(a, b), so a cell and its transpose share that row's trials, which
-    stop once its cells reach their bounds; a cell around a box whose value
-    is the degree, or inside a box whose value is its cells, is settled by
-    that box and asks no row. The values are the ones all trials would give.
-    A table whose cells would not fit in physical memory is refused with a
-    ValueError before its first row, and an oracle row that would not fit
-    before the first elimination.
+    given (tagged source=ORACLE), and left value-less otherwise; the oracle
+    is handed exactly the unknown cells, and oracle.hf_uniform_cells says
+    how it reads them off rows and settled boxes. A table whose cells would
+    not fit in physical memory is refused with a ValueError before its first
+    row, and an oracle row that would not fit before the first elimination.
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("table bounds must be nonnegative")

@@ -1,125 +1,29 @@
 """Ground-truth Hilbert functions by exact linear algebra over a prime field.
 
-Multiplicity conditions are evaluated at pseudo-random support with entries
-in [1, p-1], p a large prime, and the rank of the conditions matrix is the
-number of independent conditions. A nonzero minor of the generic matrix is an
-integer polynomial of degree far below p in the coordinates, so each trial
-returns the generic rank except with probability bounded by degree/p; taking
-the maximum over trials only sharpens this. Both the bidegree and the plane
-model run their trials through _max_ranks, which draws each trial's support
-and stops the trials once every rank reaches its bound, so cfg.trials is an
-upper bound. A bound comes from one of two rules, and no trial on any
-support passes either, so no later trial could raise the maximum. The rows,
-_rank_bound, count the rows that can be nonzero on the cut's columns, those
-of each level on a line at most the trace count there, capped by the cut.
-The curve steps, _curve_bound, hold for a bidegree row of equal
-multiplicities: a form that vanishes to a lower order at every point exists
-on every support, and multiplying by it embeds a smaller box's ideal in the
-cell's. They are computed only for a cut still below its rows after the
-first trial. Agreement under a second prime and under distinct seeds is
-part of the test suite.
+A value is read off the rank of a conditions matrix, derivative conditions
+at pseudo-random support with entries in [1, p-1], p a large prime,
+maximized over trials. Each argument is stated once, where it is
+implemented:
 
-Everything is deterministic, and every model draws its support the same way:
-sample_support(derive_seed(master seed, *tags, trial index), count, p), with
-tags naming the model and its instance; the line model makes one draw, from
-its tags alone. So identical inputs give identical outputs in any call order,
-and how the support is drawn is stated in one function. For the bidegree
-model the tags are ("bi", b, multiplicities), without a: one
-elimination per trial of the widest (a, b) matrix of a row gives the rank at
-every smaller a through its column rank profile. Swapping the two factors
-keeps general points general, so HF(a, b) = HF(b, a), and every cell is read
-off the row of min(a, b): hf_uniform_cells groups the cells of a table, a
-verify rectangle or a single cell by that row, so a cell and its transpose
-share one elimination per trial and one support in every command. A cell
-can also be known from a box that contains it or that it contains, with no
-row of its own. A rank seen on any support is at most the generic rank, so
-a box whose rank is the degree s C(m+1, 2) has independent conditions, and
-so does every box around it; a box whose rank is its cells has no form, and
-neither does any box inside it. hf_uniform_cells visits the rows from the
-outside in, the largest b first, then the smallest, and asks each only for
-the cells that no box it has returned settles this way. Cells and boxes are
-both taken as a >= b, so one orientation covers both: a box around the
-transpose of such a box is also around the box, and one inside the
-transpose is also inside it. The golden table asks 4 of its 13 rows.
+- Models: bidegree (a, b), a row of cells per elimination with one point at
+  the origin, hf_biproj_row, and the cells of a command by row,
+  HF(a, b) = HF(b, a), hf_uniform_cells; plane degree d with two corners
+  and a distinguished line, plane_conditions_matrix and _plane_box, reached
+  from a bidegree by check_reduction; the line, hf_trace_line.
+- Matrix: the columns, _band and _below; the rows as runs and the one
+  memory guard, _require_fits; the builder, conditions_matrix and
+  _derivative_tables.
+- Trials, why a rank at random support is the generic one and how the
+  support is drawn: _max_ranks.
+- Bounds at which the trials stop: the rows, with the trace count on a
+  line, _rank_bound; the curve steps, _curve_bound.
+- Containment: _Boxes.
+- Kernel: rank_profile_mod_p, left-looking in panels, with _eliminate_panel,
+  _sub_mul_mod_p, _panel_width, _SINGLE_PANEL_ENTRIES and ColumnSource;
+  memory: _PEAK_BYTES_PER_ENTRY.
 
-The bidegree model puts the first point of largest multiplicity m0 at the
-origin and draws the other s - 1: PGL(2) x PGL(2) takes any point to
-(0, 0) and keeps the others general. There an m0-fold point's conditions are
-the coefficients of the monomials x^j y^l with j + l < m0, so its rows, and
-the columns they kill, leave the matrix: the other points' rows are built on
-the box columns with j + l >= m0, j-major. The rank on the (a, b) box is the
-columns killed there plus the rank of the first kept columns, those with
-j <= a, and the count killed is the origin's own term in _rank_bound on the
-box, so the bound drops by it too and stays sharp. The golden table's widest
-matrix is 60x479 (75x494 on the whole box) and the large cell's 684x1645
-(720x1681).
-
-All three models share one builder, conditions_matrix, of derivative
-conditions at chart points, and one column rule, _band: the monomials x^j y^k
-of a box with low <= j + k <= high, j-major, which _below counts. They are
-the (a+1) x (b+1) box from the origin's multiplicity up for bidegree (a, b),
-the box the corners leave up to d for plane degree d, and a box of height 1
-for the line. Each model states its rows once, as runs (widths, count,
-on_line) of equal width profile clamped to the rows that can be nonzero, and
-that one list feeds the size guard _require_fits, the only row count, the
-rank bound and the builder. The builder fills one derivative table per axis
-for all points together, over the exponents its columns use on that axis:
-row 0 by the powers t^j = t^(j-1) t from t^j0, which repeated squaring
-gives, and row c by d^c t^j = j d^(c-1) t^(j-1), with j0 the derivative
-orders less one below the axis's smallest exponent, so a panel of a wide row
-costs its own width. Each run takes one gather of its x factors straight
-into its rows, one multiply per level by the y factor and one remainder, all
-in place. The bidegree model is one run and the plane model a few, so the
-builder's Python-level work does not grow with the number of points.
-
-The plane model puts its corners at Q1 = [0:1:0] and Q2 = [0:0:1] and its
-distinguished line at y = x, which avoids both: PGL(3) takes any two points
-and a line through neither there, and no dimension changes. At those points
-a corner condition is the coefficient of one monomial, so the corners give
-no rows, the monomials they kill give no columns, and the value is the
-columns left less the rank of the other points' rows on them. For a
-reduction, d = a + b, those are the (b+1) x (a+1) box of the bidegree
-model, so check_reduction checks the corner bookkeeping, on every point's
-rows against the whole box, the larger side; the tests compare
-the plane model with the triangle of every degree-d monomial, with the
-corners as two more random chart points and the line at y = 0. The plane
-model takes one point per profile in scheme order: the general points,
-then the points on the line, which keep their x and move to (x, x), and one
-more, whose x is the slope of the direction v = (1, slope) across the line.
-A point on the line gives the rows d_u^c d_v^e with c + e <= d, u = (1, 1)
-along the line, each a sum of c + e + 1 products of the same tables. The
-direction v points at neither corner, as d/dy would at Q2: the scheme of a
-profile that does not fall strictly, such as (3, 3, 2), depends on it.
-
-A matrix whose elimination would not fit in physical memory is refused with
-a ValueError before any of it is built.
-
-rank_profile_mod_p is the one elimination kernel, and it is left-looking:
-a column is fetched and updated only once the elimination reaches it, and
-the elimination stops when the rank reaches the rows. Its one loop, on scalar
-int64 rows, keeps each multiplier in the entry it clears and each pivot
-where it is, so it leaves the lower factor L of P A = L U in place. A matrix
-of at most 2^18 entries starts with that loop over rows + 64 columns, which
-hold every column of verify's and the Horace chains' matrices and every
-pivot of the golden table's; a larger matrix starts with 64 columns. Either
-goes on in panels of 64. After a panel, the rows below its pivots keep the
-multipliers L21 L11^-1 of its pivot columns, with L11^-1 from one more run
-of the loop, and each later panel is caught up from every earlier one by
-float64 BLAS matmuls, in the rows whose multiplier row is nonzero only. The
-matmuls stay exact: one factor is split into 16-bit limbs, so every partial
-sum is below k (p-1) (2^16-1) < 2^53 for an inner dimension k of at most
-the panel width, which is 64 for p <= 2147516417 and 63 at the largest
-prime OracleConfig accepts. The pivots are those of one pass of the loop
-over every column, bit for bit.
-
-The kernel fetches each panel as it starts it. The trial loop hands it a
-ColumnSource, whose fetch builds those columns on the trial's support, so no
-trial builds or holds a column past the last panel its elimination reaches:
-the large cell's trial builds 684 x 704 of its 684 x 1645, a golden-table
-row 60 x 124 of 60 x 479. Each panel is its own array, and once it is done
-only its multipliers are kept, in one array of rows x min(rows, cols) for
-every panel; the kernel writes only its part below the pivots. A caller's
-array is copied a panel at a time and left as it was.
+Agreement under a second prime and under distinct seeds is part of the test
+suite.
 """
 
 import hashlib
@@ -183,11 +87,7 @@ class OracleConfig:
             raise OracleConfigError(f"trials must be at least 1, got {self.trials}")
         if self.prime <= (1 << 30):
             raise OracleConfigError(f"prime must exceed 2^30, got {self.prime}")
-        # entries must fit in int64 through a*b accumulation in elimination.
-        # The blocked elimination's float64 limb products need
-        # k (p-1) (2^16-1) < 2^53 for its panel width k: that allows 64 only
-        # for p <= 2147516417, about 2^31 + 2^15, so at the largest prime
-        # accepted here, 2148532223, _panel_width gives 63.
+        # entries must fit in int64 through a*b accumulation in elimination
         if self.prime >= (1 << 31) + (1 << 20):
             raise OracleConfigError(f"prime too large for 64-bit elimination: {self.prime}")
         if not is_prime(self.prime):
@@ -221,12 +121,10 @@ def _distinct(rng: random.Random, count: int, p: int) -> list[int]:
 
 
 def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]:
-    """count chart points with pairwise-distinct x's and pairwise-distinct y's,
-    reproducible from the seed.
-
-    Distinctness per coordinate keeps the support off every ruling/vertical
-    line shared by two points, which is what general position requires here.
-    """
+    """count chart points with pairwise-distinct x's and pairwise-distinct
+    y's, reproducible from the seed: distinctness per coordinate keeps the
+    support off every ruling/vertical line shared by two points, which is
+    what general position requires here."""
     rng = random.Random(seed)
     xs = _distinct(rng, count, p)
     ys = _distinct(rng, count, p)
@@ -235,12 +133,11 @@ def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]
 
 def _derivative_tables(coords, orders: int, starts, width: int, p: int) -> np.ndarray:
     """D[k, ..., c, i] = d^c/dt^c t^j mod p at each t of coords[k], for
-    j = starts[k] + i, i < width and c < orders: one table per axis k,
-    filled for every t at once by two recurrences. Row 0 holds the powers,
-    t^j = t^(j-1) t from t^starts[k], and row c holds d^c t^j = j d^(c-1)
-    t^(j-1), so it is left zero at its first c places: d^c t^j is zero for
-    j < c, and a table that starts above t^0 starts orders - 1 below the
-    smallest exponent read from it.
+    j = starts[k] + i, i < width and c < orders: one table per axis k, for
+    every t at once. Row 0 holds the powers, t^j = t^(j-1) t from
+    t^starts[k], and row c holds d^c t^j = j d^(c-1) t^(j-1), zero at its
+    first c places: d^c t^j is zero for j < c, and a table that starts above
+    t^0 starts orders - 1 below the smallest exponent read from it.
     """
     coords = np.asarray(coords, dtype=np.int64) % p
     D = np.zeros(coords.shape + (orders, width), dtype=np.int64)
@@ -256,47 +153,41 @@ def _derivative_tables(coords, orders: int, starts, width: int, p: int) -> np.nd
     return D
 
 
-# A matrix of at most this many entries starts with a first panel of
-# rows + _panel_width(p) columns, a larger one with _panel_width(p). On one
-# BLAS thread, left-looking, that first panel against panels of 64 from the
-# start: the golden table's 60x479 (2^14.8 entries) takes 1.0 against 2.0 ms
-# and a 125x120 Horace chain matrix 4.0 against 5.8 ms, while panels win on
-# the plane matrices of reduce cells in the tests' triangle reference, with
-# the corners drawn as chart points, 399x666 (2^18.0) in 29 against 31 ms and
-# 571x990 in 50 against 56 ms, and on a dense random 210x294 (2^15.9), 17
-# against 24 ms. So the plane crossover lies near 2^18 and the dense one
-# below 2^15.9. No workload matrix lies between 2^15.7 and 2^20.1 entries,
-# so any cutoff there routes them alike: the golden table (at most 60x479),
-# verify (at most 189x21), the Horace chains (at most 66x64) and the plane
-# reductions (75x494, and 120x441 at 2^15.7) take the first panel, and the
-# large cell, 684x1645, is the only workload matrix in panels.
+# the first panel's crossover in rank_profile_mod_p. On one BLAS thread, a
+# first panel of rows + 64 columns against panels of 64 from the start: the
+# golden table's 60x479 (2^14.8 entries) takes 1.0 against 2.0 ms and a
+# 125x120 Horace chain matrix 4.0 against 5.8 ms, while panels win on the
+# plane matrices of reduce cells in the tests' triangle reference, 399x666
+# (2^18.0) in 29 against 31 ms and 571x990 in 50 against 56 ms, and on a
+# dense random 210x294 (2^15.9), 17 against 24 ms. So the plane crossover
+# lies near 2^18 and the dense one below 2^15.9. No workload matrix lies
+# between 2^15.7 and 2^20.1 entries, so any cutoff there routes them alike:
+# the large cell, 684x1645, is the only one in panels. The first panel holds
+# every column of verify's (at most 189x21) and the Horace chains' (at most
+# 66x64) matrices and every pivot of the golden table's (at most 60x479, by
+# column 66) and the plane reductions' (75x494, and 120x441 at 2^15.7, by
+# column 108).
 _SINGLE_PANEL_ENTRIES = 1 << 18
 
 
 def _panel_width(p: int) -> int:
-    """Largest k <= 64 with k (p-1) (2^16-1) < 2^53.
-
-    An inner dimension of k keeps every partial sum of a limb product in
-    _sub_mul_mod_p an exact float64 integer, whatever order BLAS adds in.
-    """
+    """Largest k <= 64 with k (p-1) (2^16-1) < 2^53, the widest exact limb
+    product of _sub_mul_mod_p: 64 for p <= 2147516417, about 2^31 + 2^15,
+    and 63 at the largest prime OracleConfig accepts, 2148532223."""
     return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
 
 
 def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order=None) -> int:
     """Gaussian elimination over Z/p of columns c0..c1-1 of M from row
-    `rank`, leaving the lower factor in place.
+    `rank`; appends the pivot columns and returns the new rank.
 
     The one elimination loop: every panel of rank_profile_mod_p, and
-    [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers. Each
-    pivot is the first nonzero entry at or below row `rank`, and its whole
-    row is swapped up, as is its entry of `order` when given. The pivot
-    keeps its value and the rest of its row, up to c1, is scaled by the
-    pivot's inverse. Each row below keeps its entry
-    in the pivot column, the multiplier, and takes that multiple of the
-    scaled row off columns col+1..c1-1. With P the swaps, the panel's rows
-    from `rank` on then hold P A = L U: L on and below the pivots of the
-    pivot columns, U unit upper triangular above them and to their right.
-    Appends the pivot columns and returns the new rank.
+    [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers.
+    Each row below a pivot keeps its entry in the pivot column, the
+    multiplier, and the pivot row is scaled by the pivot's inverse, so with
+    P the swaps, of `order` too when given, the panel's rows from `rank` on
+    hold P A = L U: L on and below the pivots of the pivot columns, U unit
+    upper triangular above them and to their right.
     """
     rows = M.shape[0]
     for col in range(c0, c1):
@@ -332,17 +223,17 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order
 
 
 def _sub_mul_mod_p(C, A, B, p: int):
-    """C = (C - A @ B) mod p in place.
+    """C = (C - A @ B) mod p in place, for residues in [0, p).
 
-    C, A and B hold residues in [0, p). With B = 2^16 B1 + B0 split into
-    16-bit limbs, A @ B is congruent to A @ B0 + (2^16 A mod p) @ B1. Both
-    float64 matmuls are exact over an inner dimension of at most
-    _panel_width(p), so a wider one goes in slices of that width. One float64
-    buffer takes each product in turn, and C, subtracted from as int64, loses
-    less than 2^54 a slice before the remainder: exact for up to 511 slices.
-    rank_profile_mod_p needs at most 8: a first panel that leaves columns to
-    later ones lies in a matrix of at most 2^18 entries and more than
-    rows + 63 columns, so it has at most 480 rows and as many pivots.
+    With B = 2^16 B1 + B0 split into 16-bit limbs, A @ B is congruent to
+    A @ B0 + (2^16 A mod p) @ B1. Over an inner dimension k of at most
+    _panel_width(p), every partial sum of either float64 matmul is below
+    k (p-1) (2^16-1) < 2^53, exact whatever order BLAS adds in, so a wider
+    one goes in slices of k. C, subtracted from as int64 through one float64
+    buffer, loses less than 2^54 a slice before the remainder: exact for up
+    to 511 slices. rank_profile_mod_p needs at most 8: a first panel that
+    leaves columns to later ones lies in a matrix of at most 2^18 entries
+    and more than rows + 63 columns, so it has at most 480 rows and pivots.
     """
     k = _panel_width(p)
     lo = A.astype(np.float64)
@@ -360,41 +251,37 @@ def _sub_mul_mod_p(C, A, B, p: int):
 class ColumnSource(NamedTuple):
     """A matrix of `shape` whose columns fetch(slice(c0, c1)) returns, as a
     new int64 array that the caller may overwrite, so an elimination builds
-    only the columns it reaches."""
+    only the columns it reaches: the large cell's trial builds 684 x 704 of
+    its 684 x 1645, a golden-table row 60 x 124 of 60 x 479."""
     shape: tuple[int, int]
     fetch: Callable[[slice], np.ndarray]
 
 
 def rank_profile_mod_p(matrix, p: int) -> list[int]:
     """Column rank profile over Z/p: the pivot columns of a left-to-right
-    Gaussian elimination, in increasing order.
-
-    They are the lexicographically first independent columns, so the rank
-    of the first k columns is the number of pivots below k.
-
-    matrix is a ColumnSource or a two-dimensional array, which is left as it
-    was: its columns are copied a panel at a time, and a panel's entries
-    are reduced mod p as it is fetched.
+    Gaussian elimination, in increasing order. They are the
+    lexicographically first independent columns, so the rank of the first k
+    columns is the number of pivots below k. matrix is a ColumnSource or a
+    two-dimensional array, which is left as it was: its columns are copied a
+    panel at a time, and each panel is reduced mod p as it is fetched.
 
     The elimination is left-looking: a column is fetched only once the
     elimination reaches it, and it stops at rank == rows, so no column past
-    that panel is built, copied or held. A matrix of at most
-    _SINGLE_PANEL_ENTRIES entries takes the loop over a first panel of
-    rows + _panel_width(p) columns, enough for rank == rows unless more than
-    _panel_width(p) of them are dependent; a larger one starts with a panel
-    of _panel_width(p) columns. Either goes on in panels of _panel_width(p)
-    columns. Each panel is its own array, its rows put in the order of the
-    swaps made so far as it is fetched. After a panel with pivot columns q
-    and pivot rows top..rank-1, the rows below hold L21 in q, and
+    that panel is built, copied or held. A first panel of rows +
+    _panel_width(p) columns, taken by a matrix of at most
+    _SINGLE_PANEL_ENTRIES entries, reaches rank == rows unless more than
+    _panel_width(p) of them are dependent; every other panel is
+    _panel_width(p) wide and its own array. After a panel with pivot columns
+    q and pivot rows top..rank-1, the rows below hold L21 in q, and
     A21 A11^-1 = L21 L11^-1, with L11^-1 from one swap-free run of the loop
-    on [L11 | I]; of the panel only that multiplier is kept, in the columns
-    top..rank-1 of one array of multipliers for every panel, whose rows take
+    on [L11 | I]. Only that multiplier is kept, in the columns top..rank-1
+    of one rows x min(rows, cols) array for every panel, whose rows take
     every later swap. Each new panel is caught up from every earlier one,
-    oldest first, to A22 - A21 A11^-1 A12 by BLAS, A12 being the earlier
-    pivot rows in the panel's columns. Only the rows whose L21 row is
-    nonzero take part, and a panel with none keeps no multiplier. The panel
-    then holds exactly the values one pass of the loop over every column
-    leaves there, so every pivot is the same.
+    oldest first, to A22 - A21 A11^-1 A12, A12 the earlier pivot rows in its
+    columns, by the exact products of _sub_mul_mod_p, in the rows whose L21
+    row is nonzero only; a panel with none keeps no multiplier. The panel
+    then holds exactly what one pass of the loop over every column leaves
+    there, so every pivot is the same.
     """
     if not isinstance(matrix, ColumnSource):
         A = np.asarray(matrix)
@@ -408,8 +295,7 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
     c0, c1 = 0, min(cols, rows + width if rows * cols <= _SINGLE_PANEL_ENTRIES else width)
     # order[i]: the row of the matrix that row i of the elimination holds
     rank, pivots, earlier, order = 0, [], [], np.arange(rows)
-    # L[b:, t:b]: the multipliers L21 L11^-1 of the panel with pivot rows
-    # t..b-1, in the pivot order; one array for every panel that has any
+    # L[b:, t:b]: the multipliers L21 L11^-1 of pivot rows t..b-1, in order
     L = None
     while True:
         P = matrix.fetch(slice(c0, c1))
@@ -457,12 +343,11 @@ def rank_mod_p(matrix, p: int) -> int:
     return len(rank_profile_mod_p(matrix, p))
 
 
-# peak bytes of build plus elimination per matrix entry, by tracemalloc. The
-# trial loop builds only the panels its elimination reaches, and of each
-# panel keeps only its multipliers, in one array of rows x min(rows, cols):
-# with every column reached (a repeated row keeps the rank below the rows)
-# the peak is 0.65 of the whole matrix at 684x1645, 0.85 and 0.98 at 571x990
-# and 540x861 of the tests' triangle reference; on a first panel of every
+# peak bytes of build plus elimination per matrix entry, by tracemalloc, on
+# the panels and multipliers of rank_profile_mod_p: with every column reached
+# (a repeated row keeps the rank below the rows) the peak is 0.65 of the
+# whole matrix at 684x1645 (5.8 of 9.0 MB), 0.85 and 0.98 at 571x990 and
+# 540x861 of the tests' triangle reference; on a first panel of every
 # column, 0.97 at 60x479, 1.09 at 75x494, 1.65 at 120x441 and 2.6 at 189x21,
 # where the loop's temporaries and numpy's fixed iteration buffers (about
 # 0.2 MB) weigh most. A caller's built array is copied a panel at a time on
@@ -490,7 +375,13 @@ def require_memory(need: int, subject: str, purpose: str):
 
 
 def _require_fits(runs, cols: int) -> int:
-    """The runs' rows, the one count behind a size check; a ValueError if too large."""
+    """The runs' rows, the one count behind a size check; a ValueError,
+    before any of the matrix is built, if its elimination would not fit in
+    physical memory. Each model states its rows once, as runs (widths,
+    count, on_line) of points of one width profile clamped to the rows that
+    can be nonzero on its columns (_bi_row, require_plane_fits,
+    hf_trace_line); that one list feeds this guard, the rank bound and the
+    builder, and values and sampling tags keep the raw widths."""
     rows = sum(n * sum(widths) for widths, n, _ in runs)
     # a matrix with no rows still allocates its column index arrays, and a
     # row call with no columns still holds its points' multiplicities, 8
@@ -503,34 +394,28 @@ def _require_fits(runs, cols: int) -> int:
 def conditions_matrix(points, runs, xexp, yexp, p: int, *, slope: int = 0) -> np.ndarray:
     """Derivative conditions at chart points against exponent columns.
 
-    The columns are the monomials x^j y^l for (j, l) running over xexp and
-    yexp broadcast together, in C order. runs holds (widths, count, on_line)
-    triples, and each run takes its count of the points in turn. A point
-    (x, y) with width profile (w_0, w_1, ...) gives, for each level e and
-    each c < w_e, the row of d^c/dx^c d^e/dy^e of every column monomial at
-    (x, y). The points of a run on_line are points of the line y = x, and
-    theirs is instead the row of d_u^c d_v^e, with u = (1, 1) along the line
-    and v = (1, slope) across it. A fat point of multiplicity m is the
-    profile (m, ..., 1); a point on the line takes its SliceProfile widths.
-    Rows run point by point, then by level, then by c.
+    The columns are the monomials x^j y^l for (j, l) over xexp and yexp
+    broadcast together, in C order. Each (widths, count, on_line) run takes
+    its count of the points in turn. A point (x, y) of width profile
+    (w_0, w_1, ...), (m, ..., 1) for an m-fold point and a SliceProfile's
+    widths on the line, gives for each level e and c < w_e the row of
+    d^c/dx^c d^e/dy^e of every column at (x, y); a point of a run on_line
+    lies on y = x and gives d_u^c d_v^e instead, with u = (1, 1) along the
+    line and v = (1, slope) across it. Rows run point by point, then by
+    level, then by c.
 
-    The derivative tables DX and DY of all points span the x and the y
-    exponents of the columns, each from orders - 1 below its axis's smallest
-    exponent, the lowest power a row of derivative order below orders reads,
-    to its largest. They are filled together by two recurrences: t^j =
-    t^(j-1) t from t^j0 for the powers in row 0, and d^c t^j = j d^(c-1)
-    t^(j-1) for row c, zero where j < c. The rows of a chart run are
-    written in place in the preallocated matrix: one gather puts the x
-    factor d^c x^j of every row (c, e) of the run straight into it, each
-    level is then multiplied by its y factor d^e y^l, and one remainder
-    reduces the run. The temporaries are the run's x table, one
-    row of DX per row of a point, and the y factor of a level, one row per
-    point; no temporary grows with the rows of a point times the columns.
-    On the line, d_u^c d_v^e = (d_x + d_y)^c (d_x + slope d_y)^e is
-    sum_i k_i d^(c+e-i)/dx^(c+e-i) d^i/dy^i, with k_i the coefficient of z^i
-    in (1 + z)^c (1 + slope z)^e, so row (c, e) of a run is summed in place
-    from c + e + 1 products of the same tables, one per i, each a temporary
-    of one row per point.
+    The tables of _derivative_tables, one per axis for all points, span the
+    exponents the columns use on that axis from orders - 1 below the
+    smallest, the lowest power a row reads, so a panel of a wide row costs
+    its own width. A chart run is written in place, and no temporary grows
+    with a point's rows times the columns: the run's x table has one table
+    row per row of a point, a level's y factor one row per point. The
+    Python-level work grows with the runs, not the points: one run for the
+    bidegree model, a few for the plane. On the line, d_u^c d_v^e =
+    (d_x + d_y)^c (d_x + slope d_y)^e is sum_i k_i d^(c+e-i)/dx^(c+e-i)
+    d^i/dy^i, k_i the coefficient of z^i in (1 + z)^c (1 + slope z)^e, so
+    row (c, e) is summed in place from c + e + 1 products of the same
+    tables, each a temporary of one row per point.
     """
     shape = np.broadcast_shapes(np.shape(xexp), np.shape(yexp))
     cols = math.prod(shape)
@@ -610,20 +495,11 @@ def _band(width: int, height: int, low: int, high: int, columns: slice = slice(N
 
 def bi_conditions_matrix(deg: BiDegree, runs, points, p: int, *, origin: int = 0,
                          columns: slice = slice(None)) -> np.ndarray:
-    """One row per derivative condition against the columns of the bidegree
+    """The rows of the runs at points against the columns of the bidegree
     (a, b) box that an origin-fold point at (0, 0) leaves, _band(a + 1,
-    b + 1, origin, a + b), those at `columns` of them.
-
-    A point of multiplicity m contributes the rows (c,e) with c+e <= m-1:
-    the (c,e)-derivative of a bidegree-(a,b) chart polynomial at the point.
-    At (0, 0) those rows are the coefficients of x^j y^l with j + l < m,
-    so hf_biproj_row puts one point there and builds only the others' rows,
-    the runs of _bi_row; origin = 0 keeps every column. The band runs
-    j-major, so the columns with j <= a' are a prefix for each a' <= a,
-    which hf_biproj_row reads smaller a off, and its trials build them a
-    panel at a time. The build takes no temporary that grows with a point's
-    rows times the columns (see conditions_matrix).
-    """
+    b + 1, origin, a + b), those at `columns` of them; origin = 0 keeps
+    every column. Why the origin's rows leave, and why a smaller a reads a
+    prefix of these columns: hf_biproj_row."""
     return conditions_matrix(points, runs, *_band(deg.a + 1, deg.b + 1, origin, deg.a + deg.b,
                                                   columns), p)
 
@@ -645,12 +521,16 @@ def plane_conditions_matrix(d: int, corners, runs, points, p: int, *,
     (alpha, beta) leave, those at `columns` of the _band of their _plane_box,
     in the chart x0 = 1.
 
-    points holds one chart point per point of the runs, in order, and one
-    more: the general points, then one per point on the distinguished line
-    y = x, which keeps its x and moves to (x, x), and last a point whose x
-    is the slope of the direction v = (1, slope) across the line. The line
-    avoids both corners, and v is general: it does not point at Q2, as d/dy
-    does, or at Q1, as d/dx does.
+    The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1] and the distinguished
+    line at y = x, which avoids both: PGL(3) takes any two points and a line
+    through neither there, and no dimension changes. There a corner
+    condition is the coefficient of one monomial, so the corners give no
+    rows and their monomials no columns. points holds one chart point per
+    point of the runs, in order, and one more: the general points, then the
+    points on the line, each keeping its x and moved to (x, x), as general
+    as the others, and last one whose x is the slope of v = (1, slope)
+    across the line. v points at neither Q2, as d/dy does, nor Q1, as d/dx
+    does; a profile that does not fall strictly depends on it (schemes).
     """
     general = sum(n for _, n, on_line in runs if not on_line)
     *points, (slope, _) = points
@@ -676,23 +556,26 @@ def require_plane_fits(d: int, corners, general, line=()) -> list:
 def _max_ranks(tags, count, runs, build, bounds, cfg: OracleConfig, *,
                tighten=None) -> dict[int, int]:
     """For each cut c in bounds, the max over trials of the rank of the first
-    c columns.
+    c columns, each trial's matrix a ColumnSource of build(points, columns)
+    over the columns of the widest cut still below its bound.
 
-    Trial t draws count points, sample_support(derive_seed(cfg.seed, *tags,
-    t), count, cfg.prime), and hands the kernel the conditions matrix of the
-    runs on them, over the columns of the widest cut still below its bound,
-    as a ColumnSource: the kernel builds the columns c0..c1-1 by
-    build(points, slice(c0, c1)) as it reaches them, and no others. The
-    rank of the first c columns is the number of pivots before column c.
+    A nonzero minor of the generic matrix is an integer polynomial of degree
+    far below p in the coordinates, so each trial returns the generic rank
+    except with probability bounded by degree/p; the max over trials only
+    sharpens this. Trial t draws count points, sample_support(derive_seed(
+    cfg.seed, *tags, t), count, cfg.prime), the tags naming the model and
+    its instance. Every model draws this way (hf_trace_line once, from its
+    tags alone), so identical inputs give identical outputs in any call
+    order.
+
     bounds[c] is the model's upper bound on that rank on any support, at
-    most the rows: no trial passes it, so a cut at its bound cannot move,
-    and once every value reaches its bound the trials stop. A cut's bound
-    comes from one of two rules: the rows (_rank_bound), or, where tighten
-    is given, tighten(c), a second bound on any support that the loop asks
-    for once, after trial 0, and only for the cuts still below their rows;
-    hf_biproj_row's is the curve steps of _curve_bound. The cuts are
-    prefixes, so each value is the one all cfg.trials on every column would
-    give. When every bound is 0 there is nothing to eliminate, and no trial
+    most the rows, so a cut at its bound cannot move, and the trials stop,
+    at most cfg.trials of them, once every value reaches its bound. A bound
+    is the rows (_rank_bound) or, where tighten is given, tighten(c), a
+    second bound on any support that the loop asks for once, after trial 0,
+    for the cuts still below their rows: hf_biproj_row's curve steps
+    (_curve_bound). The cuts are prefixes, so each value is the one all
+    cfg.trials on every column would give. When every bound is 0, no trial
     draws.
     """
     best = dict.fromkeys(bounds, 0)
@@ -735,21 +618,21 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
 
 def _rank_bound(levels, runs, caps=()) -> int:
     """An upper bound, on any support, on the rank of derivative conditions
-    against the columns x^j y^e with j < levels[e], where levels does not
-    grow with e: (a+1,) * (b+1) for the bidegree (a, b) box, and for plane
-    degree d the columns that the corners leave, per power of y.
+    against the columns x^j y^e with j < levels[e], levels not growing with
+    e: (a+1,) * (b+1) for the bidegree (a, b) box, and for plane degree d
+    the columns the corners leave, per power of y.
 
     The row d^c/dx^c d^e/dy^e at a chart point is c! e! at x^c y^e and zero
     on every column x^j y^k with j < c or k < e, so, levels not growing, it
-    can be nonzero on the columns exactly when c < levels[e]. runs holds the
-    (widths, count, on_line) triples the model builds. A point of a run off
-    the line has min(w_e, levels[e]) such rows of level e. At a point of a
-    run on a line the level-e row d_u^c d_v^e, with u along the line, is
-    d_u^c of the restriction of d_v^e F to the line: the level-e rows of all
-    of them factor through that restriction, so together they count at
-    most caps[e], the dimension it ranges over (d - e + 1 on degree-d forms;
-    none past the last cap). This is the trace count on the line. The sum
-    is capped by the columns.
+    can be nonzero on the columns exactly when c < levels[e]: a point of a
+    run off the line has min(w_e, levels[e]) such rows of level e. On a
+    line, the level-e row d_u^c d_v^e, with u along the line, is d_u^c of
+    the restriction of d_v^e F to the line, so the level-e rows of all its
+    points factor through that restriction and together count at most
+    caps[e], the dimension it ranges over (d - e + 1 on degree-d forms, none
+    past the last cap): the trace count on the line, which certifies the
+    Horace chains' specialized schemes, whose points on the line carry more
+    conditions there than the forms can meet. The columns cap the sum.
     """
     rows = sum(n * sum(map(min, widths, levels)) for widths, n, on_line in runs if not on_line)
     line = [[n * w for w in widths] for widths, n, on_line in runs if on_line]
@@ -766,16 +649,16 @@ def _curve_bound(a: int, b: int, m: int, s: int, memo: dict) -> int:
     Let L = (a, b; m^s) and E = (alpha, beta; mu^s) with (alpha+1)(beta+1) >
     s C(mu+1, 2). The forms of bidegree (alpha, beta) outnumber the
     conditions of s mu-fold points, so a nonzero one, F, vanishes to order
-    mu at the s points on every support. Multiplying by F embeds the ideal
-    of L - E = (a-alpha, b-beta; (m-mu)^s) in the ideal of L, so the ideal of
-    L has dimension at least cells(L - E) - rank(L - E), and
-    rank(L) <= cells(L) - cells(L - E) + bound(L - E). This is the residual
-    exact sequence of the Horace steps, with a curve where they take a line.
-    For each mu <= m and beta <= b, alpha is the least such, and the step
-    is taken when alpha <= a and L.E = a beta + b alpha - s m mu < 0, where
-    F's curve is a fixed part of L. At (9, 6) with five 5-fold points, C^4 D
-    lies in the ideal, C the (2, 1) curve and D the (1, 2) curve through
-    the points, and the bound is the rank, 69.
+    mu at the points on every support, and multiplying by F embeds the
+    ideal of L - E = (a-alpha, b-beta; (m-mu)^s) in that of L. So the ideal
+    of L has dimension at least cells(L - E) - rank(L - E), and
+    rank(L) <= cells(L) - cells(L - E) + bound(L - E): the residual exact
+    sequence of the Horace steps, with a curve where they take a line. For
+    each mu <= m and beta <= b, alpha is the least such, and the step is
+    taken when alpha <= a and L.E = a beta + b alpha - s m mu < 0, where F's
+    curve is a fixed part of L. At (9, 6) with five 5-fold points, C^4 D
+    lies in the ideal, C the (2, 1) and D the (1, 2) curve through the
+    points, and the bound is the rank, 69.
     """
     key = (a, b, m)
     if key not in memo:
@@ -795,20 +678,20 @@ def _curve_bound(a: int, b: int, m: int, s: int, memo: dict) -> int:
 def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> dict[int, int]:
     """Generic Hilbert-function values at (a, b) for each a in cells.
 
-    The first point of largest multiplicity m0 sits at the origin, where its
-    rows are the coefficients of the monomials it kills, and the trials draw
-    the other len(mults) - 1 points. The rank on the (a, b) box is then the
-    _below(a + 1, b + 1, m0) columns of the box below the band plus the rank
-    of the other points' rows on the band's columns with j <= a: a prefix of
-    the (max(cells), b) matrix, j-major, so one elimination per trial gives
-    every cell. Each cut's bound is its rows, _rank_bound, and when every
-    multiplicity is equal, for a cut still below that after the first
-    trial, also its curve steps, _curve_bound, which the trial loop asks
-    for then, with one memo for the row. The origin's rows are its own term
-    in either bound on the box, so each cut's bound drops by the same count
-    and stays sharp. Exactly the cells asked for are returned, keyed by a,
-    and only they can hold the trials up: the trials stop once each has
-    reached its bound. The support does not depend on the cells.
+    The first point of largest multiplicity m0 sits at the origin, as
+    PGL(2) x PGL(2) takes any point to (0, 0) and keeps the others general,
+    and the trials draw the other len(mults) - 1. There an m0-fold point's
+    conditions are the coefficients of the x^j y^l with j + l < m0, so its
+    rows, and the columns they kill, leave the matrix: the runs of _bi_row
+    are built on the box columns with j + l >= m0, j-major. The rank on the
+    (a, b) box is the _below(a + 1, b + 1, m0) columns killed there plus the
+    rank of the kept columns with j <= a, a prefix of the (max(cells), b)
+    matrix: one elimination per trial gives every cell, and the tags
+    ("bi", b, mults) leave a out, so the support does not depend on the
+    cells. The origin's rows are their own term in either bound on the box,
+    its rows (_rank_bound) or its curve steps (_curve_bound), so the bound
+    drops by the same count and stays sharp. Exactly the cells asked for
+    are returned, keyed by a, and only they can hold the trials up.
     """
     mults, cells = tuple(mults), tuple(cells)
     deg, runs, origin = _bi_row(b, cells, [(m, len(list(g))) for m, g in groupby(mults)], cfg)
@@ -829,18 +712,18 @@ def hf_biproj_row(b: int, cells, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> d
 
 
 class _Boxes:
-    """The boxes whose values a row call has returned, as two staircases
-    over the rows b of a call, in increasing order: least[i], the least a
-    of an independent box (a, b') with b' <= b_i, its value the degree, and
-    most[i], the greatest a of a free box (a, b') with b' >= b_i, its value
-    its cells. A rank seen on any support is at most the generic rank, so a
-    box at the degree has independent conditions, and so does every box
-    around it; a box at its cells has no form, and neither does any box
-    inside it. Boxes are added, and cells looked up, with a >= b; for such a
-    cell a box around or inside its transpose is around or inside the cell
-    too, so no transpose is recorded. Each staircase is monotone, so adding
-    a box stops at the first row it does not move, and a lookup is one index.
-    """
+    """The boxes whose values a row call has returned, as two staircases over
+    the rows b of a call, in increasing order: least[i], the least a of an
+    independent box (a, b') with b' <= b_i, its value the degree
+    s C(m+1, 2), and most[i], the greatest a of a free box (a, b') with
+    b' >= b_i, its value its cells. A rank seen on any support is at most
+    the generic rank, so a box at the degree has independent conditions, and
+    so does every box around it; a box at its cells has no form, and neither
+    does any box inside it. Boxes are added, and cells looked up, with
+    a >= b: for such a cell a box around or inside its transpose is around
+    or inside the cell too, so no transpose is recorded. Each staircase is
+    monotone: adding a box stops at the first row it does not move, and a
+    lookup is one index."""
 
     def __init__(self, rows, degree: int):
         self.rows, self.degree = list(rows), degree
@@ -872,20 +755,17 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
     """Generic Hilbert-function values of s general m-fold points at each
     bidegree (a, b) in cells, keyed by (a, b).
 
-    HF(a, b) = HF(b, a), so each cell is read off the row of min(a, b) at
-    max(a, b). Every row is checked from (s, m) before the s multiplicities
-    exist and before the first elimination; a negative cell fails its row's
-    check with a ValueError. The rows are then visited from the outside in,
-    the largest b first, then the smallest, and so on, and each
-    hf_biproj_row call is asked only for the cells that no box returned so
-    far settles by containment: a box around one whose value is the
-    degree s C(m+1, 2), or inside one whose value is its cells, has the
-    same kind of value (_Boxes). The cells are asked, and the boxes kept,
-    as (max(a, b), min(a, b)), and one orientation covers both: for a cell
-    with a >= b, a box around or inside the transpose of a box is around or
-    inside the box too. A row with no cell left takes no call. Every
-    settled value is exact, so the values are the ones a call per row would
-    give.
+    Swapping the two factors keeps general points general, so HF(a, b) =
+    HF(b, a): each cell is read off the row of min(a, b) at max(a, b), and a
+    cell and its transpose share one elimination per trial and one support
+    in every command. Every row is checked from (s, m) before the s
+    multiplicities exist and before the first elimination; a negative cell
+    fails its row's check with a ValueError. The rows are visited from the
+    outside in, the largest b first, then the smallest, and so on, each
+    hf_biproj_row call asked only for the cells, as (max(a, b), min(a, b)),
+    that no box returned so far settles (_Boxes). A row with no cell left
+    takes no call: the golden table asks 4 of its 13 rows. Every settled
+    value is exact, so the values are the ones a call per row would give.
     """
     normal = {(a, b): (max(a, b), min(a, b)) for a, b in cells}
     rows = {}
@@ -911,12 +791,10 @@ def hf_uniform_cells(cells, pts: UniformFatPoints,
 
 
 def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Generic Hilbert-function value at `deg` for the given multiplicities.
-
-    Max over trials of the conditions-matrix rank; the value plus the ideal
-    piece's dimension is (a+1)(b+1). Read off the row of min(a, b) with this
-    one cell, on the row's support, so (a, b), (b, a) and a table row agree
-    bit for bit.
+    """Generic Hilbert-function value at `deg` for the given multiplicities,
+    which plus the ideal piece's dimension is (a+1)(b+1): hf_biproj_row's
+    for this one cell on the row of min(a, b), so (a, b), (b, a) and a table
+    row agree bit for bit.
     """
     deg = deg.normalized
     return hf_biproj_row(deg.b, (deg.a,), mults, cfg)[deg.a]
@@ -925,13 +803,11 @@ def hf_biproj(deg: BiDegree, mults, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
     """Dimension of the degree-d piece of the plane scheme's ideal.
 
-    The corners sit at Q1 = [0:1:0] and Q2 = [0:0:1], where each of their
-    conditions is the coefficient of one monomial. So the value is the
-    number of monomials they leave, the band of _plane_box, less the max
-    over trials of the rank of the other points' conditions on those, the
-    runs of require_plane_fits: 0, with no draw, when they leave none. The
-    trials stop once the rank reaches its _rank_bound, whose line caps
-    d - e + 1 are the trace count on y = x.
+    The corners give no rows and their monomials no columns
+    (plane_conditions_matrix), so the value is the monomials they leave, the
+    band of _plane_box, less the max rank over trials of the other points'
+    conditions on those, the runs of require_plane_fits: 0, with no draw,
+    when they leave none. Its _rank_bound caps the line at d - e + 1.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -946,7 +822,6 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     tags = ("plane", d, *corners, scheme.general, line)
     levels = [min(width, d + 1 - k) for k in range(height)]
     bound = _rank_bound(levels, runs, range(d + 1, 0, -1))
-    # one point per point of the runs, and one more for the direction across the line
     return cols - _max_ranks(tags, sum(n for _, n, _ in runs) + 1, runs,
                              lambda points, columns: plane_conditions_matrix(
                                  d, corners, runs, points, cfg.prime, columns=columns),
@@ -981,9 +856,14 @@ def hf_trace_line(d: int, lengths, cfg: OracleConfig = DEFAULT_CONFIG) -> int:
 
 
 def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> bool:
-    """Both sides of the plane-model translation, compared by oracle. The plane side is the
-    larger: the bidegree box against every point's rows, none at the origin. So after the
-    degree and prime checks its guard refuses both, before the points exist."""
+    """Both sides of the plane-model translation, compared by oracle. With
+    d = a + b, the monomials the corners leave are the (b+1) x (a+1) box of
+    the bidegree model, so this checks the corner bookkeeping; the tests
+    compare the plane model with the triangle of every degree-d monomial,
+    the corners two more random chart points and the line y = 0. The plane
+    side is the larger, the box against every point's rows, none at the
+    origin, so after the degree and prime checks its guard refuses both,
+    before the points exist."""
     # reduce_to_plane's degree and corners, before its s points exist
     cfg.require_degree(deg.a + deg.b)
     cfg.require_degree(pts.m if pts.s else 0)

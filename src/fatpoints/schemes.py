@@ -7,12 +7,10 @@ width profile (d_0, ..., d_k): d_j conditions at level j, so in local
 coordinates x along the line and y across it, y = 0 being the line, the
 scheme's local ideal is (x^{d_0}) + (x^{d_1}) y + ... + (y^{k+1}).
 
-The rank oracle puts the line at y = x in the chart x0 = 1, where each
-corner condition is the coefficient of one monomial, and differentiates a
-point on the line along (1, 1) and across a random direction (1, slope),
-which points at neither corner. A profile whose widths fall strictly, as a
-fat point's do, gives the same scheme whatever the direction across; one
-whose widths do not, such as (3, 3, 2), need not.
+oracle.plane_conditions_matrix places the corners and the line and picks
+the direction across it. A profile whose widths fall strictly, as a fat
+point's do, gives the same scheme whatever the direction across; one whose
+widths do not, such as (3, 3, 2), need not.
 """
 
 from dataclasses import dataclass, field
