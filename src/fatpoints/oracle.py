@@ -267,17 +267,17 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
 
     The elimination is left-looking: a column is fetched only once the
     elimination reaches it, and it stops at rank == rows, so no column past
-    that panel is built, copied or held. A first panel of rows +
-    _panel_width(p) columns, taken by a matrix of at most
-    _SINGLE_PANEL_ENTRIES entries, reaches rank == rows unless more than
+    that panel is built, copied or held. Each panel is its own array. A
+    matrix of at most _SINGLE_PANEL_ENTRIES entries starts with rows +
+    _panel_width(p) columns, enough for rank == rows unless more than
     _panel_width(p) of them are dependent; every other panel is
-    _panel_width(p) wide and its own array. After a panel with pivot columns
-    q and pivot rows top..rank-1, the rows below hold L21 in q, and
-    A21 A11^-1 = L21 L11^-1, with L11^-1 from one swap-free run of the loop
-    on [L11 | I]. Only that multiplier is kept, in the columns top..rank-1
-    of one rows x min(rows, cols) array for every panel, whose rows take
-    every later swap. Each new panel is caught up from every earlier one,
-    oldest first, to A22 - A21 A11^-1 A12, A12 the earlier pivot rows in its
+    _panel_width(p) wide. After a panel with pivot columns q and pivot rows
+    top..rank-1, the rows below hold L21 in q, and A21 A11^-1 = L21 L11^-1,
+    with L11^-1 from one swap-free run of the loop on [L11 | I]. Only that
+    multiplier is kept, in the columns top..rank-1 of one
+    rows x min(rows, cols) array for every panel, whose rows take every
+    later swap. Each new panel is caught up from every earlier one, oldest
+    first, to A22 - A21 A11^-1 A12, A12 the earlier pivot rows in its
     columns, by the exact products of _sub_mul_mod_p, in the rows whose L21
     row is nonzero only; a panel with none keeps no multiplier. The panel
     then holds exactly what one pass of the loop over every column leaves
