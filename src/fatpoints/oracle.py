@@ -109,25 +109,19 @@ def derive_seed(master: int, *tags) -> int:
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
-def _distinct(rng: random.Random, count: int, p: int) -> list[int]:
-    seen = set()
-    out = []
-    while len(out) < count:
-        v = rng.randrange(1, p)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def sample_support(seed: int, count: int, p: int) -> tuple[tuple[int, int], ...]:
     """count chart points with pairwise-distinct x's and pairwise-distinct
     y's, reproducible from the seed: distinctness per coordinate keeps the
     support off every ruling/vertical line shared by two points, which is
-    what general position requires here."""
+    what general position requires here. Each axis, the x's first, is one
+    random.Random.sample of [1, p-1]. Below 89,478,486 points an axis for any
+    prime OracleConfig accepts, 357,913,942 at DEFAULT_PRIME, sample draws
+    1 + randbelow(p - 1), which is randrange(1, p), until a value is new, so
+    it gives the values of a loop of randrange(1, p) that skips repeats,
+    the draw of every earlier version."""
     rng = random.Random(seed)
-    xs = _distinct(rng, count, p)
-    ys = _distinct(rng, count, p)
+    xs = rng.sample(range(1, p), count)
+    ys = rng.sample(range(1, p), count)
     return tuple(zip(xs, ys))
 
 
@@ -177,9 +171,9 @@ def _panel_width(p: int) -> int:
     return min(64, ((1 << 53) - 1) // ((p - 1) * 0xFFFF))
 
 
-def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order=None) -> int:
-    """Gaussian elimination over Z/p of columns c0..c1-1 of M from row
-    `rank`; appends the pivot columns and returns the new rank.
+def _eliminate_panel(M, p: int, rank: int, order=None) -> list[int]:
+    """Gaussian elimination over Z/p of every column of M from row `rank`;
+    returns the pivot columns.
 
     The one elimination loop: every panel of rank_profile_mod_p, and
     [L11 | I] to [L11 | L11^-1] after each panel that leaves multipliers.
@@ -189,8 +183,8 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order
     hold P A = L U: L on and below the pivots of the pivot columns, U unit
     upper triangular above them and to their right.
     """
-    rows = M.shape[0]
-    for col in range(c0, c1):
+    (rows, cols), pivots = M.shape, []
+    for col in range(cols):
         if rank == rows:
             break
         column = M[rank:, col]
@@ -204,22 +198,22 @@ def _eliminate_panel(M, p: int, rank: int, c0: int, c1: int, pivots: list, order
             M[rank] = row
             if order is not None:
                 order[rank], order[pivot] = order[pivot], order[rank]
-        top = M[rank, col + 1 : c1]
+        top = M[rank, col + 1 :]
         top *= pow(int(column[0]), -1, p)
         top %= p
         # the rows to clear: the row swapped down holds a zero in col
         below = nz[1:]
         if below.size:
             hit = below + rank
-            block = M[hit, col + 1 : c1]
+            block = M[hit, col + 1 :]
             # one gather, then a view: column[below, None] indexes slower
             block -= column[below][:, None] * top
             # entries lie in (-(p-1)^2, p): floor division leaves [0, p)
             block -= block // p * p
-            M[hit, col + 1 : c1] = block
+            M[hit, col + 1 :] = block
         pivots.append(col)
         rank += 1
-    return rank
+    return pivots
 
 
 def _sub_mul_mod_p(C, A, B, p: int):
@@ -312,8 +306,9 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
             _sub_mul_mod_p(block, mult[live], P[t:b], p)
             P[b + live] = block
         # the swaps matter only to a later panel
-        top, q, moved = rank, [], np.arange(rows) if c1 < cols else None
-        rank = _eliminate_panel(P, p, rank, 0, c1 - c0, q, moved)
+        top, moved = rank, np.arange(rows) if c1 < cols else None
+        q = _eliminate_panel(P, p, rank, moved)
+        rank += len(q)
         pivots += [c0 + c for c in q] if c0 else q
         if rank == rows or c1 == cols:
             return pivots
@@ -326,7 +321,7 @@ def rank_profile_mod_p(matrix, p: int) -> list[int]:
         if live.size:
             # L11 has a nonzero diagonal, so the loop takes its rows in order
             inverse = np.concatenate([np.tril(P[top:rank, q]), np.eye(k, dtype=np.int64)], axis=1)
-            _eliminate_panel(inverse, p, 0, 0, 2 * k, [])
+            _eliminate_panel(inverse, p, 0)
             # 0 - L21 (-L11^-1) = L21 L11^-1
             mult = np.zeros((live.size, k), dtype=np.int64)
             _sub_mul_mod_p(mult, L21[live], -inverse[:, k:] % p, p)
@@ -599,7 +594,7 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     point but the first of largest multiplicity m0, which sits at the origin,
     with its rows of order at most a + b and of level at most b, the others
     vanishing on the box; and m0. Raises a ValueError unless the cells are
-    nonnegative, the prime exceeds the degree and m0, and the runs fit in
+    nonnegative, the prime exceeds the degree, and the runs fit in
     physical memory on the columns the origin leaves. From the pairs alone,
     so a caller can check a row before its multiplicities exist."""
     cells = tuple(cells)
@@ -608,7 +603,6 @@ def _bi_row(b: int, cells, pairs, cfg: OracleConfig):
     deg = BiDegree(max(cells), b)
     cfg.require_degree(deg.a + b)
     origin = max((m for m, n in pairs if n), default=0)
-    cfg.require_degree(origin)
     at = next((i for i, (m, n) in enumerate(pairs) if n and m == origin), None)
     runs = [(fat_profile(min(m, deg.a + b + 1))[: b + 1], n - (i == at), False)
             for i, (m, n) in enumerate(pairs) if n > (i == at)]
@@ -806,8 +800,9 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     The corners give no rows and their monomials no columns
     (plane_conditions_matrix), so the value is the monomials they leave, the
     band of _plane_box, less the max rank over trials of the other points'
-    conditions on those, the runs of require_plane_fits: 0, with no draw,
-    when they leave none. Its _rank_bound caps the line at d - e + 1.
+    conditions on those, the runs of require_plane_fits: 0 when they leave
+    none, its one bound 0, so _max_ranks draws nothing. Its _rank_bound caps
+    the line at d - e + 1.
     """
     if d < 0:
         raise ValueError(f"degree must be nonnegative, got {d}")
@@ -817,8 +812,6 @@ def hf_plane(d: int, scheme: PlaneScheme, cfg: OracleConfig = DEFAULT_CONFIG) ->
     runs = require_plane_fits(d, corners, [(m, len(list(g))) for m, g in groupby(scheme.general)],
                               line)  # before the first draw
     width, height, cols = _plane_box(d, *corners)
-    if cols == 0:
-        return 0
     tags = ("plane", d, *corners, scheme.general, line)
     levels = [min(width, d + 1 - k) for k in range(height)]
     bound = _rank_bound(levels, runs, range(d + 1, 0, -1))
@@ -862,11 +855,10 @@ def check_reduction(deg: BiDegree, pts, cfg: OracleConfig = DEFAULT_CONFIG) -> b
     compare the plane model with the triangle of every degree-d monomial,
     the corners two more random chart points and the line y = 0. The plane
     side is the larger, the box against every point's rows, none at the
-    origin, so after the degree and prime checks its guard refuses both,
-    before the points exist."""
+    origin, so after the degree is checked against the prime its guard
+    refuses both, before the points exist."""
     # reduce_to_plane's degree and corners, before its s points exist
     cfg.require_degree(deg.a + deg.b)
-    cfg.require_degree(pts.m if pts.s else 0)
     require_plane_fits(deg.a + deg.b, (deg.a, deg.b), [(pts.m, pts.s)])
     scheme, d = reduce_to_plane(deg, pts)
     bi_ideal = deg.cells - hf_biproj(deg, (pts.m,) * pts.s, cfg)

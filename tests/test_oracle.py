@@ -368,9 +368,8 @@ class TestLowerFactor:
         # -(J + I): every entry p-1 or p-2, leading minors (-1)^k (k+1)
         ends = np.full((n, n), p - 1, dtype=np.int64) - np.eye(n, dtype=np.int64)
         for A in (dense, ends):
-            M, pivots = A.copy(), []
-            assert oracle_module._eliminate_panel(M, p, 0, 0, n, pivots) == n
-            assert pivots == list(range(n))
+            M = A.copy()
+            assert oracle_module._eliminate_panel(M, p, 0) == list(range(n))
             L = np.tril(M).astype(object)
             U = (np.triu(M, 1) + np.eye(n, dtype=np.int64)).astype(object)
             assert ((L @ U - A.astype(object)) % p == 0).all()
@@ -1095,6 +1094,13 @@ class TestBiModel:
         assert hf_biproj(BiDegree(4, 4), [], oracle) == 0
         assert hf_biproj(BiDegree(3, 3), [2, 1], oracle) == 4
 
+    def test_multiplicity_at_or_above_the_prime(self, oracle):
+        # only the degree must stay below the prime: an origin point of
+        # multiplicity past a + b kills every column, with no trial
+        assert hf_biproj(BiDegree(5, 5), (2**31,), oracle) == 36
+        assert hf_uniform_cells([(7, 6), (2, 9)], UniformFatPoints(3, 3 * 10**9),
+                                oracle) == {(7, 6): 56, (2, 9): 30}
+
     def test_value_plus_ideal_is_cells(self, oracle):
         deg = BiDegree(6, 3)
         mults = [2] * 4
@@ -1681,9 +1687,9 @@ class TestRankBound:
         value = all_trials_plane(d, scheme, cfg)
         got, bounds, tightened = handed(hf_plane, d, scheme, cfg)
         cols = plane_columns(d, scheme)
-        # with no column left there is nothing to bound, and no trial
-        assert bounds.keys() == ({cols} if cols else set())
-        assert bounds.get(cols, 0) >= cols - value
+        # with no column left the one bound is 0, and no trial draws
+        assert bounds.keys() == {cols}
+        assert bounds[cols] >= cols - value
         assert tightened == bounds  # the plane model has no curve bound
         assert got == value
 
@@ -1710,7 +1716,7 @@ class TestRankBound:
         _, bounds, _ = handed(hf_plane, d, scheme, cfg)
         M = plane_matrix(d, scheme, sample_support(1, len(general) + 1, p), p)
         cols = M.shape[1]
-        assert bounds == ({cols: rows_on_cut(M, cols)} if cols else {})
+        assert bounds == {cols: rows_on_cut(M, cols)}
 
     @given(st.integers(0, 7), st.integers(0, 3), st.integers(0, 3),
            st.lists(line_profiles, min_size=1, max_size=4))
@@ -2006,6 +2012,23 @@ class TestConfig:
         cfg = OracleConfig()
         with pytest.raises(OracleConfigError):
             cfg.require_degree(2**31)
+
+    @given(st.sampled_from([DEFAULT_PRIME, ALT_PRIME, LARGEST_PRIME]), st.integers(0, 2**64 - 1))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_support_is_the_rejection_draw(self, p, seed):
+        # the x's, then the y's, each a loop of randrange(1, p) that skips
+        # repeats: what every earlier version drew
+        for count in [*range(65), 1000]:
+            rng, axes = random.Random(seed), []
+            for _ in range(2):
+                axis, seen = [], set()
+                while len(axis) < count:
+                    v = rng.randrange(1, p)
+                    if v not in seen:
+                        seen.add(v)
+                        axis.append(v)
+                axes.append(axis)
+            assert sample_support(seed, count, p) == tuple(zip(*axes)), count
 
     def test_support_is_distinct_and_reproducible(self):
         points = sample_support(123, 40, 2**31 - 1)

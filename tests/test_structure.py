@@ -4,6 +4,7 @@ generator outside oracle.sample_support, no overwrite= anywhere and no
 column source handed to the kernel outside the trial loop, no size check in oracle.py outside its one guard
 over runs and no fat point's profile outside the rules that state them, no
 conditions matrix on columns other than a _band, no
+prime checked against anything but a degree, no
 environment variable read, no
 import beyond the standard library and numpy, numpy only in oracle.py, no
 command-line option that README.md does not name, no name that the
@@ -66,7 +67,7 @@ def test_every_definition_has_a_caller():
 
 
 # constructors of a random generator, and the helper that draws from one
-SAMPLERS = {"Random", "SystemRandom", "RandomState", "default_rng", "_distinct"}
+SAMPLERS = {"Random", "SystemRandom", "RandomState", "default_rng", "sample"}
 
 
 def scoped_calls(src: Path = SRC) -> list[tuple[str, str, ast.Call]]:
@@ -102,7 +103,7 @@ def test_one_sampler():
     # generator would put a second draw, and a second genericity
     # assumption, into the oracle
     assert sampler_calls() == {("oracle:sample_support", "Random"),
-                               ("oracle:sample_support", "_distinct")}
+                               ("oracle:sample_support", "sample")}
 
 
 # the size check behind a conditions matrix, and the profile of a fat point
@@ -160,6 +161,17 @@ def test_one_column_rule():
     assert set(columns) == {"oracle:bi_conditions_matrix", "oracle:plane_conditions_matrix",
                             "oracle:hf_trace_line"}
     assert all(arg.startswith("*_band(") for arg in columns.values()), columns
+
+
+def test_the_prime_bounds_degrees_only():
+    # only exponents up to the degree enter the entries, and every builder
+    # clamps a multiplicity to the rows it can have there, so a multiplicity
+    # at or above the prime is valid input and no check may refuse it
+    degrees = {(scope, ast.unparse(call.args[0])) for scope, name, call in scoped_calls()
+               if name == "require_degree"}
+    assert degrees == {("oracle:_bi_row", "deg.a + b"),
+                       ("oracle:check_reduction", "deg.a + deg.b"),
+                       ("oracle:hf_plane", "d"), ("oracle:hf_trace_line", "d")}
 
 
 def test_no_environment_is_read():
