@@ -66,7 +66,7 @@ def test_every_definition_has_a_caller():
     assert unreferenced_definitions() == ENTRY_POINTS
 
 
-# constructors of a random generator, and the helper that draws from one
+# constructors of a random generator, and the method that draws a support from one
 SAMPLERS = {"Random", "SystemRandom", "RandomState", "default_rng", "sample"}
 
 
